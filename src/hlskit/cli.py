@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -72,26 +71,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _spec_from(args) -> PosetSpec:
     if args.n is None or args.r is None:
         raise UsageError("--n and --r are required")
-    try:
-        return PosetSpec(_int_list(args.n), _int_list(args.r))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _worker_bound() -> int:
-    raw = os.environ.get("HLSKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise UsageError(f"HLSKIT_THREADS must be an integer, got {raw!r}")
-    if bound < 1:
-        raise UsageError("HLSKIT_THREADS must be at least 1")
-    return bound
+    return PosetSpec(_int_list(args.n), _int_list(args.r))
 
 
 def _spec_json(spec: PosetSpec | None) -> dict | None:
@@ -348,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         if need_spec:
             p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
             p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
-        p.add_argument("--max-elements", type=int, default=None)
-        p.add_argument("--max-chains", type=int, default=None)
+        p.add_argument("--max-elements", type=_nonnegative_int, default=None)
+        p.add_argument("--max-chains", type=_nonnegative_int, default=None)
         p.add_argument("--no-timing", action="store_true")
         p.add_argument("--output", default=None)
 
@@ -394,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=["reciprocity", "order-complex", "zeta-mobius", "relation"])
     common(p)
     p.add_argument("--modified", action="store_true")
-    p.add_argument("--max-subsets", type=int, default=None)
+    p.add_argument("--max-subsets", type=_nonnegative_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -404,9 +393,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _worker_bound()
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # Library ValueErrors are bad parameters that passed the parser.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

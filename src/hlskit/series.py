@@ -7,27 +7,29 @@ half-open series is
 
     sum over strict chains C of  W_C(Y) * prod_{c in C} X_c * prod_{c not in C} (1 - X_c),
 
-which is the chain sum with denominators cleared.
+which is the chain sum with denominators cleared.  Every series here is
+assembled by one transfer-matrix sweep, ``_chain_series``, from a pair weight
+of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactalg import LaurentPoly, Monomial, VarTable, _mono_mul, y_multinomial
+from .exactalg import LaurentPoly, Monomial, VarTable, _mono_mul, y_binomial
 from .poset import (
+    DEFAULT_MAX_CHAINS,
+    CapExceededError,
     DegenerateSpecError,
     Element,
     PosetSpec,
-    chains_in,
-    enumerate_chains,
     enumerate_multichains,
     interval_elements,
+    leq_t,
     render_element,
 )
-from .weight import chain_weight, pair_weight, phi_tableau, project, theta_tableau
+from .weight import chain_weight, pair_weight, phi_tableau, project
 
 
 @dataclass(frozen=True)
@@ -95,49 +97,95 @@ class HlsRational:
         return "*".join(f"(1 - {self.table.name(v)})" for v in self.denominator_vars)
 
 
-def _numerator_sum(
-    table: VarTable,
-    interval_vids: Sequence[int],
-    contributions: Iterable[tuple[LaurentPoly, Sequence[int]]],
-) -> tuple[LaurentPoly, int]:
-    """Clear denominators for a chain sum.
+# A partial numerator: (X bitmask, Y monomial) -> nonzero coefficient.
+_Terms = dict[tuple[int, Monomial], int]
 
-    Each contribution is (weight, X variable ids of the chain); the term is
-    weight * prod(chain X) * prod over the rest of the interval of (1 - X).
+
+def _chain_series(
+    ctx: SeriesContext,
+    elements: Sequence[Element],
+    leq: Callable[[Element, Element], bool],
+    pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
+    max_chains: int | None,
+) -> tuple[LaurentPoly, int]:
+    """Numerator and chain count of a chain sum, by the transfer-matrix method.
+
+    The chains are the strict chains of ``elements`` under ``leq``, each
+    weighted by the product of ``pair_w`` over consecutive members once the
+    spec's bottom is prepended and its top appended.  The bottom must lie
+    below every element, ``elements`` must come in X variable order, and
+    ``pair_w`` must return polynomials in the Y variables alone.
+
+    The sweep follows a linear extension and keeps one partial numerator
+    per last chain element, starting from the bottom.  At each element
+    ``c``, every state ``s`` below ``c`` sends ``state * X_c * pair_w(s, c)``
+    to the new state ``c``, and every earlier state takes the factor
+    ``1 - X_c``; at the end each state is multiplied by ``pair_w(s, top)``
+    (Stanley, EC1 section 4.7).  Chains are counted first, so a cap hit
+    costs no polynomial work.
     """
-    acc: dict[Monomial, int] = {}
-    count = 0
-    interval = list(interval_vids)
-    for weight, chain_vids in contributions:
-        count += 1
-        if weight.is_zero():
-            continue
-        member = set(chain_vids)
-        xmono: Monomial = tuple(sorted((v, 1) for v in member))
-        # Expand prod (1 - X_v) over the complement of the chain.
-        prod: dict[Monomial, int] = {(): 1}
-        for v in interval:
-            if v in member:
-                continue
-            update: dict[Monomial, int] = dict(prod)
-            for m, c in prod.items():
-                m2 = _mono_mul(m, ((v, 1),))
-                c2 = update.get(m2, 0) - c
-                if c2:
-                    update[m2] = c2
-                elif m2 in update:
-                    del update[m2]
-            prod = update
-        for mw, cw in weight.terms.items():
-            base = _mono_mul(mw, xmono)
-            for mp, cp in prod.items():
-                m = _mono_mul(base, mp)
-                c = acc.get(m, 0) + cw * cp
-                if c:
-                    acc[m] = c
-                elif m in acc:
-                    del acc[m]
-    return LaurentPoly(table, acc), count
+    bottom = ctx.spec.bottom()
+    top = ctx.spec.top()
+    # An element strictly below another has strictly fewer elements below it.
+    order = sorted(elements, key=lambda c: sum(leq(a, c) for a in elements))
+    preds = {c: [bottom] + [s for s in order[:k] if leq(s, c)] for k, c in enumerate(order)}
+
+    counts = {bottom: 1}
+    for c in order:
+        counts[c] = sum(counts[s] for s in preds[c])
+    chain_count = sum(counts.values())
+    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
+    if chain_count > cap:
+        raise CapExceededError(f"chain enumeration exceeds cap {cap}")
+
+    bit = {c: 1 << k for k, c in enumerate(elements)}
+    states: dict[Element, _Terms] = {bottom: {(0, ()): 1}}
+    for c in order:
+        incoming: _Terms = {}
+        for s in preds[c]:
+            _add_product(incoming, states[s], pair_w(ctx, s, c), bit[c])
+        for terms in states.values():
+            terms.update([((m | bit[c], y), -k) for (m, y), k in terms.items()])
+        states[c] = incoming
+    total: _Terms = {}
+    for s, terms in states.items():
+        _add_product(total, terms, pair_w(ctx, s, top), 0)
+    # Y variable ids precede X ones, and bits follow the X variable order.
+    x_vids = [ctx.x_ids[e] for e in elements]
+    numerator = {
+        y + tuple((v, 1) for i, v in enumerate(x_vids) if m >> i & 1): k
+        for (m, y), k in total.items()
+    }
+    return LaurentPoly(ctx.table, numerator), chain_count
+
+
+def _add_product(acc: _Terms, terms: _Terms, weight: LaurentPoly, bit: int) -> None:
+    """acc += terms * weight * X, where X is the variable of ``bit`` (0: none)."""
+    for (m, y), k in terms.items():
+        for wm, wk in weight.terms.items():
+            key = (m | bit, _mono_mul(y, wm))
+            c = acc.get(key, 0) + k * wk
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+
+
+def _rational(
+    kind: str,
+    spec: PosetSpec | None,
+    ctx: SeriesContext,
+    elements: Sequence[Element],
+    series: tuple[LaurentPoly, int],
+) -> HlsRational:
+    numerator, chain_count = series
+    vids = tuple(ctx.x_ids[e] for e in elements)
+    names = tuple(render_element(e) for e in elements)
+    return HlsRational(kind, spec, ctx.table, numerator, vids, names, chain_count)
+
+
+def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
+    return pair_weight(a, b, ctx.yvars, ctx.table)
 
 
 def _series(
@@ -148,41 +196,9 @@ def _series(
     max_elements: int | None,
 ) -> HlsRational:
     ctx = make_context(spec, max_elements)
-    denom_elements = (
-        ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    )
-    denom_vids = tuple(ctx.x_ids[e] for e in denom_elements)
-    weights: dict[tuple[Element, Element], LaurentPoly] = {}
-
-    def w(a: Element, b: Element) -> LaurentPoly:
-        key = (a, b)
-        if key not in weights:
-            weights[key] = pair_weight(a, b, ctx.yvars, ctx.table)
-        return weights[key]
-
-    bottom = spec.bottom()
-    top = spec.top()
-
-    def contributions():
-        for chain in enumerate_chains(spec, interval, max_chains, max_elements):
-            weight = LaurentPoly.const(ctx.table, 1)
-            prev = bottom
-            for e in chain:
-                weight = weight * w(prev, e)
-                prev = e
-            weight = weight * w(prev, top)
-            yield weight, [ctx.x_ids[e] for e in chain]
-
-    numerator, count = _numerator_sum(ctx.table, denom_vids, contributions())
-    return HlsRational(
-        kind,
-        spec,
-        ctx.table,
-        numerator,
-        denom_vids,
-        tuple(render_element(e) for e in denom_elements),
-        count,
-    )
+    elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
+    series = _chain_series(ctx, elements, leq_t, _hls_pair, max_chains)
+    return _rational(kind, spec, ctx, elements, series)
 
 
 def hls(
@@ -421,94 +437,63 @@ def expand_geometric(
 # -- specializations ----------------------------------------------------------------
 
 
+def _zero_count_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
+    """Telescoping factor of the tableau zero-count binomials, per component."""
+    result = LaurentPoly.const(ctx.table, 1)
+    for i, (x, y) in enumerate(zip(a, b)):
+        result = result * y_binomial(ctx.table, y[0], x[0], ctx.yvars[i][0])
+    return result
+
+
+def _leg_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
+    """Leg polynomial of the two adjacent columns that a pair projects to."""
+    return phi_tableau(project((a, b), 0, ctx.spec), ctx.yvars[0][1:], ctx.table)
+
+
+def _unit_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
+    return LaurentPoly.const(ctx.table, 1)
+
+
+def _subset_leq(a: Element, b: Element) -> bool:
+    return all(x <= y for x, y in zip(a[0], b[0]))
+
+
 def classical_igusa(r: int, max_elements: int | None = None) -> HlsRational:
     """Subset-sum form of the one-component, n = 0 series.
 
-    Built independently of the chain machinery: one multinomial weight per
-    subset of [r].
+    The chains are the subsets of [r], each weighted by its telescoping
+    Gaussian multinomial rather than by the pair weights.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = PosetSpec((0,), (r,))
     ctx = make_context(spec, max_elements)
-    y0 = ctx.yvars[0][0]
-    element_of = {j: ((j,),) for j in range(1, r + 1)}
-    denom_vids = tuple(ctx.x_ids[e] for e in ctx.x_elements)
-
-    def contributions():
-        for size in range(r + 1):
-            for subset in itertools.combinations(range(1, r + 1), size):
-                weight = y_multinomial(ctx.table, r, subset, y0)
-                yield weight, [ctx.x_ids[element_of[j]] for j in subset]
-
-    numerator, count = _numerator_sum(ctx.table, denom_vids, contributions())
-    return HlsRational(
-        "classical_igusa",
-        spec,
-        ctx.table,
-        numerator,
-        denom_vids,
-        tuple(render_element(e) for e in ctx.x_elements),
-        count,
-    )
+    series = _chain_series(ctx, ctx.x_elements, leq_t, _zero_count_pair, None)
+    return _rational("classical_igusa", spec, ctx, ctx.x_elements, series)
 
 
 def generalized_igusa(r_vec: Sequence[int], max_elements: int | None = None) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
     spec = PosetSpec(tuple(0 for _ in r_vec), tuple(r_vec))
     ctx = make_context(spec, max_elements)
-    denom_vids = tuple(ctx.x_ids[e] for e in ctx.x_elements)
-
-    def contributions():
-        for chain in enumerate_chains(spec, "half_open", max_elements=max_elements):
-            weight = LaurentPoly.const(ctx.table, 1)
-            for i in range(spec.g):
-                weight = weight * theta_tableau(project(chain, i, spec), ctx.yvars[i][0], ctx.table)
-            yield weight, [ctx.x_ids[e] for e in chain]
-
-    numerator, count = _numerator_sum(ctx.table, denom_vids, contributions())
-    return HlsRational(
-        "generalized_igusa",
-        spec,
-        ctx.table,
-        numerator,
-        denom_vids,
-        tuple(render_element(e) for e in ctx.x_elements),
-        count,
-    )
+    series = _chain_series(ctx, ctx.x_elements, leq_t, _zero_count_pair, None)
+    return _rational("generalized_igusa", spec, ctx, ctx.x_elements, series)
 
 
 def mv_hls(n: int, max_elements: int | None = None) -> HlsRational:
     """Reduced-tableau sum for one component with r = 0.
 
     Reduced tableaux are identified with strict chains of their column
-    sets; the weight is read from the projected tableau, so this route is
-    independent of the pairwise chain weights.
+    sets; the weight is the leg polynomial of the projected tableau, read
+    off adjacent columns, so this route is independent of the pairwise
+    chain weights.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     spec = PosetSpec((n,), (0,))
     ctx = make_context(spec, max_elements)
-    denom_vids = tuple(ctx.x_ids[e] for e in ctx.x_elements)
-
-    def contributions():
-        for chain in enumerate_chains(spec, "half_open", max_elements=max_elements):
-            tab = project(chain, 0, spec)
-            weight = theta_tableau(tab, ctx.yvars[0][0], ctx.table) * phi_tableau(
-                tab, ctx.yvars[0][1:], ctx.table
-            )
-            yield weight, [ctx.x_ids[e] for e in chain]
-
-    numerator, count = _numerator_sum(ctx.table, denom_vids, contributions())
-    return HlsRational(
-        "mv_hls",
-        spec,
-        ctx.table,
-        numerator,
-        denom_vids,
-        tuple(render_element(e) for e in ctx.x_elements),
-        count,
-    )
+    series = _chain_series(ctx, ctx.x_elements, leq_t, _leg_pair, None)
+    return _rational("mv_hls", spec, ctx, ctx.x_elements, series)
 
 
 def weak_order_igusa(g: int, max_elements: int | None = None) -> HlsRational:
@@ -519,28 +504,6 @@ def weak_order_igusa(g: int, max_elements: int | None = None) -> HlsRational:
     """
     if g < 1:
         raise ValueError("g must be positive")
-    spec = PosetSpec((g,), (0,))
-    ctx = make_context(spec, max_elements)
-    denom_vids = tuple(ctx.x_ids[e] for e in ctx.x_elements)
-
-    def subset_leq(i: int, j: int) -> bool:
-        a = ctx.x_elements[i][0]
-        b = ctx.x_elements[j][0]
-        return all(x <= y for x, y in zip(a, b))
-
-    one = LaurentPoly.const(ctx.table, 1)
-
-    def contributions():
-        for flag in chains_in(ctx.x_elements, leq=subset_leq):
-            yield one, [ctx.x_ids[e] for e in flag]
-
-    numerator, count = _numerator_sum(ctx.table, denom_vids, contributions())
-    return HlsRational(
-        "weak_order_igusa",
-        None,
-        ctx.table,
-        numerator,
-        denom_vids,
-        tuple(render_element(e) for e in ctx.x_elements),
-        count,
-    )
+    ctx = make_context(PosetSpec((g,), (0,)), max_elements)
+    series = _chain_series(ctx, ctx.x_elements, _subset_leq, _unit_pair, None)
+    return _rational("weak_order_igusa", None, ctx, ctx.x_elements, series)

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .exactalg import LaurentPoly, VarTable
 from .poset import (
+    CapExceededError,
     DegenerateSpecError,
     Element,
     PosetSpec,
@@ -316,7 +317,7 @@ def verify_order_complex(
     open_interval = ctx.x_elements[:-1]
     m = len(open_interval)
     if 1 << m > cap:
-        raise ValueError(f"2^{m} subsets exceed the cap {cap}")
+        raise CapExceededError(f"2^{m} subsets exceed the cap {cap}")
     k, n_value = K_and_N(spec, ctx.table, ctx.yvars)
     all_y = ctx.all_y_ids()
     rhs_scale = k if (n_value - 1) % 2 == 0 else -k

@@ -1,8 +1,9 @@
 import random
+from typing import Iterable, Sequence
 
 import pytest
 
-from hlskit.exactalg import LaurentPoly, VarTable
+from hlskit.exactalg import LaurentPoly, Monomial, VarTable, _mono_mul
 from hlskit.poset import PosetSpec
 from hlskit.series import make_context
 
@@ -53,6 +54,51 @@ def reference_numerator_1_2(table):
     for coeff, exps in terms:
         acc = acc + LaurentPoly.monomial(table, exps, coeff)
     return acc
+
+
+def reference_numerator_sum(
+    table: VarTable,
+    interval_vids: Sequence[int],
+    contributions: Iterable[tuple[LaurentPoly, Sequence[int]]],
+) -> tuple[LaurentPoly, int]:
+    """Clear denominators for a chain sum.
+
+    Each contribution is (weight, X variable ids of the chain); the term is
+    weight * prod(chain X) * prod over the rest of the interval of (1 - X).
+    """
+    acc: dict[Monomial, int] = {}
+    count = 0
+    interval = list(interval_vids)
+    for weight, chain_vids in contributions:
+        count += 1
+        if weight.is_zero():
+            continue
+        member = set(chain_vids)
+        xmono: Monomial = tuple(sorted((v, 1) for v in member))
+        # Expand prod (1 - X_v) over the complement of the chain.
+        prod: dict[Monomial, int] = {(): 1}
+        for v in interval:
+            if v in member:
+                continue
+            update: dict[Monomial, int] = dict(prod)
+            for m, c in prod.items():
+                m2 = _mono_mul(m, ((v, 1),))
+                c2 = update.get(m2, 0) - c
+                if c2:
+                    update[m2] = c2
+                elif m2 in update:
+                    del update[m2]
+            prod = update
+        for mw, cw in weight.terms.items():
+            base = _mono_mul(mw, xmono)
+            for mp, cp in prod.items():
+                m = _mono_mul(base, mp)
+                c = acc.get(m, 0) + cw * cp
+                if c:
+                    acc[m] = c
+                elif m in acc:
+                    del acc[m]
+    return LaurentPoly(table, acc), count
 
 
 @pytest.fixture

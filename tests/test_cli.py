@@ -69,6 +69,11 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--n", "1", "--r", "1,2")[0] == 1
     assert run(capsys, "compute", "--n", "x", "--r", "1")[0] == 1
     assert run(capsys, "expand", "--n", "1", "--r", "1")[0] == 1
+    for flag in ("--max-elements", "--max-chains"):
+        assert run(capsys, "compute", "--n", "1", "--r", "1", flag, "-1")[0] == 1
+    assert run(
+        capsys, "verify", "order-complex", "--n", "1", "--r", "1", "--max-subsets", "-1"
+    )[0] == 1
 
 
 def test_cap_exceeded_exits_2(capsys):
@@ -77,6 +82,20 @@ def test_cap_exceeded_exits_2(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compute", "--n", "1", "--r", "2", "--max-chains", "10"), "chain enumeration exceeds cap 10"),
+        (("verify", "order-complex", "--n", "1,1", "--r", "1,1"), "2^14 subsets exceed the cap 4096"),
+    ],
+)
+def test_cap_hit_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_expand_dual_method_identical(capsys):
@@ -169,6 +188,15 @@ def test_specialize_weak_order(capsys):
 def test_specialize_requires_parameters(capsys):
     assert run(capsys, "specialize", "--kind", "mv-hls")[0] == 1
     assert run(capsys, "specialize", "--kind", "weak-order-igusa")[0] == 1
+    for argv in (
+        ("--kind", "weak-order-igusa", "--g", "0"),
+        ("--kind", "classical-igusa", "--r", "-1"),
+        ("--kind", "mv-hls", "--n", "-1"),
+    ):
+        code, out, err = run(capsys, "specialize", *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_reciprocity_passes(capsys):
@@ -250,11 +278,3 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert out == ""
     assert target.read_text() == (GOLDEN / "compute_n1_r2.txt").read_text()
 
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("HLSKIT_THREADS", "nope")
-    assert run(capsys, "compute", "--n", "1", "--r", "1")[0] == 1
-    monkeypatch.setenv("HLSKIT_THREADS", "0")
-    assert run(capsys, "compute", "--n", "1", "--r", "1")[0] == 1
-    monkeypatch.setenv("HLSKIT_THREADS", "4")
-    assert run(capsys, "compute", "--n", "1", "--r", "1", "--no-timing")[0] == 0

@@ -1,9 +1,19 @@
 import pytest
 
-from hlskit.exactalg import LaurentPoly, VarTable
-from hlskit.poset import DegenerateSpecError, PosetSpec, parse_element, render_element
+from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
+from hlskit.poset import (
+    DegenerateSpecError,
+    PosetSpec,
+    chains_in,
+    enumerate_chains,
+    interval_elements,
+    parse_element,
+    render_element,
+)
 from hlskit.series import (
     ZeroDenominatorError,
+    _leg_pair,
+    _zero_count_pair,
     classical_igusa,
     expand_geometric,
     expand_multichain,
@@ -19,9 +29,26 @@ from hlskit.series import (
 )
 from hlskit.weight import chain_weight, phi_tableau, project, theta_tableau
 
-from conftest import reference_numerator_1_2
+from conftest import reference_numerator_1_2, reference_numerator_sum
 
 SPEC12 = PosetSpec((1,), (2,))
+
+# Every spec with at most 16 elements drawn from a small family.
+SMALL_SPECS = [
+    PosetSpec((0,), (1,)),
+    PosetSpec((0,), (3,)),
+    PosetSpec((1,), (1,)),
+    PosetSpec((2,), (0,)),
+    PosetSpec((3,), (0,)),
+    PosetSpec((2,), (2,)),
+    PosetSpec((0, 1), (1, 0)),
+    PosetSpec((1, 1), (0, 0)),
+    PosetSpec((0, 0), (1, 3)),
+]
+
+
+def spec_id(spec):
+    return "n" + ",".join(map(str, spec.n)) + "-r" + ",".join(map(str, spec.r))
 
 
 def test_context_variable_layout():
@@ -67,6 +94,29 @@ def test_relation_between_series():
     assert relation_check(PosetSpec((0, 0), (1, 1)))
     with pytest.raises(DegenerateSpecError):
         relation_check(PosetSpec((0,), (0,)))
+
+
+@pytest.mark.parametrize(
+    "spec", SMALL_SPECS + [SPEC12, PosetSpec((1, 1), (0, 2))], ids=spec_id
+)
+@pytest.mark.parametrize(
+    "interval, build", [("half_open", hls), ("open", hls_modified)], ids=["hls", "hls_modified"]
+)
+def test_series_matches_per_chain_oracle(spec, interval, build):
+    # The transfer-matrix sweep against the chain-by-chain expansion.
+    ctx = make_context(spec)
+    elements = interval_elements(spec, interval)
+    vids = [ctx.x_ids[e] for e in elements]
+    contributions = (
+        (chain_weight(chain, spec, ctx.yvars, ctx.table), [ctx.x_ids[e] for e in chain])
+        for chain in enumerate_chains(spec, interval)
+    )
+    numerator, count = reference_numerator_sum(ctx.table, vids, contributions)
+    h = build(spec)
+    assert h.numerator == numerator
+    assert h.chain_count == count
+    assert h.denominator_vars == tuple(vids)
+    assert h.denominator_names == tuple(render_element(e) for e in elements)
 
 
 def test_constant_term_in_x_is_one():
@@ -124,19 +174,7 @@ def test_dual_path_expansion():
 
 
 def test_dual_path_expansion_all_small_specs():
-    # Every spec with at most 16 elements drawn from a small family.
-    specs = [
-        PosetSpec((0,), (1,)),
-        PosetSpec((0,), (3,)),
-        PosetSpec((1,), (1,)),
-        PosetSpec((2,), (0,)),
-        PosetSpec((3,), (0,)),
-        PosetSpec((2,), (2,)),
-        PosetSpec((0, 1), (1, 0)),
-        PosetSpec((1, 1), (0, 0)),
-        PosetSpec((0, 0), (1, 3)),
-    ]
-    for spec in specs:
+    for spec in SMALL_SPECS:
         assert spec.element_count() <= 16
         for bound in (2, 4):
             assert expand_multichain(spec, bound) == expand_rational(hls(spec), bound)
@@ -176,9 +214,6 @@ def test_indicator_substitution_matches_direct_chain_sum():
     ctx = make_context(spec)
     h = hls(spec)
     sub = substitute(h, y_map={v: 1 for v in ctx.yvars[0][1:]})
-    from hlskit.poset import enumerate_chains
-
-    from hlskit.series import _numerator_sum
 
     def contributions():
         for chain in enumerate_chains(spec):
@@ -191,7 +226,7 @@ def test_indicator_substitution_matches_direct_chain_sum():
                 ctx.x_ids[e] for e in chain
             ]
 
-    expected, _ = _numerator_sum(ctx.table, h.denominator_vars, contributions())
+    expected, _ = reference_numerator_sum(ctx.table, h.denominator_vars, contributions())
     assert sub.numerator == expected
 
 
@@ -275,6 +310,68 @@ def test_weak_order_igusa_is_mv_hls_at_one():
         assert wo.numerator == mv.numerator.eval_at_one(y_ids)
         assert wo.denominator_vars == mv.denominator_vars
         assert wo.denominator_names == mv.denominator_names
+
+
+def pair_product(pair, ctx, chain):
+    full = (ctx.spec.bottom(),) + chain + (ctx.spec.top(),)
+    result = LaurentPoly.const(ctx.table, 1)
+    for a, b in zip(full, full[1:]):
+        result = result * pair(ctx, a, b)
+    return result
+
+
+def test_classical_igusa_pairs_telescope_to_multinomials():
+    for r in range(6):
+        spec = PosetSpec((0,), (r,))
+        ctx = make_context(spec)
+        for chain in enumerate_chains(spec):
+            subset = [e[0][0] for e in chain]
+            expected = y_multinomial(ctx.table, r, subset, ctx.yvars[0][0])
+            assert pair_product(_zero_count_pair, ctx, chain) == expected
+
+
+def test_generalized_igusa_pairs_telescope_to_tableau_binomials():
+    for rv in ((2,), (1, 2), (2, 2), (1, 1, 1)):
+        spec = PosetSpec(tuple(0 for _ in rv), rv)
+        ctx = make_context(spec)
+        for chain in enumerate_chains(spec):
+            expected = LaurentPoly.const(ctx.table, 1)
+            for i in range(spec.g):
+                tab = project(chain, i, spec)
+                expected = expected * theta_tableau(tab, ctx.yvars[i][0], ctx.table)
+            assert pair_product(_zero_count_pair, ctx, chain) == expected
+
+
+def test_mv_hls_pairs_multiply_to_tableau_weights():
+    for n in range(4):
+        spec = PosetSpec((n,), (0,))
+        ctx = make_context(spec)
+        for chain in enumerate_chains(spec):
+            tab = project(chain, 0, spec)
+            expected = theta_tableau(tab, ctx.yvars[0][0], ctx.table) * phi_tableau(
+                tab, ctx.yvars[0][1:], ctx.table
+            )
+            assert pair_product(_leg_pair, ctx, chain) == expected
+
+
+def test_weak_order_igusa_matches_flag_oracle():
+    # Flags under inclusion, which the sweep orders by counting subsets below.
+    for g in (1, 2, 3):
+        ctx = make_context(PosetSpec((g,), (0,)))
+        sets = [e[0] for e in ctx.x_elements]
+
+        def subset_leq(i, j):
+            return all(x <= y for x, y in zip(sets[i], sets[j]))
+
+        one = LaurentPoly.const(ctx.table, 1)
+        contributions = (
+            (one, [ctx.x_ids[e] for e in flag])
+            for flag in chains_in(ctx.x_elements, leq=subset_leq)
+        )
+        wo = weak_order_igusa(g)
+        numerator, count = reference_numerator_sum(ctx.table, wo.denominator_vars, contributions)
+        assert wo.numerator == numerator
+        assert wo.chain_count == count
 
 
 def test_weak_order_igusa_flag_count():

@@ -2,6 +2,7 @@ import pytest
 
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
+    CapExceededError,
     DegenerateSpecError,
     PosetSpec,
     enumerate_elements,
@@ -359,7 +360,7 @@ def test_order_complex_small(spec_parts, subsets):
 
 
 def test_order_complex_respects_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceededError):
         verify_order_complex(PosetSpec((2,), (2,)), max_subsets=16)
 
 
