@@ -38,7 +38,7 @@ from .series import (
     weak_order_igusa,
 )
 from .verify import (
-    is_identity,
+    identity_mismatch,
     matmul,
     mobius_matrix,
     verify_order_complex,
@@ -235,22 +235,22 @@ def cmd_specialize(args) -> int:
         parts = _int_list(args.r)
         if len(parts) != 1:
             raise UsageError("classical-igusa takes a single r")
-        value = classical_igusa(parts[0], args.max_elements)
+        value = classical_igusa(parts[0], args.max_elements, args.max_chains)
     elif args.kind == "generalized-igusa":
         if args.r is None:
             raise UsageError("generalized-igusa needs --r R1,R2,...")
-        value = generalized_igusa(_int_list(args.r), args.max_elements)
+        value = generalized_igusa(_int_list(args.r), args.max_elements, args.max_chains)
     elif args.kind == "mv-hls":
         if args.n is None:
             raise UsageError("mv-hls needs --n N")
         parts = _int_list(args.n)
         if len(parts) != 1:
             raise UsageError("mv-hls takes a single n")
-        value = mv_hls(parts[0], args.max_elements)
+        value = mv_hls(parts[0], args.max_elements, args.max_chains)
     elif args.kind == "weak-order-igusa":
         if args.g is None:
             raise UsageError("weak-order-igusa needs --g G")
-        value = weak_order_igusa(args.g, args.max_elements)
+        value = weak_order_igusa(args.g, args.max_elements, args.max_chains)
     else:
         raise UsageError(f"unknown specialization {args.kind!r}")
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
@@ -290,7 +290,9 @@ def cmd_verify(args) -> int:
 
     if args.check == "order-complex":
         try:
-            report = verify_order_complex(spec, args.max_subsets)
+            report = verify_order_complex(
+                spec, args.max_subsets, args.max_chains, args.max_elements
+            )
         except DegenerateSpecError:
             return _verdict(args, "order-complex", spec, "vacuous", elapsed())
         counterexample = list(report.failures[:8]) if report.failures else None
@@ -301,27 +303,20 @@ def cmd_verify(args) -> int:
             zeta_matrix(spec, max_elements=args.max_elements),
             mobius_matrix(spec, max_elements=args.max_elements),
         )
-        ok = is_identity(product)
+        mismatch = identity_mismatch(product)
         counterexample = None
-        if not ok:
-            for i in range(product.dim):
-                for j in range(product.dim):
-                    expected_one = i == j
-                    entry = product.entries[i][j]
-                    if entry.is_one() != expected_one or (not expected_one and not entry.is_zero()):
-                        counterexample = {
-                            "row": render_element(product.labels[i]),
-                            "column": render_element(product.labels[j]),
-                            "entry": entry.text(),
-                        }
-                        break
-                if counterexample:
-                    break
-        return _verdict(args, "zeta-mobius", spec, ok, elapsed(), counterexample)
+        if mismatch is not None:
+            i, j = mismatch
+            counterexample = {
+                "row": render_element(product.labels[i]),
+                "column": render_element(product.labels[j]),
+                "entry": product.entries[i][j].text(),
+            }
+        return _verdict(args, "zeta-mobius", spec, mismatch is None, elapsed(), counterexample)
 
     if args.check == "relation":
         try:
-            ok = relation_check(spec)
+            ok = relation_check(spec, args.max_chains, args.max_elements)
         except DegenerateSpecError:
             return _verdict(args, "relation", spec, "vacuous", elapsed())
         return _verdict(args, "relation", spec, ok, elapsed())
@@ -333,12 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hlskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_spec=True):
-        if need_spec:
-            p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
-            p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
-        p.add_argument("--max-elements", type=_nonnegative_int, default=None)
-        p.add_argument("--max-chains", type=_nonnegative_int, default=None)
+    def common(p, caps=("--max-elements", "--max-chains")):
+        p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
+        p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
+        for cap in caps:
+            p.add_argument(cap, type=_nonnegative_int, default=None)
         p.add_argument("--no-timing", action="store_true")
         p.add_argument("--output", default=None)
 
@@ -357,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("project", help="project a chain literal to skew tableaux")
-    common(p)
+    common(p, caps=())
     p.add_argument("--chain", help="chain literal, e.g. '2|- < 2 5|2'")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("hasse", help="Hasse diagram export")
-    common(p)
+    common(p, caps=("--max-elements",))
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(fn=cmd_hasse)
 

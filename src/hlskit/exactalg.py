@@ -311,15 +311,6 @@ class LaurentPoly:
             out.update(v for v, _ in m)
         return out
 
-    def total_degree(self, vids: Iterable[int] | None = None) -> int:
-        """Max over terms of the exponent sum, restricted to ``vids`` if given."""
-        if not self.terms:
-            return 0
-        if vids is None:
-            return max(_mono_degree(m) for m in self.terms)
-        s = set(vids)
-        return max(sum(e for v, e in m if v in s) for m in self.terms)
-
     def has_negative_exponent(self, vids: Iterable[int] | None = None) -> bool:
         s = None if vids is None else set(vids)
         for m in self.terms:

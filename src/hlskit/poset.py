@@ -186,16 +186,19 @@ def interval_elements(
 
 # -- relations -----------------------------------------------------------------
 
-_COMPARABILITY_MATRIX_LIMIT = 4096
 
+def above_lists(
+    elements: Sequence[Element], leq: Callable[[Element, Element], bool] = leq_t
+) -> list[list[int]]:
+    """For each element, the indices of the elements strictly above it.
 
-def leq_lookup(elements: Sequence[Element]) -> Callable[[int, int], bool]:
-    """Index-based order test; precomputes the matrix for small posets."""
-    m = len(elements)
-    if m <= _COMPARABILITY_MATRIX_LIMIT:
-        rows = [[leq_t(a, b) for b in elements] for a in elements]
-        return lambda i, j: rows[i][j]
-    return lambda i, j: leq_t(elements[i], elements[j])
+    The one pass over the strict order that covers, chains, multichains and
+    the chain series read; it makes ``len(elements) ** 2`` order tests.
+    """
+    return [
+        [j for j, b in enumerate(elements) if j != i and leq(a, b)]
+        for i, a in enumerate(elements)
+    ]
 
 
 def cover_relations(
@@ -203,26 +206,56 @@ def cover_relations(
 ) -> list[tuple[Element, Element]]:
     """All covering pairs (a, b), a below b, in enumeration order."""
     elements = enumerate_elements(spec, max_elements)
-    m = len(elements)
-    leq = leq_lookup(elements)
-    lt = [[i != j and leq(i, j) for j in range(m)] for i in range(m)]
+    above = above_lists(elements)
+    masks = [sum(1 << j for j in js) for js in above]
     covers = []
-    for i in range(m):
-        for j in range(m):
-            if not lt[i][j]:
-                continue
-            if any(lt[i][k] and lt[k][j] for k in range(m)):
-                continue
-            covers.append((elements[i], elements[j]))
+    for i, js in enumerate(above):
+        # j covers i unless j lies above some k that lies above i.
+        through = 0
+        for k in js:
+            through |= masks[k]
+        covers.extend((elements[i], elements[j]) for j in js if not through >> j & 1)
     return covers
 
 
 # -- chains and multichains ------------------------------------------------------
 
 
+def _walk(
+    elements: Sequence[Element],
+    successors: Sequence[Sequence[int]],
+    max_length: int,
+    cap: int,
+    noun: str,
+) -> Iterator[tuple[Element, ...]]:
+    """Breadth-first walk over index sequences, each step to a successor.
+
+    Yields every sequence of at most ``max_length`` elements, the empty one
+    first, by length and then lexicographically by index tuple; the cap
+    counts the empty sequence too.
+    """
+    produced = 1
+    if produced > cap:
+        raise CapExceededError(f"{noun} enumeration exceeds cap {cap}")
+    yield ()
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(max_length):
+        nxt: list[tuple[int, ...]] = []
+        for prefix in frontier:
+            candidates = successors[prefix[-1]] if prefix else range(len(elements))
+            for j in candidates:
+                produced += 1
+                if produced > cap:
+                    raise CapExceededError(f"{noun} enumeration exceeds cap {cap}")
+                chain = prefix + (j,)
+                yield tuple(elements[k] for k in chain)
+                nxt.append(chain)
+        frontier = nxt
+
+
 def chains_in(
     elements: Sequence[Element],
-    leq: Callable[[int, int], bool] | None = None,
+    leq: Callable[[Element, Element], bool] = leq_t,
     max_chains: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
     """Every strict chain of a finite poset, including the empty chain.
@@ -231,27 +264,7 @@ def chains_in(
     tuple of the chain relative to ``elements``.
     """
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    m = len(elements)
-    if leq is None:
-        leq = leq_lookup(elements)
-    above = [[j for j in range(m) if i != j and leq(i, j)] for i in range(m)]
-    produced = 1
-    if produced > cap:
-        raise CapExceededError(f"chain enumeration exceeds cap {cap}")
-    yield ()
-    frontier: list[tuple[int, ...]] = [()]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            candidates = above[prefix[-1]] if prefix else range(m)
-            for j in candidates:
-                produced += 1
-                if produced > cap:
-                    raise CapExceededError(f"chain enumeration exceeds cap {cap}")
-                chain = prefix + (j,)
-                yield tuple(elements[k] for k in chain)
-                nxt.append(chain)
-        frontier = nxt
+    return _walk(elements, above_lists(elements, leq), len(elements), cap, "chain")
 
 
 def enumerate_chains(
@@ -277,24 +290,8 @@ def enumerate_multichains(
         raise ValueError("length bound must be nonnegative")
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     elements = interval_elements(spec, interval, max_elements)
-    m = len(elements)
-    leq = leq_lookup(elements)
-    at_or_above = [[j for j in range(m) if i == j or leq(i, j)] for i in range(m)]
-    produced = 1
-    yield ()
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_total_length):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            candidates = at_or_above[prefix[-1]] if prefix else range(m)
-            for j in candidates:
-                produced += 1
-                if produced > cap:
-                    raise CapExceededError(f"multichain enumeration exceeds cap {cap}")
-                chain = prefix + (j,)
-                yield tuple(elements[k] for k in chain)
-                nxt.append(chain)
-        frontier = nxt
+    at_or_above = [sorted(js + [i]) for i, js in enumerate(above_lists(elements))]
+    return _walk(elements, at_or_above, max_total_length, cap, "multichain")
 
 
 def multiplicity_vector(chain: Sequence[Element]) -> dict[Element, int]:

@@ -14,7 +14,8 @@ of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable, _mono_mul, y_binomial
@@ -24,6 +25,7 @@ from .poset import (
     DegenerateSpecError,
     Element,
     PosetSpec,
+    above_lists,
     enumerate_multichains,
     interval_elements,
     leq_t,
@@ -126,9 +128,15 @@ def _chain_series(
     """
     bottom = ctx.spec.bottom()
     top = ctx.spec.top()
+    above = above_lists(elements, leq)
     # An element strictly below another has strictly fewer elements below it.
-    order = sorted(elements, key=lambda c: sum(leq(a, c) for a in elements))
-    preds = {c: [bottom] + [s for s in order[:k] if leq(s, c)] for k, c in enumerate(order)}
+    below = Counter(j for js in above for j in js)
+    ranked = sorted(range(len(elements)), key=below.__getitem__)
+    order = [elements[i] for i in ranked]
+    preds = {c: [bottom] for c in elements}
+    for i in ranked:
+        for j in above[i]:
+            preds[elements[j]].append(elements[i])
 
     counts = {bottom: 1}
     for c in order:
@@ -171,34 +179,26 @@ def _add_product(acc: _Terms, terms: _Terms, weight: LaurentPoly, bit: int) -> N
                 del acc[key]
 
 
-def _rational(
-    kind: str,
-    spec: PosetSpec | None,
-    ctx: SeriesContext,
-    elements: Sequence[Element],
-    series: tuple[LaurentPoly, int],
-) -> HlsRational:
-    numerator, chain_count = series
-    vids = tuple(ctx.x_ids[e] for e in elements)
-    names = tuple(render_element(e) for e in elements)
-    return HlsRational(kind, spec, ctx.table, numerator, vids, names, chain_count)
-
-
 def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
     return pair_weight(a, b, ctx.yvars, ctx.table)
 
 
 def _series(
-    spec: PosetSpec,
-    interval: str,
     kind: str,
+    spec: PosetSpec,
+    pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
     max_elements: int | None,
+    interval: str = "half_open",
+    leq: Callable[[Element, Element], bool] = leq_t,
 ) -> HlsRational:
+    """The chain series of an interval of ``spec`` under ``leq`` and ``pair_w``."""
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    series = _chain_series(ctx, elements, leq_t, _hls_pair, max_chains)
-    return _rational(kind, spec, ctx, elements, series)
+    numerator, chain_count = _chain_series(ctx, elements, leq, pair_w, max_chains)
+    vids = tuple(ctx.x_ids[e] for e in elements)
+    names = tuple(render_element(e) for e in elements)
+    return HlsRational(kind, spec, ctx.table, numerator, vids, names, chain_count)
 
 
 def hls(
@@ -207,7 +207,7 @@ def hls(
     max_elements: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the half-open interval."""
-    return _series(spec, "half_open", "hls", max_chains, max_elements)
+    return _series("hls", spec, _hls_pair, max_chains, max_elements)
 
 
 def hls_modified(
@@ -216,10 +216,14 @@ def hls_modified(
     max_elements: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the open interval."""
-    return _series(spec, "open", "hls_modified", max_chains, max_elements)
+    return _series("hls_modified", spec, _hls_pair, max_chains, max_elements, "open")
 
 
-def relation_check(spec: PosetSpec) -> bool:
+def relation_check(
+    spec: PosetSpec,
+    max_chains: int | None = None,
+    max_elements: int | None = None,
+) -> bool:
     """Exact check that the half-open series is the open one over 1 - X_top.
 
     With the shared universal denominator this reduces to equality of the
@@ -227,8 +231,8 @@ def relation_check(spec: PosetSpec) -> bool:
     """
     if spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the relation presupposes otherwise")
-    h = hls(spec)
-    hm = hls_modified(spec)
+    h = hls(spec, max_chains, max_elements)
+    hm = hls_modified(spec, max_chains, max_elements)
     if h.denominator_vars[:-1] != hm.denominator_vars:
         return False
     return h.numerator == hm.numerator
@@ -458,7 +462,9 @@ def _subset_leq(a: Element, b: Element) -> bool:
     return all(x <= y for x, y in zip(a[0], b[0]))
 
 
-def classical_igusa(r: int, max_elements: int | None = None) -> HlsRational:
+def classical_igusa(
+    r: int, max_elements: int | None = None, max_chains: int | None = None
+) -> HlsRational:
     """Subset-sum form of the one-component, n = 0 series.
 
     The chains are the subsets of [r], each weighted by its telescoping
@@ -467,20 +473,20 @@ def classical_igusa(r: int, max_elements: int | None = None) -> HlsRational:
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = PosetSpec((0,), (r,))
-    ctx = make_context(spec, max_elements)
-    series = _chain_series(ctx, ctx.x_elements, leq_t, _zero_count_pair, None)
-    return _rational("classical_igusa", spec, ctx, ctx.x_elements, series)
+    return _series("classical_igusa", spec, _zero_count_pair, max_chains, max_elements)
 
 
-def generalized_igusa(r_vec: Sequence[int], max_elements: int | None = None) -> HlsRational:
+def generalized_igusa(
+    r_vec: Sequence[int], max_elements: int | None = None, max_chains: int | None = None
+) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
     spec = PosetSpec(tuple(0 for _ in r_vec), tuple(r_vec))
-    ctx = make_context(spec, max_elements)
-    series = _chain_series(ctx, ctx.x_elements, leq_t, _zero_count_pair, None)
-    return _rational("generalized_igusa", spec, ctx, ctx.x_elements, series)
+    return _series("generalized_igusa", spec, _zero_count_pair, max_chains, max_elements)
 
 
-def mv_hls(n: int, max_elements: int | None = None) -> HlsRational:
+def mv_hls(
+    n: int, max_elements: int | None = None, max_chains: int | None = None
+) -> HlsRational:
     """Reduced-tableau sum for one component with r = 0.
 
     Reduced tableaux are identified with strict chains of their column
@@ -490,13 +496,12 @@ def mv_hls(n: int, max_elements: int | None = None) -> HlsRational:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    spec = PosetSpec((n,), (0,))
-    ctx = make_context(spec, max_elements)
-    series = _chain_series(ctx, ctx.x_elements, leq_t, _leg_pair, None)
-    return _rational("mv_hls", spec, ctx, ctx.x_elements, series)
+    return _series("mv_hls", PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements)
 
 
-def weak_order_igusa(g: int, max_elements: int | None = None) -> HlsRational:
+def weak_order_igusa(
+    g: int, max_elements: int | None = None, max_chains: int | None = None
+) -> HlsRational:
     """Flag sum over nonempty subsets of [g], ordered by inclusion.
 
     X variables are named by the subsets, which coincides with the element
@@ -504,6 +509,8 @@ def weak_order_igusa(g: int, max_elements: int | None = None) -> HlsRational:
     """
     if g < 1:
         raise ValueError("g must be positive")
-    ctx = make_context(PosetSpec((g,), (0,)), max_elements)
-    series = _chain_series(ctx, ctx.x_elements, _subset_leq, _unit_pair, None)
-    return _rational("weak_order_igusa", None, ctx, ctx.x_elements, series)
+    spec = PosetSpec((g,), (0,))
+    value = _series(
+        "weak_order_igusa", spec, _unit_pair, max_chains, max_elements, leq=_subset_leq
+    )
+    return replace(value, spec=None)

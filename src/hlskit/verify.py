@@ -52,9 +52,6 @@ class PolyMatrix:
         i, j = pair
         return self.entries[i][j]
 
-    def entry_of(self, a: Element, b: Element) -> LaurentPoly:
-        return self.entries[self.labels.index(a)][self.labels.index(b)]
-
 
 def _context_vars(
     spec: PosetSpec,
@@ -143,16 +140,18 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.labels, entries, a.table)
 
 
-def is_identity(a: PolyMatrix) -> bool:
+def identity_mismatch(a: PolyMatrix) -> tuple[int, int] | None:
+    """The first (row, column) where ``a`` differs from the identity, if any."""
     for i in range(a.dim):
         for j in range(a.dim):
             e = a.entries[i][j]
-            if i == j:
-                if not e.is_one():
-                    return False
-            elif not e.is_zero():
-                return False
-    return True
+            if not (e.is_one() if i == j else e.is_zero()):
+                return i, j
+    return None
+
+
+def is_identity(a: PolyMatrix) -> bool:
+    return identity_mismatch(a) is None
 
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -301,6 +300,8 @@ class OrderComplexReport:
 def verify_order_complex(
     spec: PosetSpec,
     max_subsets: int | None = None,
+    max_chains: int | None = None,
+    max_elements: int | None = None,
 ) -> OrderComplexReport:
     """Check the alternating chain-sum identity for every subset of (0,1).
 
@@ -313,7 +314,7 @@ def verify_order_complex(
             "bottom equals top; the order-complex identity is vacuous here"
         )
     cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    ctx = make_context(spec)
+    ctx = make_context(spec, max_elements)
     open_interval = ctx.x_elements[:-1]
     m = len(open_interval)
     if 1 << m > cap:
@@ -325,7 +326,7 @@ def verify_order_complex(
     # Precompute every chain of the full open interval with its bitmask.
     index = {e: pos for pos, e in enumerate(open_interval)}
     prepared = []
-    for chain in chains_in(list(open_interval)):
+    for chain in chains_in(open_interval, max_chains=max_chains):
         mask = 0
         for e in chain:
             mask |= 1 << index[e]

@@ -143,17 +143,6 @@ class SkewTableau:
         self.n = n
         self.r = r
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], n: int, r: int) -> "SkewTableau":
-        if not rows:
-            return cls((), n, r)
-        width = len(rows[0])
-        cols = []
-        for j in range(width):
-            col = [row[j] for row in rows if len(row) > j]
-            cols.append(col)
-        return cls(cols, n, r)
-
     @property
     def lam(self) -> tuple[int, ...]:
         heights = [len(c) for c in self.columns]

@@ -1,10 +1,11 @@
+import itertools
 import random
 from typing import Iterable, Sequence
 
 import pytest
 
 from hlskit.exactalg import LaurentPoly, Monomial, VarTable, _mono_mul
-from hlskit.poset import PosetSpec
+from hlskit.poset import Element, PosetSpec, enumerate_elements, leq_t, lt_t
 from hlskit.series import make_context
 
 SEED = 20260809
@@ -99,6 +100,48 @@ def reference_numerator_sum(
                 elif m in acc:
                     del acc[m]
     return LaurentPoly(table, acc), count
+
+
+def brute_force_covers(spec: PosetSpec) -> list[tuple[Element, Element]]:
+    """Covering pairs by definition: a < b with no element strictly between.
+
+    Tests every middle element of every pair, in enumeration order of (a, b).
+    """
+    elements = enumerate_elements(spec)
+    lt = [[lt_t(a, b) for b in elements] for a in elements]
+    m = len(elements)
+    return [
+        (elements[i], elements[j])
+        for i in range(m)
+        for j in range(m)
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(m))
+    ]
+
+
+def brute_force_chains(
+    elements: Sequence[Element], max_length: int, weak: bool = False
+) -> list[tuple[Element, ...]]:
+    """Strict chains, or multichains if ``weak``, of at most ``max_length`` elements.
+
+    Every index combination (with repetition if ``weak``) is put in order of
+    its members' total prefix sum, which strictly increases along the
+    tableau order, and kept if each member lies below the next.  The result
+    is sorted by length and then by index tuple.
+    """
+    pick = itertools.combinations_with_replacement if weak else itertools.combinations
+    below = leq_t if weak else lt_t
+
+    def height(i: int) -> int:
+        return sum(sum(itertools.accumulate(a)) for a in elements[i])
+
+    found = []
+    for size in range(max_length + 1):
+        for combo in pick(range(len(elements)), size):
+            chain = sorted(combo, key=height)
+            if all(below(elements[x], elements[y]) for x, y in zip(chain, chain[1:])):
+                found.append(tuple(chain))
+    found.sort(key=lambda c: (len(c), c))
+    return [tuple(elements[i] for i in c) for c in found]
 
 
 @pytest.fixture

@@ -74,6 +74,12 @@ def test_usage_errors_exit_1(capsys):
     assert run(
         capsys, "verify", "order-complex", "--n", "1", "--r", "1", "--max-subsets", "-1"
     )[0] == 1
+    # Caps are registered only where something is enumerated.
+    assert run(capsys, "hasse", "--n", "1", "--r", "1", "--max-chains", "5")[0] == 1
+    for flag in ("--max-elements", "--max-chains"):
+        assert run(
+            capsys, "project", "--n", "5", "--r", "2", "--chain", "2 < 2 5", flag, "5"
+        )[0] == 1
 
 
 def test_cap_exceeded_exits_2(capsys):
@@ -89,6 +95,42 @@ def test_cap_exceeded_exits_2(capsys):
     [
         (("compute", "--n", "1", "--r", "2", "--max-chains", "10"), "chain enumeration exceeds cap 10"),
         (("verify", "order-complex", "--n", "1,1", "--r", "1,1"), "2^14 subsets exceed the cap 4096"),
+        (
+            ("expand", "--n", "1", "--r", "1", "--max-degree", "0", "--max-chains", "0"),
+            "multichain enumeration exceeds cap 0",
+        ),
+        (
+            ("specialize", "--kind", "classical-igusa", "--r", "3", "--max-chains", "7"),
+            "chain enumeration exceeds cap 7",
+        ),
+        (
+            ("specialize", "--kind", "generalized-igusa", "--r", "1,1", "--max-chains", "2"),
+            "chain enumeration exceeds cap 2",
+        ),
+        (
+            ("specialize", "--kind", "mv-hls", "--n", "2", "--max-chains", "2"),
+            "chain enumeration exceeds cap 2",
+        ),
+        (
+            ("specialize", "--kind", "weak-order-igusa", "--g", "2", "--max-chains", "5"),
+            "chain enumeration exceeds cap 5",
+        ),
+        (
+            ("verify", "relation", "--n", "1", "--r", "2", "--max-chains", "3"),
+            "chain enumeration exceeds cap 3",
+        ),
+        (
+            ("verify", "relation", "--n", "1", "--r", "2", "--max-elements", "3"),
+            "poset has 6 elements, cap is 3",
+        ),
+        (
+            ("verify", "order-complex", "--n", "1", "--r", "2", "--max-chains", "3"),
+            "chain enumeration exceeds cap 3",
+        ),
+        (
+            ("verify", "order-complex", "--n", "1", "--r", "2", "--max-elements", "3"),
+            "poset has 6 elements, cap is 3",
+        ),
     ],
 )
 def test_cap_hit_is_one_error_line(capsys, argv, message):
@@ -222,6 +264,27 @@ def test_verify_zeta_mobius(capsys):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):
+    # No true instance fails, so perturb one Moebius entry: adding 1 at
+    # (bottom, b) changes only the product entry (bottom, b) of zeta * mobius.
+    import hlskit.cli as cli
+    from hlskit.verify import mobius_matrix
+
+    def broken(spec, **kwargs):
+        m = mobius_matrix(spec, **kwargs)
+        m.entries[0][1] = m.entries[0][1] + 1
+        return m
+
+    monkeypatch.setattr(cli, "mobius_matrix", broken)
+    code, out, _ = run(
+        capsys, "verify", "zeta-mobius", "--n", "1", "--r", "1", "--no-timing"
+    )
+    assert code == 3
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert data["counterexample"] == {"row": "-", "column": "0", "entry": "1"}
 
 
 def test_verify_order_complex(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hlskit.poset import (
     CapExceededError,
     PosetSpec,
+    chains_in,
     complement,
     cover_relations,
     delta,
@@ -31,7 +32,7 @@ from hlskit.poset import (
     support,
 )
 
-from conftest import SEED
+from conftest import SEED, brute_force_chains, brute_force_covers
 
 P22 = PosetSpec((2,), (2,))
 P11 = PosetSpec((1,), (1,))
@@ -179,6 +180,15 @@ def test_cover_relations_p11_is_a_path():
     assert covers == {("-", "1"), ("1", "0"), ("0", "0 1")}
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [P22, PosetSpec((1, 1), (1, 2)), PosetSpec((6,), (3,)), PosetSpec((1, 1, 1), (1, 0, 1))],
+    ids=str,
+)
+def test_cover_relations_match_brute_force(spec):
+    assert cover_relations(spec) == brute_force_covers(spec)
+
+
 def test_transitive_closure_of_covers_matches_leq():
     for spec in (P22, G2, P11):
         els = enumerate_elements(spec)
@@ -229,6 +239,39 @@ def test_chain_enumeration_counts_by_brute_force():
                 ):
                     expected += 1
         assert sum(1 for _ in enumerate_chains(spec, interval)) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, interval",
+    [
+        (P11, "half_open"),
+        (P22, "half_open"),
+        (P22, "open"),
+        (G2, "half_open"),
+        (PosetSpec((1, 1), (1, 1)), "half_open"),
+        (PosetSpec((3,), (1,)), "open"),
+    ],
+    ids=str,
+)
+def test_chains_in_matches_brute_force(spec, interval):
+    elements = interval_elements(spec, interval)
+    assert list(chains_in(elements)) == brute_force_chains(elements, len(elements))
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [(P11, 4), (P22, 3), (G2, 4), (PosetSpec((1, 1), (1, 2)), 3), (PosetSpec((0,), (0,)), 2)],
+    ids=str,
+)
+def test_multichains_match_brute_force(spec, bound):
+    elements = interval_elements(spec, "half_open")
+    expected = brute_force_chains(elements, bound, weak=True)
+    assert list(enumerate_multichains(spec, max_total_length=bound)) == expected
+
+
+def test_multichain_cap_counts_the_empty_multichain():
+    with pytest.raises(CapExceededError, match="multichain enumeration exceeds cap 0"):
+        list(enumerate_multichains(P22, max_total_length=0, max_chains=0))
 
 
 def test_degenerate_interval_has_only_the_empty_chain():

@@ -356,13 +356,11 @@ def test_mv_hls_pairs_multiply_to_tableau_weights():
 
 def test_weak_order_igusa_matches_flag_oracle():
     # Flags under inclusion, which the sweep orders by counting subsets below.
+    def subset_leq(a, b):
+        return all(x <= y for x, y in zip(a[0], b[0]))
+
     for g in (1, 2, 3):
         ctx = make_context(PosetSpec((g,), (0,)))
-        sets = [e[0] for e in ctx.x_elements]
-
-        def subset_leq(i, j):
-            return all(x <= y for x, y in zip(sets[i], sets[j]))
-
         one = LaurentPoly.const(ctx.table, 1)
         contributions = (
             (one, [ctx.x_ids[e] for e in flag])
