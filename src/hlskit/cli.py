@@ -227,101 +227,101 @@ def cmd_hasse(args) -> int:
     return EXIT_OK
 
 
+def _reject_unread(args, name: str, flags, reads) -> None:
+    """Usage error for the first of ``flags`` that is given but not in ``reads``."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag not in reads and value is not None and value is not False:
+            raise UsageError(f"{name} does not read {flag}")
+
+
+# Each kind: the one shape flag it reads, whether that flag takes a single
+# value, and its builder.  The lambdas look the builders up when called, so
+# rebinding a module name (a test double, a tracer) takes effect.
+SPECIALIZATIONS = {
+    "classical-igusa": ("--r", True, lambda r, *caps: classical_igusa(r, *caps)),
+    "generalized-igusa": ("--r", False, lambda r, *caps: generalized_igusa(r, *caps)),
+    "mv-hls": ("--n", True, lambda n, *caps: mv_hls(n, *caps)),
+    "weak-order-igusa": ("--g", True, lambda g, *caps: weak_order_igusa(g, *caps)),
+}
+
+
 def cmd_specialize(args) -> int:
     started = time.perf_counter()
-    if args.kind == "classical-igusa":
-        if args.r is None:
-            raise UsageError("classical-igusa needs --r R")
-        parts = _int_list(args.r)
-        if len(parts) != 1:
-            raise UsageError("classical-igusa takes a single r")
-        value = classical_igusa(parts[0], args.max_elements, args.max_chains)
-    elif args.kind == "generalized-igusa":
-        if args.r is None:
-            raise UsageError("generalized-igusa needs --r R1,R2,...")
-        value = generalized_igusa(_int_list(args.r), args.max_elements, args.max_chains)
-    elif args.kind == "mv-hls":
-        if args.n is None:
-            raise UsageError("mv-hls needs --n N")
-        parts = _int_list(args.n)
-        if len(parts) != 1:
-            raise UsageError("mv-hls takes a single n")
-        value = mv_hls(parts[0], args.max_elements, args.max_chains)
-    elif args.kind == "weak-order-igusa":
-        if args.g is None:
-            raise UsageError("weak-order-igusa needs --g G")
-        value = weak_order_igusa(args.g, args.max_elements, args.max_chains)
-    else:
-        raise UsageError(f"unknown specialization {args.kind!r}")
+    flag, single, build = SPECIALIZATIONS[args.kind]
+    name = flag[2:]
+    if getattr(args, name) is None:
+        shape = name.upper() if single else f"{name.upper()}1,{name.upper()}2,..."
+        raise UsageError(f"{args.kind} needs {flag} {shape}")
+    parts = _int_list(getattr(args, name))
+    if single and len(parts) != 1:
+        raise UsageError(f"{args.kind} takes a single {name}")
+    _reject_unread(args, args.kind, ("--n", "--r", "--g"), (flag,))
+    value = build(parts[0] if single else parts, args.max_elements, args.max_chains)
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
     _render_series(args, value, millis)
     return EXIT_OK
 
 
-def _verdict(args, check: str, spec, passed, millis, counterexample=None) -> int:
-    payload = {"check": check, "spec": _spec_json(spec), "pass": passed}
-    if counterexample is not None:
-        payload["counterexample"] = counterexample
-    if millis is not None:
-        payload["millis"] = str(millis)
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    if passed is True or passed == "vacuous":
-        return EXIT_OK
-    return EXIT_VERIFY
+def _reciprocity(spec, args):
+    kind = "hls_modified" if args.modified else "hls"
+    cert = verify_reciprocity(spec, kind, args.max_chains, args.max_elements)
+    if cert.equal:
+        return True, None
+    return False, {"lhs": cert.lhs.text(), "rhs": cert.rhs.text()}
+
+
+def _order_complex(spec, args):
+    report = verify_order_complex(spec, args.max_subsets, args.max_chains, args.max_elements)
+    return report.passed, list(report.failures[:8]) or None
+
+
+def _zeta_mobius(spec, args):
+    product = matmul(
+        zeta_matrix(spec, max_elements=args.max_elements),
+        mobius_matrix(spec, max_elements=args.max_elements),
+    )
+    mismatch = identity_mismatch(product)
+    if mismatch is None:
+        return True, None
+    i, j = mismatch
+    return False, {
+        "row": render_element(product.labels[i]),
+        "column": render_element(product.labels[j]),
+        "entry": product.entries[i][j].text(),
+    }
+
+
+def _relation(spec, args):
+    return relation_check(spec, args.max_chains, args.max_elements), None
+
+
+# Each check: its verdict, (passed, counterexample or None), and the flags
+# it reads besides --n and --r.
+CHECKS = {
+    "reciprocity": (_reciprocity, ("--max-elements", "--max-chains", "--modified")),
+    "order-complex": (_order_complex, ("--max-elements", "--max-chains", "--max-subsets")),
+    "zeta-mobius": (_zeta_mobius, ("--max-elements",)),
+    "relation": (_relation, ("--max-elements", "--max-chains")),
+}
 
 
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
+    verdict, reads = CHECKS[args.check]
+    _reject_unread(args, args.check, ("--max-chains", "--max-subsets", "--modified"), reads)
     started = time.perf_counter()
-
-    def elapsed():
-        return None if args.no_timing else int((time.perf_counter() - started) * 1000)
-
-    if args.check == "reciprocity":
-        kind = "hls_modified" if args.modified else "hls"
-        try:
-            cert = verify_reciprocity(spec, kind, args.max_chains, args.max_elements)
-        except DegenerateSpecError:
-            return _verdict(args, "reciprocity", spec, "vacuous", elapsed())
-        counterexample = None
-        if not cert.equal:
-            counterexample = {"lhs": cert.lhs.text(), "rhs": cert.rhs.text()}
-        return _verdict(args, "reciprocity", spec, cert.equal, elapsed(), counterexample)
-
-    if args.check == "order-complex":
-        try:
-            report = verify_order_complex(
-                spec, args.max_subsets, args.max_chains, args.max_elements
-            )
-        except DegenerateSpecError:
-            return _verdict(args, "order-complex", spec, "vacuous", elapsed())
-        counterexample = list(report.failures[:8]) if report.failures else None
-        return _verdict(args, "order-complex", spec, report.passed, elapsed(), counterexample)
-
-    if args.check == "zeta-mobius":
-        product = matmul(
-            zeta_matrix(spec, max_elements=args.max_elements),
-            mobius_matrix(spec, max_elements=args.max_elements),
-        )
-        mismatch = identity_mismatch(product)
-        counterexample = None
-        if mismatch is not None:
-            i, j = mismatch
-            counterexample = {
-                "row": render_element(product.labels[i]),
-                "column": render_element(product.labels[j]),
-                "entry": product.entries[i][j].text(),
-            }
-        return _verdict(args, "zeta-mobius", spec, mismatch is None, elapsed(), counterexample)
-
-    if args.check == "relation":
-        try:
-            ok = relation_check(spec, args.max_chains, args.max_elements)
-        except DegenerateSpecError:
-            return _verdict(args, "relation", spec, "vacuous", elapsed())
-        return _verdict(args, "relation", spec, ok, elapsed())
-
-    raise UsageError(f"unknown check {args.check!r}")
+    try:
+        passed, counterexample = verdict(spec, args)
+    except DegenerateSpecError:
+        passed, counterexample = "vacuous", None
+    payload = {"check": args.check, "spec": _spec_json(spec), "pass": passed}
+    if counterexample is not None:
+        payload["counterexample"] = counterexample
+    if not args.no_timing:
+        payload["millis"] = str(int((time.perf_counter() - started) * 1000))
+    _emit(args, json.dumps(payload, indent=2) + "\n")
+    return EXIT_OK if passed is True or passed == "vacuous" else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,18 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("specialize", help="classical and weak-order specializations")
     common(p)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["classical-igusa", "generalized-igusa", "mv-hls", "weak-order-igusa"],
-    )
-    p.add_argument("--g", type=int, default=None, help="rank for weak-order-igusa")
+    p.add_argument("--kind", required=True, choices=list(SPECIALIZATIONS))
+    p.add_argument("--g", help="rank for weak-order-igusa")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--stats-only", action="store_true")
     p.set_defaults(fn=cmd_specialize)
 
     p = sub.add_parser("verify", help="machine-checked identities, JSON verdicts")
-    p.add_argument("check", choices=["reciprocity", "order-complex", "zeta-mobius", "relation"])
+    p.add_argument("check", choices=list(CHECKS))
     common(p)
     p.add_argument("--modified", action="store_true")
     p.add_argument("--max-subsets", type=_nonnegative_int, default=None)

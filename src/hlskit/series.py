@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable, _mono_mul, y_binomial
 from .poset import (
@@ -81,9 +81,9 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
 class HlsRational:
     """A series value: exact numerator over an implicit product of (1 - X_c)."""
 
-    kind: str
     spec: PosetSpec | None
     table: VarTable
+    yvars: tuple[tuple[int, ...], ...]
     numerator: LaurentPoly
     denominator_vars: tuple[int, ...]
     denominator_names: tuple[str, ...]
@@ -184,7 +184,6 @@ def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
 
 
 def _series(
-    kind: str,
     spec: PosetSpec,
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
@@ -198,7 +197,7 @@ def _series(
     numerator, chain_count = _chain_series(ctx, elements, leq, pair_w, max_chains)
     vids = tuple(ctx.x_ids[e] for e in elements)
     names = tuple(render_element(e) for e in elements)
-    return HlsRational(kind, spec, ctx.table, numerator, vids, names, chain_count)
+    return HlsRational(spec, ctx.table, ctx.yvars, numerator, vids, names, chain_count)
 
 
 def hls(
@@ -207,7 +206,7 @@ def hls(
     max_elements: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the half-open interval."""
-    return _series("hls", spec, _hls_pair, max_chains, max_elements)
+    return _series(spec, _hls_pair, max_chains, max_elements)
 
 
 def hls_modified(
@@ -216,7 +215,7 @@ def hls_modified(
     max_elements: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the open interval."""
-    return _series("hls_modified", spec, _hls_pair, max_chains, max_elements, "open")
+    return _series(spec, _hls_pair, max_chains, max_elements, "open")
 
 
 def relation_check(
@@ -252,16 +251,6 @@ class TruncatedSeries:
 
     def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
         return self.coefficients.get(key, LaurentPoly.zero(self.table))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.bound == other.bound
-            and self.table == other.table
-            and self.x_vars == other.x_vars
-            and self.coefficients == other.coefficients
-        )
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], LaurentPoly]]:
         return sorted(self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -389,55 +378,6 @@ def substitute(
     return SubstitutedRational(target, numerator, tuple(factors))
 
 
-def expand_geometric(
-    numerator: LaurentPoly,
-    factors: Sequence[LaurentPoly],
-    grading_vars: Iterable[int],
-    bound: int,
-) -> LaurentPoly:
-    """Truncated expansion of numerator / prod(factors).
-
-    Every factor must be 1 - M for a monomial M with positive degree in the
-    grading variables; the result keeps the terms of total grading degree
-    at most ``bound``.
-    """
-    grading = set(grading_vars)
-
-    def gdeg(mono: Monomial) -> int:
-        return sum(e for v, e in mono if v in grading)
-
-    table = numerator.table
-    result = LaurentPoly(
-        table, {m: c for m, c in numerator.terms.items() if gdeg(m) <= bound}
-    )
-    for f in factors:
-        diff = 1 - f
-        if len(diff.terms) != 1:
-            raise ValueError("factor is not of the form 1 - monomial")
-        ((mono, coeff),) = diff.terms.items()
-        step = gdeg(mono)
-        if step <= 0:
-            raise ValueError("factor monomial must have positive grading degree")
-        acc: dict[Monomial, int] = {}
-        for m, c in result.terms.items():
-            power_mono: Monomial = ()
-            power_coeff = 1
-            total = gdeg(m)
-            t = 0
-            while total + t * step <= bound:
-                m2 = _mono_mul(m, power_mono)
-                c2 = acc.get(m2, 0) + c * power_coeff
-                if c2:
-                    acc[m2] = c2
-                elif m2 in acc:
-                    del acc[m2]
-                power_mono = _mono_mul(power_mono, mono)
-                power_coeff *= coeff
-                t += 1
-        result = LaurentPoly(table, acc)
-    return result
-
-
 # -- specializations ----------------------------------------------------------------
 
 
@@ -473,7 +413,7 @@ def classical_igusa(
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = PosetSpec((0,), (r,))
-    return _series("classical_igusa", spec, _zero_count_pair, max_chains, max_elements)
+    return _series(spec, _zero_count_pair, max_chains, max_elements)
 
 
 def generalized_igusa(
@@ -481,7 +421,7 @@ def generalized_igusa(
 ) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
     spec = PosetSpec(tuple(0 for _ in r_vec), tuple(r_vec))
-    return _series("generalized_igusa", spec, _zero_count_pair, max_chains, max_elements)
+    return _series(spec, _zero_count_pair, max_chains, max_elements)
 
 
 def mv_hls(
@@ -496,7 +436,7 @@ def mv_hls(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _series("mv_hls", PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements)
+    return _series(PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements)
 
 
 def weak_order_igusa(
@@ -510,7 +450,5 @@ def weak_order_igusa(
     if g < 1:
         raise ValueError("g must be positive")
     spec = PosetSpec((g,), (0,))
-    value = _series(
-        "weak_order_igusa", spec, _unit_pair, max_chains, max_elements, leq=_subset_leq
-    )
+    value = _series(spec, _unit_pair, max_chains, max_elements, leq=_subset_leq)
     return replace(value, spec=None)

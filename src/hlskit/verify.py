@@ -48,18 +48,15 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, pair: tuple[int, int]) -> LaurentPoly:
-        i, j = pair
-        return self.entries[i][j]
-
 
 def _context_vars(
     spec: PosetSpec,
     table: VarTable | None,
     yvars: Sequence[Sequence[int]] | None,
+    max_elements: int | None = None,
 ) -> tuple[VarTable, tuple[tuple[int, ...], ...]]:
     if table is None or yvars is None:
-        ctx = make_context(spec)
+        ctx = make_context(spec, max_elements)
         return ctx.table, ctx.yvars
     return table, tuple(tuple(v) for v in yvars)
 
@@ -71,7 +68,7 @@ def zeta_matrix(
     max_elements: int | None = None,
 ) -> PolyMatrix:
     """Entries are the pair weights; zero off the order, one on the diagonal."""
-    table, yvars = _context_vars(spec, table, yvars)
+    table, yvars = _context_vars(spec, table, yvars, max_elements)
     elements = tuple(enumerate_elements(spec, max_elements))
     entries = [[pair_weight(a, b, yvars, table) for b in elements] for a in elements]
     return PolyMatrix(elements, entries, table)
@@ -90,7 +87,7 @@ def mobius_matrix(
     which clears every negative exponent; the result is asserted to be a
     plain polynomial.
     """
-    table, yvars = _context_vars(spec, table, yvars)
+    table, yvars = _context_vars(spec, table, yvars, max_elements)
     elements = tuple(enumerate_elements(spec, max_elements))
     all_y = [v for comp in yvars for v in comp]
     zero = LaurentPoly.zero(table)
@@ -274,14 +271,14 @@ def verify_reciprocity(
         )
     if kind not in ("hls", "hls_modified"):
         raise ValueError(f"unknown series kind {kind!r}")
-    ctx = make_context(spec, max_elements)
-    k, n_value = K_and_N(spec, ctx.table, ctx.yvars)
     if kind == "hls":
         value = hls(spec, max_chains, max_elements)
-        top_var = ctx.top_var()
+        # The top is the last element of the half-open interval.
+        top_var = value.denominator_vars[-1]
     else:
         value = hls_modified(spec, max_chains, max_elements)
         top_var = None
+    k, n_value = K_and_N(spec, value.table, value.yvars)
     lhs, rhs = cleared_reciprocity(value, k, n_value, top_var)
     return ReciprocityCertificate(spec, kind, n_value, k, lhs, rhs, lhs == rhs)
 

@@ -1,12 +1,14 @@
+import ast
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from hlskit.cli import main
+from hlskit.cli import CHECKS, SPECIALIZATIONS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run(capsys, *argv):
@@ -82,6 +84,76 @@ def test_usage_errors_exit_1(capsys):
         )[0] == 1
 
 
+# Every (command, flag) pair where the command accepts a flag it does not read.
+UNREAD_FLAGS = [
+    (("verify", "reciprocity", "--n", "1", "--r", "2"), "reciprocity", "--max-subsets"),
+    (("verify", "order-complex", "--n", "1", "--r", "2"), "order-complex", "--modified"),
+    (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "zeta-mobius", "--max-chains"),
+    (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "zeta-mobius", "--max-subsets"),
+    (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "zeta-mobius", "--modified"),
+    (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--max-subsets"),
+    (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--modified"),
+    (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--n"),
+    (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--g"),
+    (("specialize", "--kind", "generalized-igusa", "--r", "1,1"), "generalized-igusa", "--n"),
+    (("specialize", "--kind", "generalized-igusa", "--r", "1,1"), "generalized-igusa", "--g"),
+    (("specialize", "--kind", "mv-hls", "--n", "2"), "mv-hls", "--r"),
+    (("specialize", "--kind", "mv-hls", "--n", "2"), "mv-hls", "--g"),
+    (("specialize", "--kind", "weak-order-igusa", "--g", "2"), "weak-order-igusa", "--n"),
+    (("specialize", "--kind", "weak-order-igusa", "--g", "2"), "weak-order-igusa", "--r"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, flag", UNREAD_FLAGS, ids=[f"{name} {flag}" for _, name, flag in UNREAD_FLAGS]
+)
+def test_unread_flag_exits_1(capsys, argv, name, flag):
+    value = () if flag == "--modified" else ("0" if flag.startswith("--max") else "7",)
+    code, out, err = run(capsys, *argv, flag, *value, "--no-timing")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} does not read {flag}\n"
+    # Without the unread flag the same command succeeds.
+    assert run(capsys, *argv, "--no-timing")[0] == 0
+
+
+def _perfbench_items():
+    # The item lists are read from the benchmark script, not copied.
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets
+        ):
+            workloads = ast.literal_eval(node.value)
+            return sorted({item for items in workloads.values() for item in items})
+    raise AssertionError("WORKLOADS not found in perfbench/run.py")
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize("item", _perfbench_items())
+def test_perfbench_items_parse_and_read_every_flag(monkeypatch, item):
+    argv = item.split() + ["--no-timing"]
+    args = build_parser().parse_args(argv)
+    # verify and specialize check their flags after parsing; stub out the
+    # work behind the checks and require that it is reached.
+    if args.command == "verify":
+        monkeypatch.setitem(CHECKS, args.check, (_reached, CHECKS[args.check][1]))
+    elif args.command == "specialize":
+        flag, single, _ = SPECIALIZATIONS[args.kind]
+        monkeypatch.setitem(SPECIALIZATIONS, args.kind, (flag, single, _reached))
+    else:
+        return
+    with pytest.raises(_Reached):
+        main(argv)
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run(
         capsys, "compute", "--n", "3,3", "--r", "3,3", "--max-elements", "100"
@@ -130,6 +202,10 @@ def test_cap_exceeded_exits_2(capsys):
         (
             ("verify", "order-complex", "--n", "1", "--r", "2", "--max-elements", "3"),
             "poset has 6 elements, cap is 3",
+        ),
+        (
+            ("verify", "zeta-mobius", "--n", "17", "--r", "3", "--max-elements", "10"),
+            "poset has 524288 elements, cap is 10",
         ),
     ],
 )
