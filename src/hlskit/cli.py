@@ -38,6 +38,7 @@ from .series import (
     weak_order_igusa,
 )
 from .verify import (
+    count_products,
     identity_mismatch,
     matmul,
     mobius_matrix,
@@ -277,6 +278,7 @@ def _order_complex(spec, args):
 
 
 def _zeta_mobius(spec, args):
+    count_products(spec, args.max_products, args.max_elements)
     product = matmul(
         zeta_matrix(spec, max_elements=args.max_elements),
         mobius_matrix(spec, max_elements=args.max_elements),
@@ -301,7 +303,7 @@ def _relation(spec, args):
 CHECKS = {
     "reciprocity": (_reciprocity, ("--max-elements", "--max-chains", "--modified")),
     "order-complex": (_order_complex, ("--max-elements", "--max-chains", "--max-subsets")),
-    "zeta-mobius": (_zeta_mobius, ("--max-elements",)),
+    "zeta-mobius": (_zeta_mobius, ("--max-elements", "--max-products")),
     "relation": (_relation, ("--max-elements", "--max-chains")),
 }
 
@@ -309,7 +311,8 @@ CHECKS = {
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
     verdict, reads = CHECKS[args.check]
-    _reject_unread(args, args.check, ("--max-chains", "--max-subsets", "--modified"), reads)
+    unread = ("--max-chains", "--max-subsets", "--max-products", "--modified")
+    _reject_unread(args, args.check, unread, reads)
     started = time.perf_counter()
     try:
         passed, counterexample = verdict(spec, args)
@@ -374,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--modified", action="store_true")
     p.add_argument("--max-subsets", type=_nonnegative_int, default=None)
+    p.add_argument("--max-products", type=_nonnegative_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser

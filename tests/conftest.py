@@ -4,9 +4,21 @@ from typing import Iterable, Sequence
 
 import pytest
 
+from hlskit import verify
 from hlskit.exactalg import LaurentPoly, Monomial, VarTable, _mono_mul
-from hlskit.poset import Element, PosetSpec, enumerate_elements, leq_t, lt_t
+from hlskit.poset import (
+    CapExceededError,
+    DegenerateSpecError,
+    Element,
+    PosetSpec,
+    chains_in,
+    enumerate_elements,
+    leq_t,
+    lt_t,
+    render_element,
+)
 from hlskit.series import make_context
+from hlskit.weight import chain_weight
 
 SEED = 20260809
 
@@ -100,6 +112,64 @@ def reference_numerator_sum(
                 elif m in acc:
                     del acc[m]
     return LaurentPoly(table, acc), count
+
+
+def reference_order_complex(
+    spec: PosetSpec, max_subsets: int | None = None
+) -> verify.OrderComplexReport:
+    """The order-complex identity, checked one subset at a time.
+
+    For each subset S of the open interval, sums every chain weight whose
+    mask lies inside S and every inverted, scaled one inside the
+    complement: ``2^m x #chains`` mask tests.  ``K_and_N`` is looked up on
+    the ``verify`` module, so a test that patches it there reaches both
+    routes.
+    """
+    if spec.is_degenerate():
+        raise DegenerateSpecError(
+            "bottom equals top; the order-complex identity is vacuous here"
+        )
+    cap = verify.DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
+    ctx = make_context(spec)
+    open_interval = ctx.x_elements[:-1]
+    m = len(open_interval)
+    if 1 << m > cap:
+        raise CapExceededError(f"2^{m} subsets exceed the cap {cap}")
+    k, n_value = verify.K_and_N(spec, ctx.table, ctx.yvars)
+    all_y = ctx.all_y_ids()
+    rhs_scale = k if (n_value - 1) % 2 == 0 else -k
+
+    # Precompute every chain of the full open interval with its bitmask.
+    index = {e: pos for pos, e in enumerate(open_interval)}
+    prepared = []
+    for chain in chains_in(open_interval):
+        mask = 0
+        for e in chain:
+            mask |= 1 << index[e]
+        sign = -1 if len(chain) % 2 else 1
+        w = chain_weight(chain, spec, ctx.yvars, ctx.table)
+        lhs_term = w if sign == 1 else -w
+        rhs_term = rhs_scale * w.invert_vars(all_y)
+        if sign == -1:
+            rhs_term = -rhs_term
+        prepared.append((mask, lhs_term, rhs_term))
+
+    failures = []
+    full = (1 << m) - 1
+    zero = LaurentPoly.zero(ctx.table)
+    for s in range(1 << m):
+        comp = full ^ s
+        lhs = zero
+        rhs = zero
+        for mask, lhs_term, rhs_term in prepared:
+            if mask & ~s == 0:
+                lhs = lhs + lhs_term
+            if mask & ~comp == 0:
+                rhs = rhs + rhs_term
+        if lhs != rhs:
+            members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
+            failures.append("{" + ", ".join(members) + "}")
+    return verify.OrderComplexReport(spec, 1 << m, tuple(failures))
 
 
 def brute_force_covers(spec: PosetSpec) -> list[tuple[Element, Element]]:

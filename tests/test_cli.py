@@ -93,6 +93,9 @@ UNREAD_FLAGS = [
     (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "zeta-mobius", "--modified"),
     (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--max-subsets"),
     (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--modified"),
+    (("verify", "reciprocity", "--n", "1", "--r", "2"), "reciprocity", "--max-products"),
+    (("verify", "order-complex", "--n", "1", "--r", "2"), "order-complex", "--max-products"),
+    (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--max-products"),
     (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--n"),
     (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--g"),
     (("specialize", "--kind", "generalized-igusa", "--r", "1,1"), "generalized-igusa", "--n"),
@@ -206,6 +209,10 @@ def test_cap_exceeded_exits_2(capsys):
         (
             ("verify", "zeta-mobius", "--n", "17", "--r", "3", "--max-elements", "10"),
             "poset has 524288 elements, cap is 10",
+        ),
+        (
+            ("verify", "zeta-mobius", "--n", "8", "--r", "3"),
+            "1007256 triples i <= k <= j exceed the cap 1000000 (counted 85 of 1024 rows)",
         ),
     ],
 )

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from hlskit import verify
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
     CapExceededError,
@@ -14,7 +17,10 @@ from hlskit.series import classical_igusa, hls, make_context, mv_hls
 from hlskit.verify import (
     K_and_N,
     PolyMatrix,
+    _packer,
+    _subset_sums,
     cleared_reciprocity,
+    count_products,
     is_identity,
     kron,
     matmul,
@@ -24,6 +30,8 @@ from hlskit.verify import (
     verify_reciprocity,
     zeta_matrix,
 )
+
+from conftest import reference_order_complex
 
 Q_PASCAL_SPEC = PosetSpec((0,), (2,))
 
@@ -367,6 +375,105 @@ def test_order_complex_respects_cap():
 def test_order_complex_degenerate_is_vacuous():
     with pytest.raises(DegenerateSpecError):
         verify_order_complex(PosetSpec((0, 0), (0, 0)))
+
+
+ORACLE_SPECS = [
+    ((1,), (1,)),
+    ((0,), (3,)),
+    ((2,), (1,)),
+    ((2,), (2,)),
+    ((0, 1), (2, 1)),
+    ((1, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("spec_parts", ORACLE_SPECS, ids=str)
+def test_order_complex_matches_per_subset_oracle(spec_parts):
+    spec = PosetSpec(*spec_parts)
+    got = verify_order_complex(spec, max_subsets=1 << 14)
+    want = reference_order_complex(spec, max_subsets=1 << 14)
+    assert got.passed and want.passed
+    assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
+
+
+def _negated_k(spec, table=None, yvars=None):
+    k, n_value = K_and_N(spec, table, yvars)
+    return -k, n_value
+
+
+def _k_times_y(spec, table=None, yvars=None):
+    k, n_value = K_and_N(spec, table, yvars)
+    return k * LaurentPoly.variable(k.table, yvars[0][0]), n_value
+
+
+def _k_plus_one(spec, table=None, yvars=None):
+    # Not a monomial: the packing bound must not assume one.
+    k, n_value = K_and_N(spec, table, yvars)
+    return k + 1, n_value
+
+
+@pytest.mark.parametrize("wrong_k", [_negated_k, _k_times_y, _k_plus_one])
+@pytest.mark.parametrize("spec_parts", [((1,), (1,)), ((2,), (1,)), ((0, 1), (2, 1))], ids=str)
+def test_order_complex_failures_match_oracle(monkeypatch, spec_parts, wrong_k):
+    # No true instance fails, so both routes are fed the same wrong K.
+    monkeypatch.setattr(verify, "K_and_N", wrong_k)
+    spec = PosetSpec(*spec_parts)
+    got = verify_order_complex(spec)
+    want = reference_order_complex(spec)
+    assert want.failures
+    assert not got.passed
+    assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
+
+
+def test_packing_is_exact_at_the_bound():
+    # Per-slot partial sums reach +4 and -4 at the constant monomial while
+    # the neighbouring slot of x holds 0 or 1: with a field of
+    # bound.bit_length() bits, 4 and -4 + x would pack to the same int.
+    table = VarTable(["x"])
+    one = LaurentPoly.const(table, 1)
+    x = LaurentPoly.variable(table, 0)
+    x_inv = LaurentPoly.variable(table, 0, -1)
+    sides = [
+        [0 * one, 2 * one, 2 * one, 0 * one, x, 0 * one, x_inv - x, 0 * one],
+        [0 * one, -2 * one, -2 * one, 0 * one, x, 0 * one, 0 * one, 0 * one],
+    ]
+    bound = max(sum(sum(map(abs, p.terms.values())) for p in side) for side in sides)
+    pack = _packer(bound)
+    polys = []
+    packed = []
+    for side in sides:
+        sums = [sum((side[t] for t in range(8) if t & ~s == 0), 0 * one) for s in range(8)]
+        values = [pack(p) for p in side]
+        _subset_sums(values, 3)
+        polys.extend(sums)
+        packed.extend(values)
+        assert values == [pack(p) for p in sums]
+    assert 4 * one in polys and -4 * one + x in polys
+    for (p, a), (q, b) in itertools.combinations(zip(polys, packed), 2):
+        assert (a == b) == (p == q)
+
+
+def test_count_products_matches_matmul_operands():
+    # One triple per pair of nonzero factors that matmul multiplies.
+    for spec in (PosetSpec((2,), (2,)), PosetSpec((1, 1), (1, 0))):
+        z, mu = zeta_matrix(spec), mobius_matrix(spec)
+        m = z.dim
+        nonzero = sum(
+            1
+            for i in range(m)
+            for k in range(m)
+            for j in range(m)
+            if not z.entries[i][k].is_zero() and not mu.entries[k][j].is_zero()
+        )
+        assert count_products(spec) == nonzero
+
+
+@pytest.mark.parametrize("n, triples", [(4, 34_496), (5, 237_952), (6, 1_664_000)])
+def test_count_products_reference_values(n, triples):
+    spec = PosetSpec((n,), (3,))
+    assert count_products(spec, max_products=triples) == triples
+    with pytest.raises(CapExceededError, match=f"exceed the cap {triples - 1} "):
+        count_products(spec, max_products=triples - 1)
 
 
 def test_certificate_carries_both_sides():
