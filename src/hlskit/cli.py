@@ -19,7 +19,8 @@ from .poset import (
     CapExceededError,
     DegenerateSpecError,
     PosetSpec,
-    elements_json,
+    cover_relations,
+    enumerate_elements,
     hasse_dot,
     parse_chain,
     render_element,
@@ -213,14 +214,13 @@ def cmd_project(args) -> int:
 def cmd_hasse(args) -> int:
     spec = _spec_from(args)
     if args.format == "json":
-        from .poset import cover_relations, enumerate_elements
-
         covers = cover_relations(spec, args.max_elements)
+        elements = enumerate_elements(spec, args.max_elements)
         payload = {
             "spec": _spec_json(spec),
-            "nodes": [render_element(e) for e in enumerate_elements(spec, args.max_elements)],
+            "nodes": [render_element(e) for e in elements],
             "edges": [[render_element(a), render_element(b)] for a, b in covers],
-            "vectors": elements_json(spec, args.max_elements),
+            "vectors": [[list(a) for a in e] for e in elements],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:

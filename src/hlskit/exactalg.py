@@ -23,10 +23,6 @@ from typing import Iterable, Mapping
 Monomial = tuple[tuple[int, int], ...]
 
 
-class ExactDivisionError(ArithmeticError):
-    """Raised when a supposedly exact polynomial division leaves a remainder."""
-
-
 class VarTable:
     """Bijection between dense variable ids ``0..V-1`` and display names.
 
@@ -349,95 +345,6 @@ class LaurentPoly:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(parts)
 
-    def json_terms(self) -> list[dict]:
-        """JSON-ready term list; coefficients as decimal strings."""
-        out = []
-        for m, c in self.sorted_terms():
-            out.append({"coeff": str(c), "monomial": {self.table.name(v): e for v, e in m}})
-        return out
-
-
-# -- exact division ----------------------------------------------------------
-
-
-def _content_shift(p: LaurentPoly) -> tuple[dict[Monomial, int], Monomial]:
-    """Normalize so every occurring variable has minimum exponent 0.
-
-    Returns the shifted term dict and the monomial that was divided out.
-    """
-    allvars = p.variables()
-    mins: dict[int, int] = {}
-    for m in p.terms:
-        seen = dict(m)
-        for v in allvars:
-            e = seen.get(v, 0)
-            if v not in mins or e < mins[v]:
-                mins[v] = e
-    shift = tuple(sorted((v, e) for v, e in mins.items() if e))
-    if not shift:
-        return dict(p.terms), ()
-    neg = tuple(sorted((v, -e) for v, e in shift))
-    return {_mono_mul(m, neg): c for m, c in p.terms.items()}, shift
-
-
-def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Divide ``p`` by ``d``, asserting that the division is exact.
-
-    Long division by leading term in the canonical (graded, then dense
-    lexicographic) order, after normalizing both operands by their monomial
-    content.  A nonzero remainder raises ``ExactDivisionError``.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return p
-    if p.table != d.table:
-        raise ValueError("operands use different variable tables")
-
-    num, shift_p = _content_shift(p)
-    den, shift_d = _content_shift(d)
-
-    def key(m: Monomial):
-        return (_mono_degree(m), p._dense(m))
-
-    lead_d = max(den, key=key)
-    lead_dc = den[lead_d]
-    lead_d_exps = dict(lead_d)
-
-    quot: dict[Monomial, int] = {}
-    rem = dict(num)
-    while rem:
-        lm = max(rem, key=key)
-        lc = rem[lm]
-        lm_exps = dict(lm)
-        q_exps = {}
-        ok = True
-        for v in set(lm_exps) | set(lead_d_exps):
-            e = lm_exps.get(v, 0) - lead_d_exps.get(v, 0)
-            if e < 0:
-                ok = False
-                break
-            if e:
-                q_exps[v] = e
-        if not ok or lc % lead_dc:
-            raise ExactDivisionError("nonzero remainder in exact division")
-        qm = tuple(sorted(q_exps.items()))
-        qc = lc // lead_dc
-        quot[qm] = quot.get(qm, 0) + qc
-        for m, c in den.items():
-            m2 = _mono_mul(qm, m)
-            c2 = rem.get(m2, 0) - qc * c
-            if c2:
-                rem[m2] = c2
-            elif m2 in rem:
-                del rem[m2]
-
-    # Undo the content normalization: p/d = (num/den) * shift_p / shift_d.
-    adjust = _mono_mul(shift_p, tuple(sorted((v, -e) for v, e in shift_d)))
-    if adjust:
-        quot = {_mono_mul(m, adjust): c for m, c in quot.items()}
-    return LaurentPoly(p.table, quot)
-
 
 # -- q-analogs ---------------------------------------------------------------
 
@@ -452,26 +359,27 @@ def y_integer(table: VarTable, n: int, v: int) -> LaurentPoly:
     return LaurentPoly(table, terms)
 
 
-def y_factorial(table: VarTable, n: int, v: int) -> LaurentPoly:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = LaurentPoly.const(table, 1)
-    for i in range(1, n + 1):
-        result = result * y_integer(table, i, v)
-    return result
-
-
 def y_binomial(table: VarTable, n: int, k: int, v: int) -> LaurentPoly:
-    """Gaussian binomial via the product formula and exact division."""
+    """Gaussian binomial [n choose k] in the variable ``v``.
+
+    The product formula prod_{i=1..k} (1 - Y^(n-k+i)) / (1 - Y^i), computed
+    on a list of int coefficients indexed by the exponent of Y.  Each step
+    multiplies by 1 - Y^(n-k+i) in place, then divides exactly by 1 - Y^i
+    as a running sum with stride i; the i coefficients it drops must be zero.
+    """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial parameters out of range: n={n}, k={k}")
-    num = LaurentPoly.const(table, 1)
-    den = LaurentPoly.const(table, 1)
-    one = LaurentPoly.const(table, 1)
+    c = [1]
     for i in range(1, k + 1):
-        num = num * (one - LaurentPoly.variable(table, v, n - k + i))
-        den = den * (one - LaurentPoly.variable(table, v, i))
-    return exact_div(num, den)
+        s = n - k + i
+        c.extend([0] * s)
+        for j in range(len(c) - 1, s - 1, -1):
+            c[j] -= c[j - s]
+        for j in range(i, len(c)):
+            c[j] += c[j - i]
+        assert not any(c[-i:]), f"1 - Y^{i} does not divide exactly"
+        del c[-i:]
+    return LaurentPoly(table, {((v, e),) if e else (): x for e, x in enumerate(c) if x})
 
 
 def y_multinomial(table: VarTable, n: int, thresholds: Iterable[int], v: int) -> LaurentPoly:

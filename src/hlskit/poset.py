@@ -294,27 +294,8 @@ def enumerate_multichains(
     return _walk(elements, at_or_above, max_total_length, cap, "multichain")
 
 
-def multiplicity_vector(chain: Sequence[Element]) -> dict[Element, int]:
-    out: dict[Element, int] = {}
-    for e in chain:
-        out[e] = out.get(e, 0) + 1
-    return out
-
-
-def support(chain: Sequence[Element]) -> tuple[Element, ...]:
-    out: list[Element] = []
-    for e in chain:
-        if not out or out[-1] != e:
-            out.append(e)
-    return tuple(out)
-
-
 def is_multichain(chain: Sequence[Element]) -> bool:
     return all(leq_t(chain[k], chain[k + 1]) for k in range(len(chain) - 1))
-
-
-def is_strict_chain(chain: Sequence[Element]) -> bool:
-    return all(lt_t(chain[k], chain[k + 1]) for k in range(len(chain) - 1))
 
 
 # -- rendering and parsing -------------------------------------------------------
@@ -393,8 +374,3 @@ def hasse_dot(spec: PosetSpec, max_elements: int | None = None) -> str:
         lines.append(f'  "{render_element(a)}" -> "{render_element(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def elements_json(spec: PosetSpec, max_elements: int | None = None) -> list:
-    """Elements as nested per-component vectors, in enumeration order."""
-    return [[list(a) for a in e] for e in enumerate_elements(spec, max_elements)]

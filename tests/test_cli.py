@@ -292,6 +292,8 @@ def test_hasse_json(capsys):
     assert len(data["nodes"]) == 12
     assert len(data["edges"]) == 13
     assert data["vectors"][0] == [[0, 0, 0]]
+    code, out, _ = run(capsys, "hasse", "--n", "1", "--r", "1", "--format", "json")
+    assert json.loads(out)["vectors"] == [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]
 
 
 def test_specialize_classical(capsys):

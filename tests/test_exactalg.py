@@ -1,15 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from hlskit.exactalg import (
-    ExactDivisionError,
     LaurentPoly,
     VarTable,
-    exact_div,
     y_binomial,
-    y_factorial,
     y_integer,
     y_multinomial,
 )
@@ -83,11 +81,6 @@ def test_y_integer():
     assert y_integer(Q, 1, 0).is_one()
 
 
-def test_y_factorial():
-    assert y_factorial(Q, 0, 0).is_one()
-    assert y_factorial(Q, 3, 0) == (1 + Y) * (1 + Y + Y**2)
-
-
 def test_y_binomial_hand_value():
     # (1 - Y^3)(1 - Y^4) / ((1 - Y)(1 - Y^2)) expanded by hand
     assert y_binomial(Q, 4, 2, 0) == 1 + Y + 2 * Y**2 + Y**3 + Y**4
@@ -97,6 +90,23 @@ def test_y_binomial_edge():
     for n in range(7):
         assert y_binomial(Q, n, 0, 0).is_one()
         assert y_binomial(Q, n, n, 0).is_one()
+
+
+def test_y_binomial_counts_subset_sums():
+    # The coefficient of Y^j counts the k-subsets of {0, ..., n-1} whose sum
+    # exceeds the least possible sum k(k-1)/2 by j.
+    table = VarTable(["a", "Y", "b"])
+    for n in range(11):
+        for k in range(n + 1):
+            counts: dict[int, int] = {}
+            for subset in itertools.combinations(range(n), k):
+                j = sum(subset) - k * (k - 1) // 2
+                counts[j] = counts.get(j, 0) + 1
+            expected = sum(
+                (c * LaurentPoly.variable(table, 1, j) for j, c in counts.items()),
+                LaurentPoly.zero(table),
+            )
+            assert y_binomial(table, n, k, 1) == expected, (n, k)
 
 
 def test_y_binomial_rejects_bad_parameters():
@@ -123,16 +133,6 @@ def test_eval_at_one():
     assert p.eval_at_one([0]) == math.comb(6, 3)
 
 
-def test_exact_div_laurent_operands():
-    p = 1 + LaurentPoly.variable(Q, 0, -1)  # 1 + Y^-1
-    assert exact_div(p * (1 - Y), p) == 1 - Y
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ExactDivisionError):
-        exact_div(1 + Y, 1 - Y)
-
-
 def test_canonical_text_format():
     table = VarTable(["Y[1,1]", "X{0^2}"])
     y = LaurentPoly.variable(table, 0)
@@ -140,15 +140,6 @@ def test_canonical_text_format():
     assert (1 - y**2 * x).text() == "1 - Y[1,1]^2*X{0^2}"
     assert LaurentPoly.zero(table).text() == "0"
     assert (y.invert_vars([0]) * 3).text() == "3*Y[1,1]^-1"
-
-
-def test_json_terms_uses_decimal_strings():
-    p = 12 * A**2 - 1
-    terms = p.json_terms()
-    assert terms == [
-        {"coeff": "-1", "monomial": {}},
-        {"coeff": "12", "monomial": {"a": 2}},
-    ]
 
 
 def test_pow():
