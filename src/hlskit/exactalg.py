@@ -301,12 +301,6 @@ class LaurentPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
-
     def has_negative_exponent(self, vids: Iterable[int] | None = None) -> bool:
         s = None if vids is None else set(vids)
         for m in self.terms:

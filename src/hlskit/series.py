@@ -31,7 +31,7 @@ from .poset import (
     leq_t,
     render_element,
 )
-from .weight import chain_weight, pair_weight, phi_tableau, project
+from .weight import chain_weights, pair_weight, phi_tableau, project
 
 
 @dataclass(frozen=True)
@@ -269,11 +269,11 @@ def expand_multichain(
     index = {e: k for k, e in enumerate(ctx.x_elements)}
     m = len(ctx.x_elements)
     coeffs: dict[tuple[int, ...], LaurentPoly] = {}
-    for mchain in enumerate_multichains(spec, "half_open", bound, max_chains, max_elements):
+    mchains = enumerate_multichains(spec, "half_open", bound, max_chains, max_elements)
+    for mchain, weight in chain_weights(mchains, spec.bottom(), spec.top(), ctx.yvars, ctx.table):
         key = [0] * m
         for e in mchain:
             key[index[e]] += 1
-        weight = chain_weight(mchain, spec, ctx.yvars, ctx.table)
         k = tuple(key)
         prev = coeffs.get(k)
         coeffs[k] = weight if prev is None else prev + weight

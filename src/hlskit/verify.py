@@ -14,6 +14,7 @@ conventions; the test suite locks them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ from .poset import (
     render_element,
 )
 from .series import HlsRational, hls, hls_modified, make_context
-from .weight import pair_weight
+from .weight import chain_weights, pair_weight
 
 DEFAULT_MAX_SUBSETS = 1 << 12
 DEFAULT_MAX_PRODUCTS = 1_000_000
@@ -119,22 +120,72 @@ def mobius_matrix(
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Matrix product, summed only over the nonzero products.
+
+    Entries must be polynomials: a negative exponent raises ``ValueError``.
+    Each monomial packs into one int, a bit field per variable that is
+    ``(max exponent in a + max exponent in b).bit_length()`` wide, so a
+    product of monomials is one int addition with no carry between fields.
+    The nonzero entries of ``b`` are packed once, by rows, and ``a`` one row
+    at a time, so the loop visits only the nonzero products ``a[i][k] *
+    b[k][j]``.  Each entry accumulates in one dict, and only nonzero entries
+    are unpacked; zero entries share one zero.
+    """
     if a.labels != b.labels:
         raise ValueError("matrix index mismatch")
+    if a.table != b.table:
+        raise ValueError("operands use different variable tables")
     n = a.dim
+
+    def max_exponents(matrix: PolyMatrix) -> list[int]:
+        top = [0] * len(matrix.table)
+        for row in matrix.entries:
+            for entry in row:
+                for mono in entry.terms:
+                    for v, e in mono:
+                        if e < 0:
+                            raise ValueError("matmul takes polynomials, not negative exponents")
+                        if e > top[v]:
+                            top[v] = e
+        return top
+
+    shifts = []
+    fields = []  # (variable, shift, mask) for each variable that occurs
+    shift = 0
+    for v, (x, y) in enumerate(zip(max_exponents(a), max_exponents(b))):
+        width = (x + y).bit_length()
+        shifts.append(shift)
+        if width:
+            fields.append((v, shift, (1 << width) - 1))
+        shift += width
+
+    def pack(p: LaurentPoly) -> list[tuple[int, int]]:
+        return [(sum(e << shifts[v] for v, e in mono), c) for mono, c in p.terms.items()]
+
+    rows_b = [[(j, pack(y)) for j, y in enumerate(row) if y.terms] for row in b.entries]
     zero = LaurentPoly.zero(a.table)
     entries = []
-    for i in range(n):
+    for row_a in a.entries:
+        accs: list[defaultdict[int, int] | None] = [None] * n
+        for k, x in enumerate(row_a):
+            if not x.terms:
+                continue
+            terms_a = pack(x)
+            for j, terms_b in rows_b[k]:
+                acc = accs[j]
+                if acc is None:
+                    acc = accs[j] = defaultdict(int)
+                for key_a, c_a in terms_a:
+                    for key_b, c_b in terms_b:
+                        acc[key_a + key_b] += c_a * c_b
         row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                x = a.entries[i][k]
-                y = b.entries[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + x * y
-            row.append(acc)
+        for acc in accs:
+            terms = {} if acc is None else {
+                tuple((v, e) for v, s, mask in fields if (e := key >> s & mask)): c
+                for key, c in acc.items()
+                if c
+            }
+            row.append(LaurentPoly(a.table, terms) if terms else zero)
         entries.append(row)
     return PolyMatrix(a.labels, entries, a.table)
 
@@ -217,15 +268,8 @@ def mobius_via_chains(
         raise ValueError("a must lie below b in the tableau order")
     between = [c for c in enumerate_elements(spec) if lt_t(a, c) and lt_t(c, b)]
     total = LaurentPoly.zero(table)
-    for chain in chains_in(between):
-        sign = -1 if len(chain) % 2 == 0 else 1
-        product = LaurentPoly.const(table, sign)
-        prev = a
-        for c in chain:
-            product = product * pair_weight(prev, c, yvars, table)
-            prev = c
-        product = product * pair_weight(prev, b, yvars, table)
-        total = total + product
+    for chain, w in chain_weights(chains_in(between), a, b, yvars, table):
+        total = total + (w if len(chain) % 2 else -w)
     return total
 
 
@@ -397,29 +441,17 @@ def verify_order_complex(
     all_y = ctx.all_y_ids()
     rhs_scale = k if (n_value - 1) % 2 == 0 else -k
 
-    # One signed weight per chain of the open interval, with its bitmask;
-    # each pair weight is computed once.
-    pairs: dict[tuple[Element, Element], LaurentPoly] = {}
-
-    def pair(a: Element, b: Element) -> LaurentPoly:
-        w = pairs.get((a, b))
-        if w is None:
-            w = pairs[a, b] = pair_weight(a, b, ctx.yvars, ctx.table)
-        return w
-
+    # One signed weight per chain of the open interval, with its bitmask.
     index = {e: pos for pos, e in enumerate(open_interval)}
-    bottom, top = spec.bottom(), spec.top()
     chains = []
     norm = 0
-    for chain in chains_in(open_interval, max_chains=max_chains):
+    walk = chains_in(open_interval, max_chains=max_chains)
+    for chain, w in chain_weights(walk, spec.bottom(), spec.top(), ctx.yvars, ctx.table):
         mask = 0
-        w = LaurentPoly.const(ctx.table, -1 if len(chain) % 2 else 1)
-        prev = bottom
         for e in chain:
             mask |= 1 << index[e]
-            w = w * pair(prev, e)
-            prev = e
-        w = w * pair(prev, top)
+        if len(chain) % 2:
+            w = -w
         norm += sum(map(abs, w.terms.values()))
         chains.append((mask, w))
 

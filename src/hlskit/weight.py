@@ -10,7 +10,7 @@ exploit the redundancy; the implementations must not share formulas.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import LaurentPoly, VarTable, y_binomial
 from .poset import (
@@ -20,6 +20,7 @@ from .poset import (
     delta,
     is_multichain,
     leq_component,
+    leq_t,
 )
 
 
@@ -94,6 +95,52 @@ def chain_weight(
         result = result * pair_weight(prev, e, yvars, table)
         prev = e
     return result * pair_weight(prev, top, yvars, table)
+
+
+def chain_weights(
+    chains: Iterable[Sequence[Element]],
+    bottom: Element,
+    top: Element,
+    yvars: Sequence[Sequence[int]],
+    table: VarTable,
+) -> Iterator[tuple[Sequence[Element], LaurentPoly]]:
+    """Each chain with its weight from ``bottom`` through the chain to ``top``.
+
+    The chains must come by length, each after its prefix one element
+    shorter, as the poset walkers yield them.  A chain's product from the
+    bottom is then its prefix's product times one pair weight, so only the
+    previous length's products are kept, and each pair weight is computed
+    once.  Each chain is checked as it extends its prefix, as in
+    ``chain_weight``: the new element lies above the last, not at the bottom.
+    """
+    pairs: dict[tuple[Element, Element], LaurentPoly] = {}
+
+    def pair(a: Element, b: Element) -> LaurentPoly:
+        w = pairs.get((a, b))
+        if w is None:
+            w = pairs[a, b] = pair_weight(a, b, yvars, table)
+        return w
+
+    shorter: dict[Sequence[Element], LaurentPoly] = {}
+    level: dict[Sequence[Element], LaurentPoly] = {(): LaurentPoly.const(table, 1)}
+    length = 0
+    for chain in chains:
+        if not chain:
+            yield chain, pair(bottom, top)
+            continue
+        if len(chain) != length:
+            shorter, level, length = level, {}, len(chain)
+        last = chain[-1]
+        prev = chain[-2] if length > 1 else bottom
+        if last == bottom:
+            raise ValueError("chain elements must lie strictly above the bottom")
+        if not leq_t(prev, last):
+            raise ValueError("input is not a multichain in the tableau order")
+        prefix = shorter.get(chain[:-1])
+        if prefix is None:
+            raise ValueError("chains must come by length, each after its prefix")
+        w = level[chain] = prefix * pair(prev, last)
+        yield chain, w * pair(last, top)
 
 
 # -- skew tableaux ---------------------------------------------------------------

@@ -13,11 +13,12 @@ from hlskit.poset import (
     PosetSpec,
     chains_in,
     enumerate_elements,
+    enumerate_multichains,
     leq_t,
     lt_t,
     render_element,
 )
-from hlskit.series import make_context
+from hlskit.series import TruncatedSeries, make_context
 from hlskit.weight import chain_weight
 
 SEED = 20260809
@@ -170,6 +171,53 @@ def reference_order_complex(
             members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
             failures.append("{" + ", ".join(members) + "}")
     return verify.OrderComplexReport(spec, 1 << m, tuple(failures))
+
+
+def reference_matmul(a: verify.PolyMatrix, b: verify.PolyMatrix) -> verify.PolyMatrix:
+    """Matrix product by the full triple loop over immutable polynomial sums."""
+    if a.labels != b.labels:
+        raise ValueError("matrix index mismatch")
+    n = a.dim
+    zero = LaurentPoly.zero(a.table)
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                x = a.entries[i][k]
+                y = b.entries[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        entries.append(row)
+    return verify.PolyMatrix(a.labels, entries, a.table)
+
+
+def reference_expand_multichain(
+    spec: PosetSpec,
+    bound: int,
+    max_chains: int | None = None,
+    max_elements: int | None = None,
+) -> TruncatedSeries:
+    """Multichain expansion with every weight multiplied out by ``chain_weight``."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    ctx = make_context(spec, max_elements)
+    index = {e: k for k, e in enumerate(ctx.x_elements)}
+    m = len(ctx.x_elements)
+    coeffs: dict[tuple[int, ...], LaurentPoly] = {}
+    for mchain in enumerate_multichains(spec, "half_open", bound, max_chains, max_elements):
+        key = [0] * m
+        for e in mchain:
+            key[index[e]] += 1
+        weight = chain_weight(mchain, spec, ctx.yvars, ctx.table)
+        k = tuple(key)
+        prev = coeffs.get(k)
+        coeffs[k] = weight if prev is None else prev + weight
+    coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+    return TruncatedSeries(bound, ctx.table, tuple(ctx.x_ids[e] for e in ctx.x_elements), coeffs)
 
 
 def brute_force_covers(spec: PosetSpec) -> list[tuple[Element, Element]]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hlskit.cli import CHECKS, SPECIALIZATIONS, build_parser, main
+from hlskit.poset import PosetSpec, enumerate_multichains
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -231,6 +232,20 @@ def test_expand_dual_method_identical(capsys):
     )
     assert direct == rational
     assert direct.splitlines()[0] == "1 : 1"
+
+
+def test_expand_multichain_cap_at_the_count(capsys):
+    # The walk counts the empty multichain too, so the cap at the count
+    # passes and one below it stops with the walker's message.
+    count = sum(1 for _ in enumerate_multichains(PosetSpec((2,), (1,)), "half_open", 4))
+    argv = ("expand", "--n", "2", "--r", "1", "--max-degree", "4", "--no-timing")
+    _, full, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--max-chains", str(count)) == (0, full, "")
+    assert run(capsys, *argv, "--max-chains", str(count - 1)) == (
+        2,
+        "",
+        f"error: multichain enumeration exceeds cap {count - 1}\n",
+    )
 
 
 def test_expand_json(capsys):

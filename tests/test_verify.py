@@ -21,6 +21,7 @@ from hlskit.verify import (
     _subset_sums,
     cleared_reciprocity,
     count_products,
+    identity_mismatch,
     is_identity,
     kron,
     matmul,
@@ -31,7 +32,7 @@ from hlskit.verify import (
     zeta_matrix,
 )
 
-from conftest import reference_order_complex
+from conftest import reference_matmul, reference_order_complex
 
 Q_PASCAL_SPEC = PosetSpec((0,), (2,))
 
@@ -164,6 +165,95 @@ def test_matmul_identity_is_neutral():
     )
     assert matmul(eye, z).entries == z.entries
     assert matmul(z, eye).entries == z.entries
+
+
+def _perturbed(m, scale):
+    """A copy of ``m`` with its longest off-diagonal entry times ``scale``."""
+    i, j = max(
+        ((i, j) for i in range(m.dim) for j in range(m.dim) if i != j),
+        key=lambda ij: len(m.entries[ij[0]][ij[1]].terms),
+    )
+    entries = [list(row) for row in m.entries]
+    entries[i][j] = entries[i][j] * scale
+    return PolyMatrix(m.labels, entries, m.table)
+
+
+@pytest.mark.parametrize(
+    "spec, products",
+    [
+        (PosetSpec((2,), (2,)), ("zm", "mz", "zz", "z-m", "zym")),
+        (PosetSpec((1, 1), (1, 2)), ("zm", "mz", "zz", "z-m", "zym")),
+        (PosetSpec((4,), (3,)), ("zm", "zym")),
+    ],
+    ids=["n2-r2", "n1,1-r1,2", "n4-r3"],
+)
+def test_matmul_matches_triple_loop_oracle(spec, products):
+    ctx = make_context(spec)
+    z = zeta_matrix(spec, ctx.table, ctx.yvars)
+    mu = mobius_matrix(spec, ctx.table, ctx.yvars)
+    y = LaurentPoly.variable(ctx.table, ctx.yvars[0][-1])
+    operands = {
+        "zm": (z, mu),
+        "mz": (mu, z),
+        "zz": (z, z),
+        "z-m": (z, _perturbed(mu, -1)),
+        "zym": (z, _perturbed(mu, y)),
+    }
+    for name in products:
+        a, b = operands[name]
+        got, want = matmul(a, b), reference_matmul(a, b)
+        assert (got.labels, got.table) == (want.labels, want.table)
+        assert got.entries == want.entries, name
+        if name in ("zm", "mz"):
+            assert is_identity(got)
+        else:
+            assert identity_mismatch(got) == identity_mismatch(want) is not None
+        if name in ("z-m", "zym"):
+            assert any(c < 0 for row in got.entries for e in row for c in e.terms.values())
+
+
+def test_matmul_packing_fills_each_field():
+    # Exponent sums 1 + 2, 3 + 4 and 8 + 7 fill fields of 2, 3 and 4 bits
+    # exactly, and 4 + 4 needs a fourth bit that neither operand's maximum
+    # does; a field one bit narrower would carry into its neighbour.
+    table = VarTable(["x", "y", "z", "w"])
+    labels = (((0,),), ((1,),))
+
+    def mono(coeff, *exps):
+        return LaurentPoly.monomial(table, dict(enumerate(exps)), coeff)
+
+    a = PolyMatrix(
+        labels,
+        [
+            [mono(1, 1, 3, 8, 4) + mono(-2, 0, 1, 0, 0), mono(3, 1, 0, 5, 1)],
+            [mono(1, 0, 0, 0, 0), mono(0, 0, 0, 0, 0)],
+        ],
+        table,
+    )
+    b = PolyMatrix(
+        labels,
+        [
+            [mono(1, 2, 4, 7, 4), mono(-1, 0, 4, 0, 0)],
+            [mono(5, 2, 0, 7, 0) + mono(1, 0, 0, 0, 0), mono(1, 1, 1, 1, 1)],
+        ],
+        table,
+    )
+    got = matmul(a, b)
+    assert got.entries == reference_matmul(a, b).entries
+    assert got.entries[0][0] == (
+        mono(1, 3, 7, 15, 8) + mono(-2, 2, 5, 7, 4) + mono(15, 3, 0, 12, 1) + mono(3, 1, 0, 5, 1)
+    )
+    assert got.entries[1][1] == mono(-1, 0, 4, 0, 0)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_matmul_rejects_negative_exponents(side):
+    table = VarTable(["x"])
+    labels = (((0,),),)
+    one = PolyMatrix(labels, [[LaurentPoly.const(table, 1)]], table)
+    inverse = PolyMatrix(labels, [[LaurentPoly.variable(table, 0, -1)]], table)
+    with pytest.raises(ValueError, match="negative exponent"):
+        matmul(inverse, one) if side == "a" else matmul(one, inverse)
 
 
 def test_mobius_via_chains_at_equal_arguments():

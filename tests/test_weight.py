@@ -16,6 +16,7 @@ from hlskit.series import make_context
 from hlskit.weight import (
     SkewTableau,
     chain_weight,
+    chain_weights,
     leg_plus_positions,
     pair_weight,
     phi_tableau,
@@ -126,6 +127,33 @@ def test_chain_weight_rejects_non_chains():
         chain_weight((spec.bottom(),), spec, ctx.yvars, ctx.table)
 
 
+def test_chain_weights_match_chain_weight():
+    for spec, length in ((PosetSpec((2,), (2,)), 3), (PosetSpec((1, 1), (1, 0)), 4)):
+        ctx = make_context(spec)
+        chains = list(enumerate_multichains(spec, max_total_length=length))
+        got = list(chain_weights(chains, spec.bottom(), spec.top(), ctx.yvars, ctx.table))
+        assert [c for c, _ in got] == chains
+        for chain, w in got:
+            assert w == chain_weight(chain, spec, ctx.yvars, ctx.table)
+
+
+def test_chain_weights_reject_what_chain_weight_rejects():
+    spec = PosetSpec((2,), (2,))
+    ctx = make_context(spec)
+    a = parse_element("0", spec)
+    b = parse_element("1 2", spec)
+
+    def weigh(*chains):
+        return list(chain_weights(chains, spec.bottom(), spec.top(), ctx.yvars, ctx.table))
+
+    with pytest.raises(ValueError, match="not a multichain"):
+        weigh((), (a,), (b,), (a, b))
+    with pytest.raises(ValueError, match="strictly above the bottom"):
+        weigh((), (spec.bottom(),))
+    with pytest.raises(ValueError, match="after its prefix"):
+        weigh((), (b, b))
+
+
 def test_chain_weight_depends_only_on_support():
     spec = PosetSpec((2,), (2,))
     ctx = make_context(spec)
@@ -230,7 +258,7 @@ def test_phi_tableau_never_mentions_y0():
             continue
         tab = project(chain, 0, spec)
         phi = phi_tableau(tab, ctx.yvars[0][1:], ctx.table)
-        assert ctx.yvars[0][0] not in phi.variables()
+        assert all(v != ctx.yvars[0][0] for mono in phi.terms for v, _ in mono)
 
 
 def test_empty_skew_shapes_stay_distinct():
