@@ -1,0 +1,181 @@
+"""Packed-key arithmetic of the chain-series sweep.
+
+``series._chain_series`` orders the elements, counts the chains and then
+calls the three steps here: ``pack_pair_weights``, ``sweep`` and
+``unpack``.  A term ``c * Y^e * prod_{i in S} X_i`` is one dict entry, its
+key the int ``mask(S) | packed(e) << m``, where bit ``i`` of the mask is the
+X variable of element ``i`` and each Y variable has a fixed bit field.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from typing import Callable, Sequence
+
+from .exactalg import LaurentPoly, Monomial, VarTable
+from .poset import CapExceededError, Element
+
+# A partial numerator: packed key -> nonzero coefficient.
+Terms = dict[int, int]
+# A packed polynomial: [(packed key, coefficient), ...].
+Packed = list[tuple[int, int]]
+# Y bit fields of a packed key: (Y variable, shift in packed_y, field mask).
+Fields = list[tuple[int, int, int]]
+
+
+def pack_pair_weights(
+    weight: Callable[[Element, Element], LaurentPoly],
+    bottom: Element,
+    top: Element,
+    ny: int,
+    preds: dict[Element, list[Element]],
+    swept: Sequence[Element],
+    bit: dict[Element, int],
+) -> tuple[dict[tuple[Element, Element], Packed], Fields]:
+    """Every pair weight of the sweep, packed, and the Y fields of the keys.
+
+    The field of each of the ``ny`` Y variables is as wide as the largest
+    exponent any chain can reach, the longest path over the sweep in the
+    max-plus sense of the weights' exponents, so no sum of keys carries
+    from one field into the next.  A weight into a swept element ``c``
+    carries ``X_c``; the top's own weight is stored as ``weight(top, top) -
+    1``, as its step takes it.  A negative exponent raises ``ValueError``.
+    """
+    weights = {(s, c): weight(s, c) for c in swept for s in preds[c]}
+    for s in [bottom, *swept]:
+        weights[s, top] = weight(s, top)
+    if top in preds:
+        weights[top, top] = weight(top, top)
+    highest = {pair: _highest_exponents(w, ny) for pair, w in weights.items()}
+    reach = {bottom: [0] * ny}
+    for c in swept:
+        reach[c] = _longest([(reach[s], highest[s, c]) for s in preds[c]])
+    bound = _longest([(reach[s], highest[s, top]) for s in reach])
+    if top in preds:
+        bound = _longest([(bound, highest[top, top])])
+        weights[top, top] -= 1
+    widths = [e.bit_length() for e in bound]
+    shifts = [0, *accumulate(widths)]
+    fields = [(v, shifts[v], (1 << w) - 1) for v, w in enumerate(widths) if w]
+    m = len(bit)
+    packed = {
+        (s, c): [
+            (sum(e << shifts[v] for v, e in mono) << m | (0 if c == top else bit[c]), k)
+            for mono, k in w.terms.items()
+        ]
+        for (s, c), w in weights.items()
+    }
+    return packed, fields
+
+
+def sweep(
+    bottom: Element,
+    top: Element,
+    above: list[list[int]],
+    preds: dict[Element, list[Element]],
+    swept: Sequence[Element],
+    bit: dict[Element, int],
+    packed: dict[tuple[Element, Element], Packed],
+    term_cap: int,
+) -> Terms:
+    """The folded transfer-matrix sweep, as described at ``_chain_series``.
+
+    ``bit`` maps the elements, in X variable order, to their mask bits, and
+    ``above`` lists, by index in that order, the elements above each one.
+    """
+    elements = list(bit)
+    m = len(elements)
+    # A state folds into ``total`` once no element but the top is left above
+    # it: in the step of the last one above it, before its ``1 - X_c``, or
+    # right after its own step if there is none (key None).
+    position = {c: k for k, c in enumerate(swept)}
+    fold_at = {}
+    for s, js in [(bottom, range(m)), *zip(elements, above)]:
+        after = [position[elements[j]] for j in js if elements[j] != top]
+        fold_at.setdefault(max(after, default=None), []).append(s)
+    maximal = set(fold_at.pop(None, ()))
+
+    states = {bottom: {0: 1}}
+    total: Terms = {}
+
+    def fold(s: Element) -> None:
+        _add_product(total, states.pop(s), packed[s, top])
+
+    def check(step: int) -> None:
+        if len(total) + sum(map(len, states.values())) > term_cap:
+            raise CapExceededError(f"term cap {term_cap} exceeded at element {step} of {m}")
+
+    if bottom in maximal:
+        fold(bottom)
+    check(0)
+    for k, c in enumerate(swept):
+        incoming: Terms = {}
+        for s in preds[c]:
+            _add_product(incoming, states[s], packed[s, c])
+        for s in fold_at.get(k, ()):
+            fold(s)
+        b = bit[c]
+        for terms in (*states.values(), total):
+            terms.update({key + b: -a for key, a in terms.items()})
+        states[c] = incoming
+        if c in maximal:
+            fold(c)
+        check(k + 1)
+    if top in preds:
+        b = bit[top]
+        state_top = {key + b: a for key, a in total.items()}
+        _add_product(total, state_top, packed[top, top])
+        check(m)
+    return total
+
+
+def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, fields: Fields) -> LaurentPoly:
+    """The ``LaurentPoly`` of packed terms whose mask bits are ``x_vids``.
+
+    Y variable ids must precede the X ones, and ``x_vids`` must increase.
+    """
+    m = len(x_vids)
+    low = (1 << m) - 1
+    x_parts: dict[int, Monomial] = {}
+    y_parts: dict[int, Monomial] = {}
+    numerator = {}
+    for key, a in total.items():
+        mask, y = key & low, key >> m
+        xs = x_parts.get(mask)
+        if xs is None:
+            xs = x_parts[mask] = tuple((v, 1) for i, v in enumerate(x_vids) if mask >> i & 1)
+        ys = y_parts.get(y)
+        if ys is None:
+            ys = y_parts[y] = tuple((v, e) for v, sh, f in fields if (e := y >> sh & f))
+        numerator[ys + xs] = a
+    return LaurentPoly(table, numerator)
+
+
+def _highest_exponents(weight: LaurentPoly, ny: int) -> list[int]:
+    """The largest exponent of each of the ``ny`` Y variables in ``weight``."""
+    top = [0] * ny
+    for mono in weight.terms:
+        for v, e in mono:
+            if e < 0:
+                raise ValueError("pair weights must be polynomials, not negative exponents")
+            if e > top[v]:
+                top[v] = e
+    return top
+
+
+def _longest(paths: list[tuple[list[int], list[int]]]) -> list[int]:
+    """Componentwise max of ``a + b`` over the pairs of vectors in ``paths``."""
+    return [max(column) for column in zip(*([x + y for x, y in zip(a, b)] for a, b in paths))]
+
+
+def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:
+    """acc += terms * weight, on packed keys."""
+    get = acc.get
+    for wk, wc in weight:
+        for key, a in terms.items():
+            k = key + wk
+            c = get(k, 0) + a * wc
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]

@@ -4,8 +4,8 @@ One command per process; output is assembled once and written at the end,
 so identical invocations produce identical bytes.  Timing is only emitted
 unless --no-timing is given, which is what the golden tests use.
 
-Exit codes: 0 success, 1 usage error, 2 resource cap exceeded,
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 resource cap exceeded or out of
+memory, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
     spec = _spec_from(args)
     started = time.perf_counter()
     build = hls_modified if args.modified else hls
-    value = build(spec, args.max_chains, args.max_elements)
+    value = build(spec, args.max_chains, args.max_elements, args.max_terms)
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
     _render_series(args, value, millis)
     return EXIT_OK
@@ -160,8 +160,10 @@ def cmd_expand(args) -> int:
     if args.max_degree is None or args.max_degree < 0:
         raise UsageError("--max-degree is required and must be nonnegative")
     if args.method == "rational":
-        series = expand_rational(hls(spec, args.max_chains, args.max_elements), args.max_degree)
+        value = hls(spec, args.max_chains, args.max_elements, args.max_terms)
+        series = expand_rational(value, args.max_degree)
     else:
+        _reject_unread(args, "expand --method multichain", ("--max-terms",), ())
         series = expand_multichain(spec, args.max_degree, args.max_chains, args.max_elements)
     if args.format == "json":
         element_names = [series.table.name(v)[2:-1] for v in series.x_vars]
@@ -258,7 +260,8 @@ def cmd_specialize(args) -> int:
     if single and len(parts) != 1:
         raise UsageError(f"{args.kind} takes a single {name}")
     _reject_unread(args, args.kind, ("--n", "--r", "--g"), (flag,))
-    value = build(parts[0] if single else parts, args.max_elements, args.max_chains)
+    caps = (args.max_elements, args.max_chains, args.max_terms)
+    value = build(parts[0] if single else parts, *caps)
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
     _render_series(args, value, millis)
     return EXIT_OK
@@ -266,7 +269,7 @@ def cmd_specialize(args) -> int:
 
 def _reciprocity(spec, args):
     kind = "hls_modified" if args.modified else "hls"
-    cert = verify_reciprocity(spec, kind, args.max_chains, args.max_elements)
+    cert = verify_reciprocity(spec, kind, args.max_chains, args.max_elements, args.max_terms)
     if cert.equal:
         return True, None
     return False, {"lhs": cert.lhs.text(), "rhs": cert.rhs.text()}
@@ -295,23 +298,23 @@ def _zeta_mobius(spec, args):
 
 
 def _relation(spec, args):
-    return relation_check(spec, args.max_chains, args.max_elements), None
+    return relation_check(spec, args.max_chains, args.max_elements, args.max_terms), None
 
 
 # Each check: its verdict, (passed, counterexample or None), and the flags
 # it reads besides --n and --r.
 CHECKS = {
-    "reciprocity": (_reciprocity, ("--max-elements", "--max-chains", "--modified")),
+    "reciprocity": (_reciprocity, ("--max-elements", "--max-chains", "--max-terms", "--modified")),
     "order-complex": (_order_complex, ("--max-elements", "--max-chains", "--max-subsets")),
     "zeta-mobius": (_zeta_mobius, ("--max-elements", "--max-products")),
-    "relation": (_relation, ("--max-elements", "--max-chains")),
+    "relation": (_relation, ("--max-elements", "--max-chains", "--max-terms")),
 }
 
 
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
     verdict, reads = CHECKS[args.check]
-    unread = ("--max-chains", "--max-subsets", "--max-products", "--modified")
+    unread = ("--max-chains", "--max-terms", "--max-subsets", "--max-products", "--modified")
     _reject_unread(args, args.check, unread, reads)
     started = time.perf_counter()
     try:
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hlskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=("--max-elements", "--max-chains")):
+    def common(p, caps=("--max-elements", "--max-chains", "--max-terms")):
         p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
         p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
         for cap in caps:
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory; lower a resource cap or use a smaller spec", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:
         return EXIT_OK

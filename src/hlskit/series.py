@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import LaurentPoly, Monomial, VarTable, _mono_mul, y_binomial
+from ._sweep import pack_pair_weights, sweep, unpack
+from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     DEFAULT_MAX_CHAINS,
     CapExceededError,
@@ -99,8 +101,10 @@ class HlsRational:
         return "*".join(f"(1 - {self.table.name(v)})" for v in self.denominator_vars)
 
 
-# A partial numerator: (X bitmask, Y monomial) -> nonzero coefficient.
-_Terms = dict[tuple[int, Monomial], int]
+# Live terms a chain-series sweep may hold after any element.  A live term
+# takes about 90 bytes, and one element multiplied the count by at most 3.4
+# on the specs measured, so a run this cap stops stays well under 2 GB.
+DEFAULT_MAX_TERMS = 5_000_000
 
 
 def _chain_series(
@@ -109,22 +113,43 @@ def _chain_series(
     leq: Callable[[Element, Element], bool],
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
+    max_terms: int | None = None,
 ) -> tuple[LaurentPoly, int]:
     """Numerator and chain count of a chain sum, by the transfer-matrix method.
 
     The chains are the strict chains of ``elements`` under ``leq``, each
     weighted by the product of ``pair_w`` over consecutive members once the
     spec's bottom is prepended and its top appended.  The bottom must lie
-    below every element, ``elements`` must come in X variable order, and
-    ``pair_w`` must return polynomials in the Y variables alone.
+    below every element, the top above every other element if it is one of
+    them, ``elements`` must come in X variable order, and ``pair_w`` must
+    return polynomials in the Y variables alone.
 
     The sweep follows a linear extension and keeps one partial numerator
     per last chain element, starting from the bottom.  At each element
     ``c``, every state ``s`` below ``c`` sends ``state * X_c * pair_w(s, c)``
     to the new state ``c``, and every earlier state takes the factor
-    ``1 - X_c``; at the end each state is multiplied by ``pair_w(s, top)``
-    (Stanley, EC1 section 4.7).  Chains are counted first, so a cap hit
-    costs no polynomial work.
+    ``1 - X_c`` (Stanley, EC1 section 4.7).  A state is folded into one
+    running ``total``, times ``pair_w(s, top)``, as soon as the last element
+    above it other than the top is swept; from then on ``total`` takes the
+    ``1 - X_c`` factors in its place, and equal keys of different states
+    merge.  If the top is one of ``elements``, it is swept last, on
+    ``total`` alone: with ``state_top = total * X_top``, the step
+    ``total * (1 - X_top) + state_top * pair_w(top, top)`` is computed as
+    ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
+    copy of ``total``.
+
+    A term key is one int, ``mask | packed_y << m``: bit ``i`` of the mask
+    is the X variable of ``elements[i]``, and each Y variable has a bit
+    field as wide as its largest possible exponent, the longest path over
+    the sweep in the max-plus sense of the pair weights' exponents.  So a
+    term times a pair-weight monomial times ``X_c`` is one int addition with
+    no carry between fields, and a negative exponent raises ``ValueError``.
+    Keys are unpacked to a ``LaurentPoly`` once, at the end.  The packed
+    arithmetic lives in the private module ``_sweep``.
+
+    Chains are counted first, so a chain cap hit costs no polynomial work.
+    After each element the live terms of all states and ``total`` are
+    counted, and more than ``max_terms`` raises ``CapExceededError``.
     """
     bottom = ctx.spec.bottom()
     top = ctx.spec.top()
@@ -146,37 +171,13 @@ def _chain_series(
     if chain_count > cap:
         raise CapExceededError(f"chain enumeration exceeds cap {cap}")
 
+    swept = order[:-1] if top in preds else order
     bit = {c: 1 << k for k, c in enumerate(elements)}
-    states: dict[Element, _Terms] = {bottom: {(0, ()): 1}}
-    for c in order:
-        incoming: _Terms = {}
-        for s in preds[c]:
-            _add_product(incoming, states[s], pair_w(ctx, s, c), bit[c])
-        for terms in states.values():
-            terms.update([((m | bit[c], y), -k) for (m, y), k in terms.items()])
-        states[c] = incoming
-    total: _Terms = {}
-    for s, terms in states.items():
-        _add_product(total, terms, pair_w(ctx, s, top), 0)
-    # Y variable ids precede X ones, and bits follow the X variable order.
-    x_vids = [ctx.x_ids[e] for e in elements]
-    numerator = {
-        y + tuple((v, 1) for i, v in enumerate(x_vids) if m >> i & 1): k
-        for (m, y), k in total.items()
-    }
-    return LaurentPoly(ctx.table, numerator), chain_count
-
-
-def _add_product(acc: _Terms, terms: _Terms, weight: LaurentPoly, bit: int) -> None:
-    """acc += terms * weight * X, where X is the variable of ``bit`` (0: none)."""
-    for (m, y), k in terms.items():
-        for wm, wk in weight.terms.items():
-            key = (m | bit, _mono_mul(y, wm))
-            c = acc.get(key, 0) + k * wk
-            if c:
-                acc[key] = c
-            else:
-                del acc[key]
+    ny = sum(map(len, ctx.yvars))
+    packed, fields = pack_pair_weights(partial(pair_w, ctx), bottom, top, ny, preds, swept, bit)
+    term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
+    total = sweep(bottom, top, above, preds, swept, bit, packed, term_cap)
+    return unpack(ctx.table, [ctx.x_ids[e] for e in elements], total, fields), chain_count
 
 
 def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
@@ -188,13 +189,14 @@ def _series(
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
     max_elements: int | None,
+    max_terms: int | None,
     interval: str = "half_open",
     leq: Callable[[Element, Element], bool] = leq_t,
 ) -> HlsRational:
     """The chain series of an interval of ``spec`` under ``leq`` and ``pair_w``."""
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    numerator, chain_count = _chain_series(ctx, elements, leq, pair_w, max_chains)
+    numerator, chain_count = _chain_series(ctx, elements, leq, pair_w, max_chains, max_terms)
     vids = tuple(ctx.x_ids[e] for e in elements)
     names = tuple(render_element(e) for e in elements)
     return HlsRational(spec, ctx.table, ctx.yvars, numerator, vids, names, chain_count)
@@ -204,24 +206,27 @@ def hls(
     spec: PosetSpec,
     max_chains: int | None = None,
     max_elements: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the half-open interval."""
-    return _series(spec, _hls_pair, max_chains, max_elements)
+    return _series(spec, _hls_pair, max_chains, max_elements, max_terms)
 
 
 def hls_modified(
     spec: PosetSpec,
     max_chains: int | None = None,
     max_elements: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the open interval."""
-    return _series(spec, _hls_pair, max_chains, max_elements, "open")
+    return _series(spec, _hls_pair, max_chains, max_elements, max_terms, "open")
 
 
 def relation_check(
     spec: PosetSpec,
     max_chains: int | None = None,
     max_elements: int | None = None,
+    max_terms: int | None = None,
 ) -> bool:
     """Exact check that the half-open series is the open one over 1 - X_top.
 
@@ -230,8 +235,8 @@ def relation_check(
     """
     if spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the relation presupposes otherwise")
-    h = hls(spec, max_chains, max_elements)
-    hm = hls_modified(spec, max_chains, max_elements)
+    h = hls(spec, max_chains, max_elements, max_terms)
+    hm = hls_modified(spec, max_chains, max_elements, max_terms)
     if h.denominator_vars[:-1] != hm.denominator_vars:
         return False
     return h.numerator == hm.numerator
@@ -403,7 +408,10 @@ def _subset_leq(a: Element, b: Element) -> bool:
 
 
 def classical_igusa(
-    r: int, max_elements: int | None = None, max_chains: int | None = None
+    r: int,
+    max_elements: int | None = None,
+    max_chains: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """Subset-sum form of the one-component, n = 0 series.
 
@@ -413,19 +421,25 @@ def classical_igusa(
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = PosetSpec((0,), (r,))
-    return _series(spec, _zero_count_pair, max_chains, max_elements)
+    return _series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
 
 
 def generalized_igusa(
-    r_vec: Sequence[int], max_elements: int | None = None, max_chains: int | None = None
+    r_vec: Sequence[int],
+    max_elements: int | None = None,
+    max_chains: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
     spec = PosetSpec(tuple(0 for _ in r_vec), tuple(r_vec))
-    return _series(spec, _zero_count_pair, max_chains, max_elements)
+    return _series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
 
 
 def mv_hls(
-    n: int, max_elements: int | None = None, max_chains: int | None = None
+    n: int,
+    max_elements: int | None = None,
+    max_chains: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """Reduced-tableau sum for one component with r = 0.
 
@@ -436,11 +450,14 @@ def mv_hls(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _series(PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements)
+    return _series(PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements, max_terms)
 
 
 def weak_order_igusa(
-    g: int, max_elements: int | None = None, max_chains: int | None = None
+    g: int,
+    max_elements: int | None = None,
+    max_chains: int | None = None,
+    max_terms: int | None = None,
 ) -> HlsRational:
     """Flag sum over nonempty subsets of [g], ordered by inclusion.
 
@@ -450,5 +467,5 @@ def weak_order_igusa(
     if g < 1:
         raise ValueError("g must be positive")
     spec = PosetSpec((g,), (0,))
-    value = _series(spec, _unit_pair, max_chains, max_elements, leq=_subset_leq)
+    value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, leq=_subset_leq)
     return replace(value, spec=None)

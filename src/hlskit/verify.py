@@ -342,6 +342,7 @@ def verify_reciprocity(
     kind: str = "hls",
     max_chains: int | None = None,
     max_elements: int | None = None,
+    max_terms: int | None = None,
 ) -> ReciprocityCertificate:
     """Check the functional equation exactly for one spec and series kind."""
     if spec.is_degenerate():
@@ -351,11 +352,11 @@ def verify_reciprocity(
     if kind not in ("hls", "hls_modified"):
         raise ValueError(f"unknown series kind {kind!r}")
     if kind == "hls":
-        value = hls(spec, max_chains, max_elements)
+        value = hls(spec, max_chains, max_elements, max_terms)
         # The top is the last element of the half-open interval.
         top_var = value.denominator_vars[-1]
     else:
-        value = hls_modified(spec, max_chains, max_elements)
+        value = hls_modified(spec, max_chains, max_elements, max_terms)
         top_var = None
     k, n_value = K_and_N(spec, value.table, value.yvars)
     lhs, rhs = cleared_reciprocity(value, k, n_value, top_var)

@@ -72,7 +72,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--n", "1", "--r", "1,2")[0] == 1
     assert run(capsys, "compute", "--n", "x", "--r", "1")[0] == 1
     assert run(capsys, "expand", "--n", "1", "--r", "1")[0] == 1
-    for flag in ("--max-elements", "--max-chains"):
+    for flag in ("--max-elements", "--max-chains", "--max-terms"):
         assert run(capsys, "compute", "--n", "1", "--r", "1", flag, "-1")[0] == 1
     assert run(
         capsys, "verify", "order-complex", "--n", "1", "--r", "1", "--max-subsets", "-1"
@@ -97,6 +97,9 @@ UNREAD_FLAGS = [
     (("verify", "reciprocity", "--n", "1", "--r", "2"), "reciprocity", "--max-products"),
     (("verify", "order-complex", "--n", "1", "--r", "2"), "order-complex", "--max-products"),
     (("verify", "relation", "--n", "1", "--r", "2"), "relation", "--max-products"),
+    (("verify", "order-complex", "--n", "1", "--r", "2"), "order-complex", "--max-terms"),
+    (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "zeta-mobius", "--max-terms"),
+    (("expand", "--n", "1", "--r", "1", "--max-degree", "2"), "expand --method multichain", "--max-terms"),
     (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--n"),
     (("specialize", "--kind", "classical-igusa", "--r", "2"), "classical-igusa", "--g"),
     (("specialize", "--kind", "generalized-igusa", "--r", "1,1"), "generalized-igusa", "--n"),
@@ -215,6 +218,31 @@ def test_cap_exceeded_exits_2(capsys):
             ("verify", "zeta-mobius", "--n", "8", "--r", "3"),
             "1007256 triples i <= k <= j exceed the cap 1000000 (counted 85 of 1024 rows)",
         ),
+        (
+            ("compute", "--n", "2", "--r", "2", "--max-terms", "3239"),
+            "term cap 3239 exceeded at element 9 of 11",
+        ),
+        (
+            ("compute", "--n", "2", "--r", "2", "--modified", "--max-terms", "3239"),
+            "term cap 3239 exceeded at element 9 of 10",
+        ),
+        (
+            ("expand", "--n", "1", "--r", "1", "--max-degree", "2", "--method", "rational",
+             "--max-terms", "2"),
+            "term cap 2 exceeded at element 1 of 3",
+        ),
+        (
+            ("specialize", "--kind", "classical-igusa", "--r", "3", "--max-terms", "5"),
+            "term cap 5 exceeded at element 2 of 3",
+        ),
+        (
+            ("verify", "reciprocity", "--n", "1", "--r", "2", "--max-terms", "17"),
+            "term cap 17 exceeded at element 3 of 5",
+        ),
+        (
+            ("verify", "relation", "--n", "1", "--r", "2", "--max-terms", "17"),
+            "term cap 17 exceeded at element 3 of 5",
+        ),
     ],
 )
 def test_cap_hit_is_one_error_line(capsys, argv, message):
@@ -222,6 +250,27 @@ def test_cap_hit_is_one_error_line(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_term_cap_at_the_exact_peak_exits_0(capsys):
+    # 3,240 live terms after element 9 of 11 is the peak of (2),(2).
+    argv = ("compute", "--n", "2", "--r", "2", "--no-timing")
+    code, out, err = run(capsys, *argv, "--max-terms", "3240")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1]
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    import hlskit.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hls", exhausted)
+    code, out, err = run(capsys, "compute", "--n", "1", "--r", "1", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory; lower a resource cap or use a smaller spec\n"
 
 
 def test_expand_dual_method_identical(capsys):
@@ -415,8 +464,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     from hlskit.poset import PosetSpec
     from hlskit.verify import ReciprocityCertificate, verify_reciprocity
 
-    def broken(spec, kind, max_chains=None, max_elements=None):
-        cert = verify_reciprocity(spec, kind, max_chains, max_elements)
+    def broken(spec, kind, *caps):
+        cert = verify_reciprocity(spec, kind, *caps)
         return ReciprocityCertificate(
             spec, kind, cert.n_value, cert.k, cert.lhs, -cert.rhs, False
         )

@@ -22,13 +22,7 @@ def specs(draw):
     return ",".join(map(str, n)), ",".join(map(str, r))
 
 
-@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@hypothesis.given(spec=specs(), max_subsets=CAPS, max_chains=CAPS)
-def test_order_complex_exits_0_or_2_with_one_error_line(spec, max_subsets, max_chains):
-    argv = [
-        "verify", "order-complex", "--n", spec[0], "--r", spec[1],
-        "--max-subsets", str(max_subsets), "--max-chains", str(max_chains), "--no-timing",
-    ]
+def check_exits_0_or_2_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -40,3 +34,49 @@ def test_order_complex_exits_0_or_2_with_one_error_line(spec, max_subsets, max_c
     else:
         assert err.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(spec=specs(), max_subsets=CAPS, max_chains=CAPS)
+def test_order_complex_exits_0_or_2_with_one_error_line(spec, max_subsets, max_chains):
+    check_exits_0_or_2_with_one_error_line([
+        "verify", "order-complex", "--n", spec[0], "--r", spec[1],
+        "--max-subsets", str(max_subsets), "--max-chains", str(max_chains), "--no-timing",
+    ])
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    spec=specs(), modified=st.booleans(), max_terms=CAPS, max_chains=CAPS
+)
+def test_compute_exits_0_or_2_with_one_error_line(spec, modified, max_terms, max_chains):
+    check_exits_0_or_2_with_one_error_line([
+        "compute", "--n", spec[0], "--r", spec[1], *(["--modified"] if modified else []),
+        "--max-terms", str(max_terms), "--max-chains", str(max_chains), "--no-timing",
+    ])
+
+
+# Each kind with its shape flag and a strategy for the flag's value.
+KINDS = {
+    "classical-igusa": ("--r", st.integers(min_value=0, max_value=6).map(str)),
+    "generalized-igusa": ("--r", specs().map(lambda spec: spec[1])),
+    "mv-hls": ("--n", st.integers(min_value=0, max_value=4).map(str)),
+    "weak-order-igusa": ("--g", st.integers(min_value=1, max_value=4).map(str)),
+}
+
+
+@st.composite
+def specializations(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    flag, values = KINDS[kind]
+    return kind, flag, draw(values)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(kind=specializations(), max_terms=CAPS, max_chains=CAPS)
+def test_specialize_exits_0_or_2_with_one_error_line(kind, max_terms, max_chains):
+    name, flag, value = kind
+    check_exits_0_or_2_with_one_error_line([
+        "specialize", "--kind", name, flag, value,
+        "--max-terms", str(max_terms), "--max-chains", str(max_chains), "--no-timing",
+    ])

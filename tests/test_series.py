@@ -1,18 +1,24 @@
 import pytest
 
+from hlskit import series
 from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
 from hlskit.poset import (
+    CapExceededError,
     DegenerateSpecError,
     PosetSpec,
     chains_in,
     enumerate_chains,
     interval_elements,
+    leq_t,
     parse_element,
     render_element,
 )
 from hlskit.series import (
     ZeroDenominatorError,
+    _hls_pair,
     _leg_pair,
+    _subset_leq,
+    _unit_pair,
     _zero_count_pair,
     classical_igusa,
     expand_multichain,
@@ -401,3 +407,139 @@ def test_weak_order_igusa_flag_count():
 def test_specialization_chain_counts():
     assert classical_igusa(2).chain_count == 4  # subsets of [2]
     assert mv_hls(2).chain_count == hls(PosetSpec((2,), (0,))).chain_count
+
+
+# -- the chain-series kernel against the per-chain oracle ---------------------------
+
+
+def kernel_oracle(spec, pair, interval="half_open", leq=leq_t):
+    """Numerator and chain count of ``series._series``, chain by chain."""
+    ctx = make_context(spec)
+    elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
+    contributions = (
+        (pair_product(pair, ctx, chain), [ctx.x_ids[e] for e in chain])
+        for chain in chains_in(elements, leq=leq)
+    )
+    return reference_numerator_sum(ctx.table, [ctx.x_ids[e] for e in elements], contributions)
+
+
+# Each public builder with its pair weight, its order and specs (n, r) with
+# g = 1 and 2 and, where the builder allows one, bottom == top.
+BUILDERS = {
+    "hls": (hls, _hls_pair, leq_t, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
+    "classical_igusa": (
+        lambda spec: classical_igusa(spec.r[0]),
+        _zero_count_pair,
+        leq_t,
+        [((0,), (0,)), ((0,), (2,)), ((0,), (4,))],
+    ),
+    "generalized_igusa": (
+        lambda spec: generalized_igusa(spec.r),
+        _zero_count_pair,
+        leq_t,
+        [((0, 0), (0, 0)), ((0,), (3,)), ((0, 0), (1, 2))],
+    ),
+    "mv_hls": (
+        lambda spec: mv_hls(spec.n[0]), _leg_pair, leq_t, [((0,), (0,)), ((2,), (0,)), ((3,), (0,))]
+    ),
+    "weak_order_igusa": (
+        lambda spec: weak_order_igusa(spec.n[0]),
+        _unit_pair,
+        _subset_leq,
+        [((1,), (0,)), ((2,), (0,)), ((3,), (0,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("interval", ["half_open", "open"])
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_kernel_matches_reference_for_every_builder(name, interval):
+    build, pair, leq, shapes = BUILDERS[name]
+    for n, r in shapes:
+        spec = PosetSpec(n, r)
+        if interval == "half_open":
+            value = build(spec)
+        elif spec.is_degenerate():
+            continue
+        elif name == "hls":
+            value = hls_modified(spec)
+        else:
+            # The specializations have no open-interval builder; sweep it directly.
+            value = series._series(spec, pair, None, None, None, "open", leq)
+        numerator, count = kernel_oracle(spec, pair, interval, leq)
+        assert value.numerator == numerator
+        assert value.chain_count == count
+        assert len(value.denominator_vars) == len(make_context(spec).x_elements) - (
+            interval == "open"
+        )
+
+
+def strict_pair(weight):
+    """A pair weight that is ``weight(ctx)`` on strict pairs and 1 on (top, top)."""
+
+    def pair(ctx, a, b):
+        return LaurentPoly.const(ctx.table, 1) if a == b else weight(ctx)
+
+    return pair
+
+
+def test_full_width_y_field_does_not_wrap(monkeypatch):
+    # On (0,0),(3,0) the longest path bottom < 0 < 0^2 < 0^3 has three strict
+    # pairs, so both Y exponents reach 3: each field is 2 bits wide and full.
+    def weight(ctx):
+        y1 = LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"))
+        y2 = LaurentPoly.variable(ctx.table, ctx.table.id("Y[2,0]"))
+        return 1 + y1 - 2 * y1 * y2
+
+    pair = strict_pair(weight)
+    spec = PosetSpec((0, 0), (3, 0))
+    monkeypatch.setattr(series, "_hls_pair", pair)
+    for build, interval in ((hls, "half_open"), (hls_modified, "open")):
+        h = build(spec)
+        numerator, count = kernel_oracle(spec, pair, interval)
+        assert h.numerator == numerator and h.chain_count == count
+        highest = {}
+        for mono in h.numerator.terms:
+            for v, e in mono:
+                highest[v] = max(highest.get(v, 0), e)
+        assert highest[0] == highest[1] == 3
+
+
+def test_negative_pair_exponent_raises(monkeypatch):
+    def weight(ctx):
+        return LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"), -1)
+
+    monkeypatch.setattr(series, "_hls_pair", strict_pair(weight))
+    with pytest.raises(ValueError, match="negative exponent"):
+        hls(PosetSpec((0,), (2,)))
+
+
+def test_top_step_reads_the_top_pair_weight(monkeypatch):
+    # The half-open sweep multiplies its top step by pair_w(top, top); with
+    # a weight of 2 there, the relation between the two series must fail.
+    spec = PosetSpec((1,), (1,))
+
+    def pair(ctx, a, b):
+        w = _hls_pair(ctx, a, b)
+        return 2 * w if a == b == spec.top() else w
+
+    monkeypatch.setattr(series, "_hls_pair", pair)
+    numerator, _ = kernel_oracle(spec, pair)
+    assert hls(spec).numerator == numerator
+    assert not relation_check(spec)
+
+
+def test_term_cap_at_the_peak():
+    # (2),(2) holds 3,240 live terms after its 9th of 11 elements, its peak.
+    spec = PosetSpec((2,), (2,))
+    assert hls(spec, max_terms=3240).numerator == hls(spec).numerator
+    with pytest.raises(CapExceededError, match="^term cap 3239 exceeded at element 9 of 11$"):
+        hls(spec, max_terms=3239)
+    with pytest.raises(CapExceededError, match="^term cap 0 exceeded at element 0 of 0$"):
+        hls(PosetSpec((0,), (0,)), max_terms=0)
+    # (1,1),(1,1) has two coatoms, so states below only one of them fold
+    # early; folding them all at the last element would peak at 50,328.
+    spec = PosetSpec((1, 1), (1, 1))
+    hls(spec, max_terms=47868)
+    with pytest.raises(CapExceededError, match="^term cap 47867 exceeded at element 13 of 15$"):
+        hls(spec, max_terms=47867)
