@@ -1,16 +1,14 @@
-"""Packed-key arithmetic of the chain-series sweep.
+"""Packed ints: monomials (``Codec``), chain-series terms and polynomials.
 
-``series._chain_series`` orders the elements, counts the chains and then
-calls the three steps here: ``pack_pair_weights``, ``sweep`` and
-``unpack``.  A term ``c * Y^e * prod_{i in S} X_i`` is one dict entry, its
-key the int ``mask(S) | packed(e) << m``, where bit ``i`` of the mask is the
-X variable of element ``i`` and each Y variable has a fixed bit field.
+``verify.matmul`` and the chain-series sweep (``pack_pair_weights``,
+``sweep``, ``unpack``) key monomials by a ``Codec``; ``packer`` packs whole
+polynomials for exact sums.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable
 from .poset import CapExceededError, Element
@@ -19,8 +17,45 @@ from .poset import CapExceededError, Element
 Terms = dict[int, int]
 # A packed polynomial: [(packed key, coefficient), ...].
 Packed = list[tuple[int, int]]
-# Y bit fields of a packed key: (Y variable, shift in packed_y, field mask).
-Fields = list[tuple[int, int, int]]
+
+
+def exponent_bounds(polys: Iterable[LaurentPoly], nvars: int) -> list[int]:
+    """The largest exponent of each of ``nvars`` variables in ``polys``, or 0.
+
+    A negative exponent raises ``ValueError``: only polynomials pack.
+    """
+    top = [0] * nvars
+    for p in polys:
+        for mono in p.terms:
+            for v, e in mono:
+                if e < 0:
+                    raise ValueError("packed monomials take polynomials, not negative exponents")
+                if e > top[v]:
+                    top[v] = e
+    return top
+
+
+class Codec:
+    """Monomials packed into ints, one bit field per variable.
+
+    The field of variable ``v`` is ``bounds[v].bit_length()`` bits wide, the
+    fields lie side by side from variable 0 up, and a variable of bound 0
+    gets none.  While no exponent of a product of monomials exceeds its
+    bound, no field of the sum of their keys carries into the next, so that
+    sum is the product's key.  Callers choose bounds that hold for it.
+    """
+
+    def __init__(self, bounds: Iterable[int]):
+        widths = [e.bit_length() for e in bounds]
+        self.shifts = [0, *accumulate(widths)]
+        # (variable, shift, field mask) of each variable with a field
+        self.fields = [(v, self.shifts[v], (1 << w) - 1) for v, w in enumerate(widths) if w]
+
+    def pack(self, mono: Monomial) -> int:
+        return sum(e << self.shifts[v] for v, e in mono)
+
+    def unpack(self, key: int) -> Monomial:
+        return tuple((v, e) for v, shift, mask in self.fields if (e := key >> shift & mask))
 
 
 def pack_pair_weights(
@@ -31,22 +66,23 @@ def pack_pair_weights(
     preds: dict[Element, list[Element]],
     swept: Sequence[Element],
     bit: dict[Element, int],
-) -> tuple[dict[tuple[Element, Element], Packed], Fields]:
-    """Every pair weight of the sweep, packed, and the Y fields of the keys.
+) -> tuple[dict[tuple[Element, Element], Packed], Codec]:
+    """Every pair weight of the sweep, packed, and the codec of its Y parts.
 
-    The field of each of the ``ny`` Y variables is as wide as the largest
-    exponent any chain can reach, the longest path over the sweep in the
-    max-plus sense of the weights' exponents, so no sum of keys carries
-    from one field into the next.  A weight into a swept element ``c``
-    carries ``X_c``; the top's own weight is stored as ``weight(top, top) -
-    1``, as its step takes it.  A negative exponent raises ``ValueError``.
+    A sweep term ``c * Y^e * prod_{i in S} X_i`` has the key ``mask(S) |
+    codec.pack(e) << m``, bit ``i`` of the mask for element ``i`` of the
+    ``m`` in ``bit``.  The codec bounds each of the ``ny`` Y variables by the
+    largest exponent any chain can reach, the longest path over the sweep in
+    the max-plus sense of the weights' exponents.  A weight into a swept
+    element ``c`` carries ``X_c``; the top's own weight is stored as
+    ``weight(top, top) - 1``, as its step takes it.
     """
     weights = {(s, c): weight(s, c) for c in swept for s in preds[c]}
     for s in [bottom, *swept]:
         weights[s, top] = weight(s, top)
     if top in preds:
         weights[top, top] = weight(top, top)
-    highest = {pair: _highest_exponents(w, ny) for pair, w in weights.items()}
+    highest = {pair: exponent_bounds([w], ny) for pair, w in weights.items()}
     reach = {bottom: [0] * ny}
     for c in swept:
         reach[c] = _longest([(reach[s], highest[s, c]) for s in preds[c]])
@@ -54,18 +90,16 @@ def pack_pair_weights(
     if top in preds:
         bound = _longest([(bound, highest[top, top])])
         weights[top, top] -= 1
-    widths = [e.bit_length() for e in bound]
-    shifts = [0, *accumulate(widths)]
-    fields = [(v, shifts[v], (1 << w) - 1) for v, w in enumerate(widths) if w]
+    codec = Codec(bound)
     m = len(bit)
     packed = {
         (s, c): [
-            (sum(e << shifts[v] for v, e in mono) << m | (0 if c == top else bit[c]), k)
+            (codec.pack(mono) << m | (0 if c == top else bit[c]), k)
             for mono, k in w.terms.items()
         ]
         for (s, c), w in weights.items()
     }
-    return packed, fields
+    return packed, codec
 
 
 def sweep(
@@ -129,7 +163,7 @@ def sweep(
     return total
 
 
-def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, fields: Fields) -> LaurentPoly:
+def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, codec: Codec) -> LaurentPoly:
     """The ``LaurentPoly`` of packed terms whose mask bits are ``x_vids``.
 
     Y variable ids must precede the X ones, and ``x_vids`` must increase.
@@ -146,21 +180,9 @@ def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, fields: Fields)
             xs = x_parts[mask] = tuple((v, 1) for i, v in enumerate(x_vids) if mask >> i & 1)
         ys = y_parts.get(y)
         if ys is None:
-            ys = y_parts[y] = tuple((v, e) for v, sh, f in fields if (e := y >> sh & f))
+            ys = y_parts[y] = codec.unpack(y)
         numerator[ys + xs] = a
     return LaurentPoly(table, numerator)
-
-
-def _highest_exponents(weight: LaurentPoly, ny: int) -> list[int]:
-    """The largest exponent of each of the ``ny`` Y variables in ``weight``."""
-    top = [0] * ny
-    for mono in weight.terms:
-        for v, e in mono:
-            if e < 0:
-                raise ValueError("pair weights must be polynomials, not negative exponents")
-            if e > top[v]:
-                top[v] = e
-    return top
 
 
 def _longest(paths: list[tuple[list[int], list[int]]]) -> list[int]:
@@ -179,3 +201,27 @@ def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:
                 acc[k] = c
             else:
                 del acc[k]
+
+
+def packer(bound: int) -> Callable[[LaurentPoly], int]:
+    """Pack polynomials into ints, exactly for sums of |coefficient| <= ``bound``.
+
+    Each monomial gets a slot of ``width = bound.bit_length() + 2`` bits in
+    order of first sight, and a term packs as ``sum(c << width * slot)``.
+    While every slot of a sum stays within ``[-bound, bound]``, so inside
+    ``|c| < 2^(width-1)``, its balanced-radix digits are unique: two such
+    sums are equal ints exactly when they are equal polynomials.
+    """
+    width = bound.bit_length() + 2
+    slots: dict = {}
+
+    def pack(p: LaurentPoly) -> int:
+        total = 0
+        for mono, c in p.terms.items():
+            slot = slots.get(mono)
+            if slot is None:
+                slot = slots[mono] = len(slots)
+            total += c << width * slot
+        return total
+
+    return pack

@@ -403,6 +403,10 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:
+        target = "stdout" if exc.filename is None else exc.filename
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

@@ -239,7 +239,7 @@ def _walk(
         raise CapExceededError(f"{noun} enumeration exceeds cap {cap}")
     yield ()
     frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_length):
+    while frontier and len(frontier[0]) < max_length:
         nxt: list[tuple[int, ...]] = []
         for prefix in frontier:
             candidates = successors[prefix[-1]] if prefix else range(len(elements))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from ._sweep import pack_pair_weights, sweep, unpack
+from ._packed import pack_pair_weights, sweep, unpack
 from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     DEFAULT_MAX_CHAINS,
@@ -138,14 +138,9 @@ def _chain_series(
     ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
     copy of ``total``.
 
-    A term key is one int, ``mask | packed_y << m``: bit ``i`` of the mask
-    is the X variable of ``elements[i]``, and each Y variable has a bit
-    field as wide as its largest possible exponent, the longest path over
-    the sweep in the max-plus sense of the pair weights' exponents.  So a
-    term times a pair-weight monomial times ``X_c`` is one int addition with
-    no carry between fields, and a negative exponent raises ``ValueError``.
-    Keys are unpacked to a ``LaurentPoly`` once, at the end.  The packed
-    arithmetic lives in the private module ``_sweep``.
+    Terms are keyed by packed ints (``_packed.pack_pair_weights``), so a
+    term times a pair-weight monomial times ``X_c`` is one int addition; a
+    negative exponent raises ``ValueError``.  Keys unpack once, at the end.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
+from ._packed import Codec, exponent_bounds, packer as _packer
 from .exactalg import LaurentPoly, VarTable
 from .poset import (
     CapExceededError,
@@ -123,46 +124,27 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Matrix product, summed only over the nonzero products.
 
     Entries must be polynomials: a negative exponent raises ``ValueError``.
-    Each monomial packs into one int, a bit field per variable that is
-    ``(max exponent in a + max exponent in b).bit_length()`` wide, so a
-    product of monomials is one int addition with no carry between fields.
-    The nonzero entries of ``b`` are packed once, by rows, and ``a`` one row
-    at a time, so the loop visits only the nonzero products ``a[i][k] *
-    b[k][j]``.  Each entry accumulates in one dict, and only nonzero entries
-    are unpacked; zero entries share one zero.
+    Each monomial packs into one int (``_packed.Codec``), each variable
+    bounded by its largest exponent in ``a`` plus that in ``b``, so a product
+    of monomials is one int addition.  The nonzero entries of ``b`` are
+    packed once, by rows, and ``a`` one row at a time, so the loop visits
+    only the nonzero products ``a[i][k] * b[k][j]``.  Each entry accumulates
+    in one dict, and only nonzero entries are unpacked; zero entries share
+    one zero.
     """
     if a.labels != b.labels:
         raise ValueError("matrix index mismatch")
     if a.table != b.table:
         raise ValueError("operands use different variable tables")
     n = a.dim
-
-    def max_exponents(matrix: PolyMatrix) -> list[int]:
-        top = [0] * len(matrix.table)
-        for row in matrix.entries:
-            for entry in row:
-                for mono in entry.terms:
-                    for v, e in mono:
-                        if e < 0:
-                            raise ValueError("matmul takes polynomials, not negative exponents")
-                        if e > top[v]:
-                            top[v] = e
-        return top
-
-    shifts = []
-    fields = []  # (variable, shift, mask) for each variable that occurs
-    shift = 0
-    for v, (x, y) in enumerate(zip(max_exponents(a), max_exponents(b))):
-        width = (x + y).bit_length()
-        shifts.append(shift)
-        if width:
-            fields.append((v, shift, (1 << width) - 1))
-        shift += width
+    bounds = [exponent_bounds((e for row in m.entries for e in row), len(m.table)) for m in (a, b)]
+    codec = Codec(map(add, *bounds))
 
     def pack(p: LaurentPoly) -> list[tuple[int, int]]:
-        return [(sum(e << shifts[v] for v, e in mono), c) for mono, c in p.terms.items()]
+        return [(codec.pack(mono), c) for mono, c in p.terms.items()]
 
     rows_b = [[(j, pack(y)) for j, y in enumerate(row) if y.terms] for row in b.entries]
+    unpack = codec.unpack
     zero = LaurentPoly.zero(a.table)
     entries = []
     for row_a in a.entries:
@@ -180,11 +162,7 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                         acc[key_a + key_b] += c_a * c_b
         row = []
         for acc in accs:
-            terms = {} if acc is None else {
-                tuple((v, e) for v, s, mask in fields if (e := key >> s & mask)): c
-                for key, c in acc.items()
-                if c
-            }
+            terms = {} if acc is None else {unpack(key): c for key, c in acc.items() if c}
             row.append(LaurentPoly(a.table, terms) if terms else zero)
         entries.append(row)
     return PolyMatrix(a.labels, entries, a.table)
@@ -372,30 +350,6 @@ class OrderComplexReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def _packer(bound: int) -> Callable[[LaurentPoly], int]:
-    """Pack polynomials into ints, exactly for sums of |coefficient| <= ``bound``.
-
-    Each monomial gets a slot of ``width = bound.bit_length() + 2`` bits in
-    order of first sight, and a term packs as ``sum(c << width * slot)``.
-    While every slot of a sum stays within ``[-bound, bound]``, so inside
-    ``|c| < 2^(width-1)``, its balanced-radix digits are unique: two such
-    sums are equal ints exactly when they are equal polynomials.
-    """
-    width = bound.bit_length() + 2
-    slots: dict = {}
-
-    def pack(p: LaurentPoly) -> int:
-        total = 0
-        for mono, c in p.terms.items():
-            slot = slots.get(mono)
-            if slot is None:
-                slot = slots[mono] = len(slots)
-            total += c << width * slot
-        return total
-
-    return pack
 
 
 def _subset_sums(values: list[int], m: int) -> None:

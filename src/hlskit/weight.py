@@ -271,16 +271,12 @@ def theta_tableau(tab: SkewTableau, y0: int, table: VarTable) -> LaurentPoly:
     return result
 
 
-def phi_tableau(tab: SkewTableau, ys: Sequence[int], table: VarTable) -> LaurentPoly:
-    """Refined leg polynomial of a tableau.
+def _leg_cells(tab: SkewTableau) -> Iterator[tuple[int, int, int, int]]:
+    """``(row, column, v, size)`` of each cell whose leg yields a factor.
 
-    For each cell with a right neighbour whose value is absent from the
-    cell's leg, the factor is 1 - Y_v^s where v is the neighbour's value
-    and s counts the leg entries below v.
+    The cell at 0-based ``(row, column)`` has a right neighbour of value
+    ``v`` absent from the cell's leg, and ``size > 0`` leg entries below v.
     """
-    if len(ys) < tab.n:
-        raise ValueError("not enough leg variables")
-    result = LaurentPoly.const(table, 1)
     cols = tab.columns
     for j in range(len(cols) - 1):
         left, right = cols[j], cols[j + 1]
@@ -291,22 +287,25 @@ def phi_tableau(tab: SkewTableau, ys: Sequence[int], table: VarTable) -> Laurent
                 continue
             size = sum(1 for x in leg if x < v)
             if size:
-                assert v >= 1, "leg factors never come from zero entries"
-                result = result * (1 - LaurentPoly.variable(table, ys[v - 1], size))
+                yield i, j, v, size
+
+
+def phi_tableau(tab: SkewTableau, ys: Sequence[int], table: VarTable) -> LaurentPoly:
+    """Refined leg polynomial of a tableau.
+
+    For each cell with a right neighbour whose value is absent from the
+    cell's leg, the factor is 1 - Y_v^s where v is the neighbour's value
+    and s counts the leg entries below v.
+    """
+    if len(ys) < tab.n:
+        raise ValueError("not enough leg variables")
+    result = LaurentPoly.const(table, 1)
+    for _, _, v, size in _leg_cells(tab):
+        assert v >= 1, "leg factors never come from zero entries"
+        result = result * (1 - LaurentPoly.variable(table, ys[v - 1], size))
     return result
 
 
 def leg_plus_positions(tab: SkewTableau) -> list[tuple[int, int]]:
     """1-based cell positions contributing factors to the leg polynomial."""
-    out = []
-    cols = tab.columns
-    for j in range(len(cols) - 1):
-        left, right = cols[j], cols[j + 1]
-        for i in range(len(right)):
-            v = right[i]
-            leg = left[i:]
-            if v in leg:
-                continue
-            if any(x < v for x in leg):
-                out.append((i + 1, j + 1))
-    return sorted(out)
+    return sorted((i + 1, j + 1) for i, j, _, _ in _leg_cells(tab))

@@ -1,6 +1,9 @@
 import ast
+import errno
+import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -490,3 +493,36 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert out == ""
     assert target.read_text() == (GOLDEN / "compute_n1_r2.txt").read_text()
 
+
+
+def test_expand_empty_interval_stops_at_once(capsys):
+    # (0),(0) has no element in its half-open interval, so the multichain
+    # walk ends after the empty multichain whatever the degree bound.
+    argv = ("expand", "--n", "0", "--r", "0", "--max-degree", "100000000000", "--no-timing")
+    rational = run(capsys, *argv, "--method", "rational")
+    assert rational[0] == 0 and rational[1].splitlines()[0] == "1 : 1"
+    assert run(capsys, *argv) == rational
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, kind):
+    target = tmp_path / "no" / "x" if kind == "missing" else tmp_path
+    code, out, err = run(
+        capsys, "compute", "--n", "1", "--r", "1", "--no-timing", "--output", str(target)
+    )
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_failed_stdout_write_exits_1_with_one_line(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["compute", "--n", "1", "--r", "1", "--no-timing"])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    )

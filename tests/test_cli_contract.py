@@ -80,3 +80,53 @@ def test_specialize_exits_0_or_2_with_one_error_line(kind, max_terms, max_chains
         "specialize", "--kind", name, flag, value,
         "--max-terms", str(max_terms), "--max-chains", str(max_chains), "--no-timing",
     ])
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    spec=specs(),
+    rational=st.booleans(),
+    max_degree=st.integers(min_value=0, max_value=3),
+    max_terms=CAPS,
+    max_chains=CAPS,
+    max_elements=CAPS,
+)
+def test_expand_exits_0_or_2_with_one_error_line(
+    spec, rational, max_degree, max_terms, max_chains, max_elements
+):
+    # Only the rational route reads --max-terms.
+    method = ["--method", "rational", "--max-terms", str(max_terms)] if rational else []
+    check_exits_0_or_2_with_one_error_line([
+        "expand", "--n", spec[0], "--r", spec[1], "--max-degree", str(max_degree), *method,
+        "--max-chains", str(max_chains), "--max-elements", str(max_elements), "--no-timing",
+    ])
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(spec=specs(), json_format=st.booleans(), max_elements=CAPS)
+def test_hasse_exits_0_or_2_with_one_error_line(spec, json_format, max_elements):
+    check_exits_0_or_2_with_one_error_line([
+        "hasse", "--n", spec[0], "--r", spec[1], *(["--format", "json"] if json_format else []),
+        "--max-elements", str(max_elements), "--no-timing",
+    ])
+
+
+# Each check with the caps it reads.
+CHECK_CAPS = {
+    "reciprocity": ("--max-elements", "--max-chains", "--max-terms"),
+    "relation": ("--max-elements", "--max-chains", "--max-terms"),
+    "zeta-mobius": ("--max-elements", "--max-products"),
+}
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    spec=specs(),
+    check=st.sampled_from(sorted(CHECK_CAPS)),
+    caps=st.lists(CAPS, min_size=3, max_size=3),
+)
+def test_verify_exits_0_or_2_with_one_error_line(spec, check, caps):
+    flags = [str(x) for pair in zip(CHECK_CAPS[check], caps) for x in pair]
+    check_exits_0_or_2_with_one_error_line([
+        "verify", check, "--n", spec[0], "--r", spec[1], *flags, "--no-timing",
+    ])

@@ -1,0 +1,89 @@
+"""The packed-monomial codec, and both of its users against their oracles."""
+
+import pytest
+
+from hlskit._packed import Codec, exponent_bounds
+from hlskit.exactalg import LaurentPoly, VarTable
+from hlskit.poset import PosetSpec, enumerate_chains, interval_elements
+from hlskit.series import expand_multichain, expand_rational, hls, hls_modified, make_context
+from hlskit.verify import is_identity, matmul, mobius_matrix, zeta_matrix
+from hlskit.weight import chain_weight
+
+from conftest import reference_matmul, reference_numerator_sum
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def test_adjacent_full_width_fields_round_trip():
+    # Bounds 3, 7 and 1 fill fields of 2, 3 and 1 bits with no spare bit.
+    codec = Codec([3, 7, 1])
+    assert codec.fields == [(0, 0, 3), (1, 2, 7), (2, 5, 1)]
+    for mono in [((0, 3), (1, 7), (2, 1)), ((1, 7),), ((0, 3), (2, 1)), ()]:
+        assert codec.unpack(codec.pack(mono)) == mono
+    assert codec.pack(((0, 3), (1, 7), (2, 1))) == (1 << 6) - 1
+    # A product within the bounds is the sum of the keys.
+    assert codec.pack(((0, 1), (1, 3))) + codec.pack(((0, 2), (1, 4), (2, 1))) == codec.pack(
+        ((0, 3), (1, 7), (2, 1))
+    )
+
+
+def test_bound_zero_gets_no_field():
+    codec = Codec([2, 0, 5, 0])
+    assert [v for v, _, _ in codec.fields] == [0, 2]
+    assert codec.shifts[1] == codec.shifts[2] == 2
+    mono = ((0, 2), (2, 5))
+    assert codec.unpack(codec.pack(mono)) == mono
+    assert Codec([0, 0]).fields == [] and Codec([0, 0]).pack(()) == 0
+
+
+def test_exponent_bounds():
+    table = VarTable(["x", "y", "z"])
+    x, y = (LaurentPoly.variable(table, v) for v in range(2))
+    assert exponent_bounds([x**3 + x * y, 2 * y**2, LaurentPoly.zero(table)], 3) == [3, 2, 0]
+    with pytest.raises(ValueError, match="negative exponent"):
+        exponent_bounds([x + LaurentPoly.variable(table, 2, -1)], 3)
+
+
+# -- both codec users against routes that do not pack -------------------------------
+
+PARTS = st.integers(min_value=0, max_value=3)
+# The per-chain oracle expands 2^(m - |C|) terms for each chain C, about 6 s
+# on (2),(2), which test_series already checks; here it stops at 8 elements.
+ORACLE_ELEMENTS = 8
+
+
+@st.composite
+def small_specs(draw):
+    """Specs of one or two components with at most 12 elements."""
+    g = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=g, max_size=g))
+    r = draw(st.lists(PARTS, min_size=g, max_size=g))
+    spec = PosetSpec(tuple(n), tuple(r))
+    hypothesis.assume(spec.element_count() <= 12)
+    return spec
+
+
+def oracle(spec, interval):
+    """Numerator and chain count of a series, chain by chain."""
+    ctx = make_context(spec)
+    contributions = (
+        (chain_weight(chain, spec, ctx.yvars, ctx.table), [ctx.x_ids[e] for e in chain])
+        for chain in enumerate_chains(spec, interval)
+    )
+    vids = [ctx.x_ids[e] for e in interval_elements(spec, interval)]
+    return reference_numerator_sum(ctx.table, vids, contributions)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(spec=small_specs(), bound=PARTS)
+def test_packed_routes_match_unpacked_ones(spec, bound):
+    if spec.element_count() <= ORACLE_ELEMENTS:
+        for build, interval in ((hls, "half_open"), (hls_modified, "open")):
+            value = build(spec)
+            assert (value.numerator, value.chain_count) == oracle(spec, interval)
+    assert expand_rational(hls(spec), bound) == expand_multichain(spec, bound)
+    zeta, mobius = zeta_matrix(spec), mobius_matrix(spec)
+    product = matmul(zeta, mobius)
+    assert product.entries == reference_matmul(zeta, mobius).entries
+    assert is_identity(product)

@@ -369,3 +369,8 @@ def test_hasse_dot_stable_and_shaped():
 def test_elements_json():
     data = [[list(a) for a in e] for e in enumerate_elements(P11)]
     assert data == [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]
+
+
+def test_multichain_walk_on_an_empty_interval_ends():
+    # No element to extend by: the walk must not idle through the bound.
+    assert list(enumerate_multichains(PosetSpec((0,), (0,)), "half_open", 10**12)) == [()]
