@@ -282,10 +282,8 @@ def _order_complex(spec, args):
 
 def _zeta_mobius(spec, args):
     count_products(spec, args.max_products, args.max_elements)
-    product = matmul(
-        zeta_matrix(spec, max_elements=args.max_elements),
-        mobius_matrix(spec, max_elements=args.max_elements),
-    )
+    zeta = zeta_matrix(spec, max_elements=args.max_elements)
+    product = matmul(zeta, mobius_matrix(spec, max_elements=args.max_elements, zeta=zeta))
     mismatch = identity_mismatch(product)
     if mismatch is None:
         return True, None

@@ -21,6 +21,7 @@ Element = tuple[Component, ...]
 
 DEFAULT_MAX_ELEMENTS = 1 << 18
 DEFAULT_MAX_CHAINS = 10**7
+DEFAULT_MAX_HASSE_ELEMENTS = 1 << 16
 
 
 class CapExceededError(RuntimeError):
@@ -187,35 +188,112 @@ def interval_elements(
 # -- relations -----------------------------------------------------------------
 
 
+def order_key(e: Element) -> tuple[int, ...]:
+    """The key vector of the tableau order: each component's prefix sums, in turn.
+
+    ``leq_t(a, b)`` holds exactly when every coordinate of ``order_key(a)``
+    is at most that of ``order_key(b)``, as ``leq_component`` compares.
+    """
+    return tuple(itertools.chain.from_iterable(map(itertools.accumulate, e)))
+
+
+# Maps the digit "0" to a false byte, so a binary string selects positions.
+_ZERO_FALSE = bytes.maketrans(b"0", b"\0")
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, in time linear in its length."""
+    digits = bin(mask)[:1:-1].encode().translate(_ZERO_FALSE)
+    return list(itertools.compress(itertools.count(), digits))
+
+
+class OrderIndex:
+    """Componentwise ``<=`` of key vectors on a list of elements, as bitmasks.
+
+    Bit ``i`` of a mask stands for ``elements[i]``.  For each coordinate
+    ``c`` and each value ``t`` it takes, ``at_least[c][t]`` masks the
+    elements whose coordinate ``c`` is at least ``t``, so the elements at
+    or above element ``i`` are the AND over ``c`` of
+    ``at_least[c][key_i[c]]``: one big-int AND per coordinate in place of
+    one order test per element.  ``key`` maps an element to nonnegative
+    ints, as many for every element.  The keys are kept as one string, a
+    character per coordinate, and each threshold mask is one translation
+    of a column of it, read as a binary number, so building the index takes
+    time linear in the number of elements per threshold.
+    """
+
+    def __init__(
+        self, elements: Sequence[Element], key: Callable[[Element], Sequence[int]] = order_key
+    ):
+        # Joined in parts, so no list of all the key entries is ever held.
+        parts = (elements[s : s + 4096] for s in range(0, len(elements), 4096))
+        self.codes = "".join(
+            ["".join(map(chr, itertools.chain.from_iterable(map(key, p)))) for p in parts]
+        )
+        self.width = len(self.codes) // len(elements) if elements else 0
+        self.full = (1 << len(elements)) - 1
+        self.at_least: list[dict[str, int]] = []
+        for c in range(self.width):
+            # Read backwards, a column puts the first element in the lowest bit.
+            column = self.codes[c :: self.width][::-1]
+            masks = {}
+            digits = dict.fromkeys(map(ord, column), "1")
+            for t in sorted(digits):
+                masks[chr(t)] = int(column.translate(digits), 2)
+                digits[t] = "0"
+            self.at_least.append(masks)
+
+    def up(self, i: int) -> int:
+        """The mask of the elements at or above element ``i``."""
+        mask = self.full
+        start = i * self.width
+        for masks, t in zip(self.at_least, self.codes[start : start + self.width]):
+            mask &= masks[t]
+        return mask
+
+    def above(self, i: int) -> list[int]:
+        """The indices of the elements strictly above element ``i``, ascending."""
+        return _members(self.up(i) ^ 1 << i)
+
+
 def above_lists(
-    elements: Sequence[Element], leq: Callable[[Element, Element], bool] = leq_t
+    elements: Sequence[Element], key: Callable[[Element], Sequence[int]] = order_key
 ) -> list[list[int]]:
     """For each element, the indices of the elements strictly above it.
 
-    The one pass over the strict order that covers, chains, multichains and
-    the chain series read; it makes ``len(elements) ** 2`` order tests.
+    The order is ``OrderIndex(elements, key)``: one up-set mask per element,
+    a few big-int ANDs each, and no pairwise order test.
     """
-    return [
-        [j for j, b in enumerate(elements) if j != i and leq(a, b)]
-        for i, a in enumerate(elements)
-    ]
+    index = OrderIndex(elements, key)
+    return [index.above(i) for i in range(len(elements))]
 
 
 def cover_relations(
     spec: PosetSpec, max_elements: int | None = None
 ) -> list[tuple[Element, Element]]:
-    """All covering pairs (a, b), a below b, in enumeration order."""
-    elements = enumerate_elements(spec, max_elements)
-    above = above_lists(elements)
-    masks = [sum(1 << j for j in js) for js in above]
-    covers = []
-    for i, js in enumerate(above):
-        # j covers i unless j lies above some k that lies above i.
-        through = 0
-        for k in js:
-            through |= masks[k]
-        covers.extend((elements[i], elements[j]) for j in js if not through >> j & 1)
-    return covers
+    """All covering pairs (a, b), a below b, in enumeration order.
+
+    ``max_elements`` defaults to ``DEFAULT_MAX_HASSE_ELEMENTS``.  The
+    elements are indexed in order of key sum, which rises strictly up the
+    order, so the lowest set bit of a mask is a minimal element of it: the
+    covers of ``a`` are found one at a time, each taking the up-set of the
+    last one found out of what is left above ``a``.
+    """
+    cap = DEFAULT_MAX_HASSE_ELEMENTS if max_elements is None else max_elements
+    elements = enumerate_elements(spec, cap)
+    ranked = sorted(elements, key=lambda e: sum(order_key(e)))
+    index = OrderIndex(ranked)
+    position = {e: k for k, e in enumerate(elements)}
+    above: list[list[Element]] = [[] for _ in elements]
+    for k, a in enumerate(ranked):
+        rest = index.up(k) ^ 1 << k
+        found = above[position[a]]
+        while rest:
+            low = (rest & -rest).bit_length() - 1
+            found.append(ranked[low])
+            rest &= ~index.up(low)
+        found.sort(key=position.__getitem__)
+    return [(a, b) for a, bs in zip(elements, above) for b in bs]
 
 
 # -- chains and multichains ------------------------------------------------------
@@ -255,16 +333,16 @@ def _walk(
 
 def chains_in(
     elements: Sequence[Element],
-    leq: Callable[[Element, Element], bool] = leq_t,
+    key: Callable[[Element], Sequence[int]] = order_key,
     max_chains: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
-    """Every strict chain of a finite poset, including the empty chain.
+    """Every strict chain of ``elements`` under ``key``, including the empty chain.
 
     Deterministic order: by length, then lexicographically by the index
     tuple of the chain relative to ``elements``.
     """
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    return _walk(elements, above_lists(elements, leq), len(elements), cap, "chain")
+    return _walk(elements, above_lists(elements, key), len(elements), cap, "chain")
 
 
 def enumerate_chains(
@@ -364,9 +442,12 @@ def parse_chain(text: str, spec: PosetSpec) -> tuple[Element, ...]:
 
 
 def hasse_dot(spec: PosetSpec, max_elements: int | None = None) -> str:
-    """Byte-stable DOT rendering of the Hasse diagram, edges pointing upward."""
-    elements = enumerate_elements(spec, max_elements)
+    """Byte-stable DOT rendering of the Hasse diagram, edges pointing upward.
+
+    ``max_elements`` defaults to ``DEFAULT_MAX_HASSE_ELEMENTS``.
+    """
     covers = cover_relations(spec, max_elements)
+    elements = enumerate_elements(spec, max_elements)
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in elements:
         lines.append(f'  "{render_element(e)}";')

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from ._packed import pack_pair_weights, sweep, unpack
@@ -30,7 +31,7 @@ from .poset import (
     above_lists,
     enumerate_multichains,
     interval_elements,
-    leq_t,
+    order_key,
     render_element,
 )
 from .weight import chain_weights, pair_weight, phi_tableau, project
@@ -110,19 +111,20 @@ DEFAULT_MAX_TERMS = 5_000_000
 def _chain_series(
     ctx: SeriesContext,
     elements: Sequence[Element],
-    leq: Callable[[Element, Element], bool],
+    key: Callable[[Element], Sequence[int]],
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
     max_terms: int | None = None,
 ) -> tuple[LaurentPoly, int]:
     """Numerator and chain count of a chain sum, by the transfer-matrix method.
 
-    The chains are the strict chains of ``elements`` under ``leq``, each
-    weighted by the product of ``pair_w`` over consecutive members once the
-    spec's bottom is prepended and its top appended.  The bottom must lie
-    below every element, the top above every other element if it is one of
-    them, ``elements`` must come in X variable order, and ``pair_w`` must
-    return polynomials in the Y variables alone.
+    The chains are the strict chains of ``elements`` in the order of their
+    ``key`` vectors (``poset.OrderIndex``), each weighted by the product of
+    ``pair_w`` over consecutive members once the spec's bottom is prepended
+    and its top appended.  The bottom must lie below every element, the top
+    above every other element if it is one of them, ``elements`` must come
+    in X variable order, and ``pair_w`` must return polynomials in the Y
+    variables alone.
 
     The sweep follows a linear extension and keeps one partial numerator
     per last chain element, starting from the bottom.  At each element
@@ -148,7 +150,7 @@ def _chain_series(
     """
     bottom = ctx.spec.bottom()
     top = ctx.spec.top()
-    above = above_lists(elements, leq)
+    above = above_lists(elements, key)
     # An element strictly below another has strictly fewer elements below it.
     below = Counter(j for js in above for j in js)
     ranked = sorted(range(len(elements)), key=below.__getitem__)
@@ -186,12 +188,12 @@ def _series(
     max_elements: int | None,
     max_terms: int | None,
     interval: str = "half_open",
-    leq: Callable[[Element, Element], bool] = leq_t,
+    key: Callable[[Element], Sequence[int]] = order_key,
 ) -> HlsRational:
-    """The chain series of an interval of ``spec`` under ``leq`` and ``pair_w``."""
+    """The chain series of an interval of ``spec`` under ``key`` and ``pair_w``."""
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    numerator, chain_count = _chain_series(ctx, elements, leq, pair_w, max_chains, max_terms)
+    numerator, chain_count = _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
     vids = tuple(ctx.x_ids[e] for e in elements)
     names = tuple(render_element(e) for e in elements)
     return HlsRational(spec, ctx.table, ctx.yvars, numerator, vids, names, chain_count)
@@ -398,10 +400,6 @@ def _unit_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
     return LaurentPoly.const(ctx.table, 1)
 
 
-def _subset_leq(a: Element, b: Element) -> bool:
-    return all(x <= y for x, y in zip(a[0], b[0]))
-
-
 def classical_igusa(
     r: int,
     max_elements: int | None = None,
@@ -462,5 +460,6 @@ def weak_order_igusa(
     if g < 1:
         raise ValueError("g must be positive")
     spec = PosetSpec((g,), (0,))
-    value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, leq=_subset_leq)
+    # Inclusion of subsets is componentwise <= of their indicator vectors.
+    value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
     return replace(value, spec=None)

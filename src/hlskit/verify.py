@@ -25,6 +25,7 @@ from .poset import (
     CapExceededError,
     DegenerateSpecError,
     Element,
+    OrderIndex,
     PosetSpec,
     chains_in,
     delta,
@@ -71,10 +72,21 @@ def zeta_matrix(
     yvars: Sequence[Sequence[int]] | None = None,
     max_elements: int | None = None,
 ) -> PolyMatrix:
-    """Entries are the pair weights; zero off the order, one on the diagonal."""
+    """Entries are the pair weights; zero off the order, one on the diagonal.
+
+    ``pair_weight`` is called once per comparable pair, found by
+    ``OrderIndex``; every other entry is one shared zero.
+    """
     table, yvars = _context_vars(spec, table, yvars, max_elements)
     elements = tuple(enumerate_elements(spec, max_elements))
-    entries = [[pair_weight(a, b, yvars, table) for b in elements] for a in elements]
+    index = OrderIndex(elements)
+    zero = LaurentPoly.zero(table)
+    entries = []
+    for i, a in enumerate(elements):
+        row = [zero] * len(elements)
+        for j in (i, *index.above(i)):
+            row[j] = pair_weight(a, elements[j], yvars, table)
+        entries.append(row)
     return PolyMatrix(elements, entries, table)
 
 
@@ -83,39 +95,45 @@ def mobius_matrix(
     table: VarTable | None = None,
     yvars: Sequence[Sequence[int]] | None = None,
     max_elements: int | None = None,
+    zeta: PolyMatrix | None = None,
 ) -> PolyMatrix:
-    """Closed-form inverse of the zeta matrix.
+    """Closed-form inverse of the zeta matrix, read off the zeta matrix.
 
-    Entry (a, b) is the pair weight at inverted variables, times the sign
-    (-1)^(cardinality difference) and the monomial of per-position deltas,
-    which clears every negative exponent; the result is asserted to be a
-    plain polynomial.
+    Entry (a, b) is the zeta entry, the pair weight, at inverted variables,
+    times the sign (-1)^(cardinality difference) and the monomial of
+    per-position deltas, which clears every negative exponent; the result
+    is asserted to be a plain polynomial.  ``zeta`` must be
+    ``zeta_matrix(spec, table, yvars)``, and is built when not given; one
+    whose labels or variable table differ raises ``ValueError``.
     """
     table, yvars = _context_vars(spec, table, yvars, max_elements)
     elements = tuple(enumerate_elements(spec, max_elements))
+    if zeta is None:
+        zeta = zeta_matrix(spec, table, yvars, max_elements)
+    elif zeta.labels != elements or zeta.table != table:
+        raise ValueError("the zeta matrix is not over this spec's elements and variable table")
+    index = OrderIndex(elements)
     all_y = [v for comp in yvars for v in comp]
     zero = LaurentPoly.zero(table)
     entries = []
-    for a in elements:
-        row = []
-        for b in elements:
-            if not leq_t(a, b):
-                row.append(zero)
-                continue
+    for i, (a, weights) in enumerate(zip(elements, zeta.entries)):
+        row = [zero] * len(elements)
+        for j in (i, *index.above(i)):
+            b = elements[j]
             sign = 1
             exps: dict[int, int] = {}
-            for i in range(spec.g):
-                ni = spec.n[i]
-                if delta(a[i], b[i], ni + 1) % 2:
+            for c in range(spec.g):
+                nc = spec.n[c]
+                if delta(a[c], b[c], nc + 1) % 2:
                     sign = -sign
-                for j in range(ni + 1):
-                    d = delta(a[i], b[i], j)
+                for p in range(nc + 1):
+                    d = delta(a[c], b[c], p)
                     if d:
-                        exps[yvars[i][j]] = d
-            w_inv = pair_weight(a, b, yvars, table).invert_vars(all_y)
+                        exps[yvars[c][p]] = d
+            w_inv = weights[j].invert_vars(all_y)
             entry = LaurentPoly.monomial(table, exps, sign) * w_inv
             assert not entry.has_negative_exponent(), "Moebius entry failed to clear"
-            row.append(entry)
+            row[j] = entry
         entries.append(row)
     return PolyMatrix(elements, entries, table)
 
@@ -177,16 +195,18 @@ def count_products(
 
     Sums |{j >= k}| * |{i <= k}| over k, one row of the order at a time and
     before any polynomial work.  The partial sum only grows, so the count
-    stops at the first row that takes it past the cap; that bounds the
-    order tests as well as the products.
+    stops at the first row that takes it past the cap; each row's up-set
+    mask is built from the ``OrderIndex`` as the row is counted, so that
+    bounds the masks built as well as the products.
     """
     cap = DEFAULT_MAX_PRODUCTS if max_products is None else max_products
     elements = enumerate_elements(spec, max_elements)
+    index = OrderIndex(elements)
     up = [0] * len(elements)
     down = [1] * len(elements)  # counts the rows done so far
     triples = 0
-    for k, a in enumerate(elements):
-        above = [j for j, b in enumerate(elements) if j != k and leq_t(a, b)]
+    for k in range(len(elements)):
+        above = index.above(k)
         up[k] = len(above) + 1
         triples += up[k] * down[k]
         for j in above:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hlskit.cli import CHECKS, SPECIALIZATIONS, build_parser, main
-from hlskit.poset import PosetSpec, enumerate_multichains
+from hlskit.poset import PosetSpec, enumerate_elements, enumerate_multichains
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -246,6 +246,10 @@ def test_cap_exceeded_exits_2(capsys):
             ("verify", "relation", "--n", "1", "--r", "2", "--max-terms", "17"),
             "term cap 17 exceeded at element 3 of 5",
         ),
+        (
+            ("verify", "zeta-mobius", "--n", "16", "--r", "3"),
+            "1048576 triples i <= k <= j exceed the cap 1000000 (counted 3 of 262144 rows)",
+        ),
     ],
 )
 def test_cap_hit_is_one_error_line(capsys, argv, message):
@@ -353,6 +357,31 @@ def test_hasse_dot_matches_golden(capsys):
     assert out.count("->") == 13
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_hasse_default_cap_one_above(capsys, fmt):
+    # (0),(65536) is a chain of 65,537 elements, one more than the default.
+    code, out, err = run(capsys, "hasse", "--n", "0", "--r", "65536", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: poset has 65537 elements, cap is 65536\n"
+
+
+def test_hasse_default_cap_at_and_above_a_lowered_default(capsys, monkeypatch):
+    # A spec of exactly the default's size runs; one element more stops.
+    import hlskit.poset as poset
+
+    monkeypatch.setattr(poset, "DEFAULT_MAX_HASSE_ELEMENTS", 12)
+    code, out, err = run(capsys, "hasse", "--n", "2", "--r", "2")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "hasse_n2_r2.dot").read_text()
+    code, out, _ = run(capsys, "hasse", "--n", "2", "--r", "2", "--format", "json")
+    assert code == 0 and len(json.loads(out)["nodes"]) == 12
+    monkeypatch.setattr(poset, "DEFAULT_MAX_HASSE_ELEMENTS", 11)
+    for fmt in ("dot", "json"):
+        code, out, err = run(capsys, "hasse", "--n", "2", "--r", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: poset has 12 elements, cap is 11\n"
+
+
 def test_hasse_json(capsys):
     code, out, _ = run(capsys, "hasse", "--n", "2", "--r", "2", "--format", "json")
     data = json.loads(out)
@@ -416,6 +445,25 @@ def test_verify_zeta_mobius(capsys):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_zeta_mobius_computes_each_pair_weight_once(capsys, monkeypatch):
+    import hlskit.verify as verify
+    from hlskit.poset import leq_t
+
+    calls = []
+
+    def counted(a, b, yvars, table):
+        calls.append((a, b))
+        return pair_weight(a, b, yvars, table)
+
+    pair_weight = verify.pair_weight
+    monkeypatch.setattr(verify, "pair_weight", counted)
+    code, out, _ = run(capsys, "verify", "zeta-mobius", "--n", "2", "--r", "2", "--no-timing")
+    assert code == 0 and json.loads(out)["pass"] is True
+    elements = enumerate_elements(PosetSpec((2,), (2,)))
+    comparable = [(a, b) for a in elements for b in elements if leq_t(a, b)]
+    assert sorted(calls) == sorted(comparable)
 
 
 def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from hlskit.poset import (
     CapExceededError,
+    OrderIndex,
     PosetSpec,
     chains_in,
     complement,
@@ -20,6 +21,7 @@ from hlskit.poset import (
     leq_component,
     leq_t,
     lt_t,
+    order_key,
     parse_chain,
     parse_component,
     parse_element,
@@ -29,6 +31,7 @@ from hlskit.poset import (
 )
 
 from conftest import SEED, brute_force_chains, brute_force_covers
+from test_series import SMALL_SPECS
 
 P22 = PosetSpec((2,), (2,))
 P11 = PosetSpec((1,), (1,))
@@ -127,6 +130,47 @@ def test_leq_matches_two_column_oracle():
     for a in els:
         for b in els:
             assert leq_component(a, b) == two_column_semistandard(a, b)
+
+
+# SMALL_SPECS, then specs with g = 2 and g = 3 and components with r = 0
+# or n = 0, including the one-element poset.
+INDEX_SPECS = SMALL_SPECS + [
+    PosetSpec((0,), (0,)),
+    PosetSpec((2, 1), (1, 2)),
+    PosetSpec((0, 2), (2, 0)),
+    PosetSpec((1, 0, 1), (0, 2, 1)),
+    PosetSpec((0, 0, 0), (1, 2, 1)),
+    PosetSpec((1, 1, 1), (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("spec", INDEX_SPECS, ids=str)
+def test_order_index_matches_leq_t_on_every_pair(spec):
+    elements = enumerate_elements(spec)
+    index = OrderIndex(elements)
+    for i, a in enumerate(elements):
+        up = index.up(i)
+        for j, b in enumerate(elements):
+            assert (up >> j & 1) == leq_t(a, b)
+        assert index.above(i) == [j for j, b in enumerate(elements) if lt_t(a, b)]
+
+
+@pytest.mark.parametrize("spec", [P22, G2, PosetSpec((0, 1), (2, 0))], ids=str)
+def test_order_index_on_an_interval_and_in_any_element_order(spec):
+    # The index reads positions in the list it is given, whatever the order.
+    elements = interval_elements(spec, "open")[::-1]
+    index = OrderIndex(elements)
+    for i, a in enumerate(elements):
+        assert index.above(i) == [j for j, b in enumerate(elements) if lt_t(a, b)]
+
+
+def test_order_key_is_the_prefix_sums():
+    assert order_key(((2, 0, 1), (0, 1))) == (2, 2, 3, 0, 1)
+
+
+def test_order_index_of_no_elements():
+    index = OrderIndex([])
+    assert (index.full, index.at_least) == (0, [])
 
 
 def test_s_vector():

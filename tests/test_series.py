@@ -5,11 +5,12 @@ from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
 from hlskit.poset import (
     CapExceededError,
     DegenerateSpecError,
+    OrderIndex,
     PosetSpec,
     chains_in,
     enumerate_chains,
     interval_elements,
-    leq_t,
+    order_key,
     parse_element,
     render_element,
 )
@@ -17,7 +18,6 @@ from hlskit.series import (
     ZeroDenominatorError,
     _hls_pair,
     _leg_pair,
-    _subset_leq,
     _unit_pair,
     _zero_count_pair,
     classical_igusa,
@@ -381,17 +381,33 @@ def test_mv_hls_pairs_multiply_to_tableau_weights():
             assert pair_product(_leg_pair, ctx, chain) == expected
 
 
+def subset_key(e):
+    """The weak order's key: the indicator vector of the subset."""
+    return e[0]
+
+
+def subset_leq(a, b):
+    """Inclusion of the subsets that two elements of (g),(0) stand for."""
+    return {i for i, x in enumerate(a[0]) if x} <= {i for i, x in enumerate(b[0]) if x}
+
+
+@pytest.mark.parametrize("g", range(5))
+def test_subset_key_index_matches_inclusion(g):
+    elements = interval_elements(PosetSpec((g,), (0,)), "half_open")
+    above = OrderIndex(elements, subset_key)
+    for i, a in enumerate(elements):
+        expected = [j for j, b in enumerate(elements) if j != i and subset_leq(a, b)]
+        assert above.above(i) == expected
+
+
 def test_weak_order_igusa_matches_flag_oracle():
     # Flags under inclusion, which the sweep orders by counting subsets below.
-    def subset_leq(a, b):
-        return all(x <= y for x, y in zip(a[0], b[0]))
-
     for g in (1, 2, 3):
         ctx = make_context(PosetSpec((g,), (0,)))
         one = LaurentPoly.const(ctx.table, 1)
         contributions = (
             (one, [ctx.x_ids[e] for e in flag])
-            for flag in chains_in(ctx.x_elements, leq=subset_leq)
+            for flag in chains_in(ctx.x_elements, key=subset_key)
         )
         wo = weak_order_igusa(g)
         numerator, count = reference_numerator_sum(ctx.table, wo.denominator_vars, contributions)
@@ -412,13 +428,13 @@ def test_specialization_chain_counts():
 # -- the chain-series kernel against the per-chain oracle ---------------------------
 
 
-def kernel_oracle(spec, pair, interval="half_open", leq=leq_t):
+def kernel_oracle(spec, pair, interval="half_open", key=order_key):
     """Numerator and chain count of ``series._series``, chain by chain."""
     ctx = make_context(spec)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     contributions = (
         (pair_product(pair, ctx, chain), [ctx.x_ids[e] for e in chain])
-        for chain in chains_in(elements, leq=leq)
+        for chain in chains_in(elements, key=key)
     )
     return reference_numerator_sum(ctx.table, [ctx.x_ids[e] for e in elements], contributions)
 
@@ -426,26 +442,26 @@ def kernel_oracle(spec, pair, interval="half_open", leq=leq_t):
 # Each public builder with its pair weight, its order and specs (n, r) with
 # g = 1 and 2 and, where the builder allows one, bottom == top.
 BUILDERS = {
-    "hls": (hls, _hls_pair, leq_t, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
+    "hls": (hls, _hls_pair, order_key, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
     "classical_igusa": (
         lambda spec: classical_igusa(spec.r[0]),
         _zero_count_pair,
-        leq_t,
+        order_key,
         [((0,), (0,)), ((0,), (2,)), ((0,), (4,))],
     ),
     "generalized_igusa": (
         lambda spec: generalized_igusa(spec.r),
         _zero_count_pair,
-        leq_t,
+        order_key,
         [((0, 0), (0, 0)), ((0,), (3,)), ((0, 0), (1, 2))],
     ),
     "mv_hls": (
-        lambda spec: mv_hls(spec.n[0]), _leg_pair, leq_t, [((0,), (0,)), ((2,), (0,)), ((3,), (0,))]
+        lambda spec: mv_hls(spec.n[0]), _leg_pair, order_key, [((0,), (0,)), ((2,), (0,)), ((3,), (0,))]
     ),
     "weak_order_igusa": (
         lambda spec: weak_order_igusa(spec.n[0]),
         _unit_pair,
-        _subset_leq,
+        subset_key,
         [((1,), (0,)), ((2,), (0,)), ((3,), (0,))],
     ),
 }
@@ -454,7 +470,7 @@ BUILDERS = {
 @pytest.mark.parametrize("interval", ["half_open", "open"])
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_kernel_matches_reference_for_every_builder(name, interval):
-    build, pair, leq, shapes = BUILDERS[name]
+    build, pair, key, shapes = BUILDERS[name]
     for n, r in shapes:
         spec = PosetSpec(n, r)
         if interval == "half_open":
@@ -465,8 +481,8 @@ def test_kernel_matches_reference_for_every_builder(name, interval):
             value = hls_modified(spec)
         else:
             # The specializations have no open-interval builder; sweep it directly.
-            value = series._series(spec, pair, None, None, None, "open", leq)
-        numerator, count = kernel_oracle(spec, pair, interval, leq)
+            value = series._series(spec, pair, None, None, None, "open", key)
+        numerator, count = kernel_oracle(spec, pair, interval, key)
         assert value.numerator == numerator
         assert value.chain_count == count
         assert len(value.denominator_vars) == len(make_context(spec).x_elements) - (

@@ -94,6 +94,34 @@ def test_zeta_mobius_inversion(nr):
     assert is_identity(matmul(zeta_matrix(spec), mobius_matrix(spec)))
 
 
+@pytest.mark.parametrize(
+    "spec", [PosetSpec((0,), (3,)), PosetSpec((2,), (1,)), PosetSpec((1, 0), (1, 2))], ids=str
+)
+def test_mobius_from_a_given_zeta_equals_mobius_alone(spec):
+    assert mobius_matrix(spec) == mobius_matrix(spec, zeta=zeta_matrix(spec))
+    ctx = make_context(PosetSpec((1,) + spec.n, (1,) + spec.r))
+    wider = (ctx.table, ctx.yvars[1:])
+    assert mobius_matrix(spec, *wider) == mobius_matrix(
+        spec, *wider, zeta=zeta_matrix(spec, *wider)
+    )
+
+
+def test_mobius_rejects_a_zeta_of_another_spec_or_table():
+    spec = PosetSpec((1,), (1,))
+    mismatch = "not over this spec's elements and variable table"
+    with pytest.raises(ValueError, match=mismatch):
+        mobius_matrix(spec, zeta=zeta_matrix(PosetSpec((1,), (2,))))
+    ctx = make_context(PosetSpec((1,), (2,)))
+    other = zeta_matrix(PosetSpec((1,), (0,)), ctx.table, ctx.yvars)
+    with pytest.raises(ValueError, match=mismatch):
+        mobius_matrix(spec, ctx.table, ctx.yvars, zeta=other)
+    ctx = make_context(PosetSpec((1, 1), (1, 1)))
+    with pytest.raises(ValueError, match=mismatch):
+        mobius_matrix(spec, zeta=zeta_matrix(spec, ctx.table, [ctx.yvars[0]]))
+    with pytest.raises(ValueError, match=mismatch):
+        mobius_matrix(spec, ctx.table, [ctx.yvars[0]], zeta=zeta_matrix(spec))
+
+
 def test_mobius_p11_by_direct_product():
     spec = PosetSpec((1,), (1,))
     z = zeta_matrix(spec)
