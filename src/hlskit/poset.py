@@ -207,48 +207,82 @@ def _members(mask: int) -> list[int]:
     return list(itertools.compress(itertools.count(), digits))
 
 
+def _digit_planes(column: Sequence[int]) -> list[bytes]:
+    """A column of nonnegative ints as base-256 digit planes, most significant first.
+
+    Each plane is read backwards, so the first entry of the column is the
+    last byte: the lowest bit once a translated plane is read as a binary
+    number.
+    """
+    count = max(1, (max(column).bit_length() + 7) // 8)
+    if count == 1:
+        return [bytes(column[::-1])]
+    shifts = range(8 * count - 8, -8, -8)
+    return [bytes(v >> shift & 255 for v in reversed(column)) for shift in shifts]
+
+
 class OrderIndex:
     """Componentwise ``<=`` of key vectors on a list of elements, as bitmasks.
 
-    Bit ``i`` of a mask stands for ``elements[i]``.  For each coordinate
-    ``c`` and each value ``t`` it takes, ``at_least[c][t]`` masks the
-    elements whose coordinate ``c`` is at least ``t``, so the elements at
-    or above element ``i`` are the AND over ``c`` of
-    ``at_least[c][key_i[c]]``: one big-int AND per coordinate in place of
+    Bit ``i`` of a mask stands for ``elements[i]``.  ``at_least(c, t)``
+    masks the elements whose coordinate ``c`` is at least ``t``, so the
+    elements at or above element ``i`` are the AND over ``c`` of
+    ``at_least(c, key_i[c])``: one big-int AND per coordinate in place of
     one order test per element.  ``key`` maps an element to nonnegative
-    ints, as many for every element.  The keys are kept as one string, a
-    character per coordinate, and each threshold mask is one translation
-    of a column of it, read as a binary number, so building the index takes
-    time linear in the number of elements per threshold.
+    ints, as many for every element.
+
+    Each column of keys is kept as base-256 digit planes.  A threshold mask
+    combines, plane by plane, the masks of the entries whose digit is at
+    least some ``d``; each of those is one ``bytes.translate`` of a plane
+    read as a binary number, built the first time it is needed and kept.
+    So a caller that reads a few rows builds only a few masks, and a column
+    with many distinct values, such as a long chain's, costs at most 256
+    translations per plane, each linear in the number of elements.
     """
 
     def __init__(
         self, elements: Sequence[Element], key: Callable[[Element], Sequence[int]] = order_key
     ):
-        # Joined in parts, so no list of all the key entries is ever held.
-        parts = (elements[s : s + 4096] for s in range(0, len(elements), 4096))
-        self.codes = "".join(
-            ["".join(map(chr, itertools.chain.from_iterable(map(key, p)))) for p in parts]
-        )
-        self.width = len(self.codes) // len(elements) if elements else 0
-        self.full = (1 << len(elements)) - 1
-        self.at_least: list[dict[str, int]] = []
-        for c in range(self.width):
-            # Read backwards, a column puts the first element in the lowest bit.
-            column = self.codes[c :: self.width][::-1]
-            masks = {}
-            digits = dict.fromkeys(map(ord, column), "1")
-            for t in sorted(digits):
-                masks[chr(t)] = int(column.translate(digits), 2)
-                digits[t] = "0"
-            self.at_least.append(masks)
+        self.keys = [tuple(key(e)) for e in elements]
+        self.full = (1 << len(self.keys)) - 1
+        width = len(self.keys[0]) if self.keys else 0
+        self._planes = [_digit_planes([k[c] for k in self.keys]) for c in range(width)]
+        self._digit_masks = [[{} for _ in planes] for planes in self._planes]
+        # Digit masks of a one-plane column are its threshold masks; up() reads
+        # them there.  Those of a wider column are not kept: a long chain has
+        # as many thresholds as elements.
+        self._thresholds = [masks[0] if len(masks) == 1 else {} for masks in self._digit_masks]
+
+    def _digits_at_least(self, c: int, p: int, d: int) -> int:
+        """The mask of the elements whose digit ``p`` of coordinate ``c`` is at least ``d``."""
+        masks = self._digit_masks[c][p]
+        mask = masks.get(d)
+        if mask is None:
+            table = b"0" * d + b"1" * (256 - d)
+            mask = masks[d] = int(self._planes[c][p].translate(table), 2) if d < 256 else 0
+        return mask
+
+    def at_least(self, c: int, t: int) -> int:
+        """The mask of the elements whose coordinate ``c`` is at least ``t``.
+
+        From the lowest digit up: an entry is at least ``t`` in its last
+        ``k`` digits when its ``k``-th last digit is above ``t``'s, or equal
+        to it and the entry is at least ``t`` in the digits below.
+        """
+        last = len(self._planes[c]) - 1
+        digits = t.to_bytes(last + 1, "big")
+        mask = self._digits_at_least(c, last, digits[last])
+        for p in range(last - 1, -1, -1):
+            above = self._digits_at_least(c, p, digits[p] + 1)
+            mask = above | (self._digits_at_least(c, p, digits[p]) ^ above) & mask
+        return mask
 
     def up(self, i: int) -> int:
         """The mask of the elements at or above element ``i``."""
         mask = self.full
-        start = i * self.width
-        for masks, t in zip(self.at_least, self.codes[start : start + self.width]):
-            mask &= masks[t]
+        for c, t in enumerate(self.keys[i]):
+            found = self._thresholds[c].get(t)
+            mask &= self.at_least(c, t) if found is None else found
         return mask
 
     def above(self, i: int) -> list[int]:

@@ -15,7 +15,7 @@ conventions; the test suite locks them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
@@ -48,6 +48,8 @@ class PolyMatrix:
     labels: tuple[Element, ...]
     entries: list[list[LaurentPoly]]
     table: VarTable
+    # The Y variables of a zeta matrix's pair weights; None for other matrices.
+    yvars: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -87,7 +89,7 @@ def zeta_matrix(
         for j in (i, *index.above(i)):
             row[j] = pair_weight(a, elements[j], yvars, table)
         entries.append(row)
-    return PolyMatrix(elements, entries, table)
+    return PolyMatrix(elements, entries, table, yvars)
 
 
 def mobius_matrix(
@@ -102,24 +104,32 @@ def mobius_matrix(
     Entry (a, b) is the zeta entry, the pair weight, at inverted variables,
     times the sign (-1)^(cardinality difference) and the monomial of
     per-position deltas, which clears every negative exponent; the result
-    is asserted to be a plain polynomial.  ``zeta`` must be
+    is asserted to be a plain polynomial.  Only the nonzero zeta entries,
+    the comparable pairs, are visited.  ``zeta`` must be
     ``zeta_matrix(spec, table, yvars)``, and is built when not given; one
-    whose labels or variable table differ raises ``ValueError``.
+    whose labels, variable table or Y variables differ raises
+    ``ValueError``.
     """
     table, yvars = _context_vars(spec, table, yvars, max_elements)
-    elements = tuple(enumerate_elements(spec, max_elements))
     if zeta is None:
         zeta = zeta_matrix(spec, table, yvars, max_elements)
-    elif zeta.labels != elements or zeta.table != table:
-        raise ValueError("the zeta matrix is not over this spec's elements and variable table")
-    index = OrderIndex(elements)
+    elif (zeta.labels, zeta.table, zeta.yvars) != (
+        tuple(enumerate_elements(spec, max_elements)),
+        table,
+        yvars,
+    ):
+        raise ValueError(
+            "the zeta matrix is not over this spec's elements, variable table and Y variables"
+        )
     all_y = [v for comp in yvars for v in comp]
     zero = LaurentPoly.zero(table)
     entries = []
-    for i, (a, weights) in enumerate(zip(elements, zeta.entries)):
-        row = [zero] * len(elements)
-        for j in (i, *index.above(i)):
-            b = elements[j]
+    for a, weights in zip(zeta.labels, zeta.entries):
+        row = [zero] * len(weights)
+        for j, w in enumerate(weights):
+            if not w.terms:
+                continue
+            b = zeta.labels[j]
             sign = 1
             exps: dict[int, int] = {}
             for c in range(spec.g):
@@ -130,12 +140,12 @@ def mobius_matrix(
                     d = delta(a[c], b[c], p)
                     if d:
                         exps[yvars[c][p]] = d
-            w_inv = weights[j].invert_vars(all_y)
+            w_inv = w.invert_vars(all_y)
             entry = LaurentPoly.monomial(table, exps, sign) * w_inv
             assert not entry.has_negative_exponent(), "Moebius entry failed to clear"
             row[j] = entry
         entries.append(row)
-    return PolyMatrix(elements, entries, table)
+    return PolyMatrix(zeta.labels, entries, table)
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -195,9 +205,9 @@ def count_products(
 
     Sums |{j >= k}| * |{i <= k}| over k, one row of the order at a time and
     before any polynomial work.  The partial sum only grows, so the count
-    stops at the first row that takes it past the cap; each row's up-set
-    mask is built from the ``OrderIndex`` as the row is counted, so that
-    bounds the masks built as well as the products.
+    stops at the first row that takes it past the cap.  ``OrderIndex``
+    builds a threshold mask only when a row first reads it, so the rows
+    counted bound the masks built as well as the products.
     """
     cap = DEFAULT_MAX_PRODUCTS if max_products is None else max_products
     elements = enumerate_elements(spec, max_elements)

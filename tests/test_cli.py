@@ -250,6 +250,10 @@ def test_cap_exceeded_exits_2(capsys):
             ("verify", "zeta-mobius", "--n", "16", "--r", "3"),
             "1048576 triples i <= k <= j exceed the cap 1000000 (counted 3 of 262144 rows)",
         ),
+        (
+            ("verify", "zeta-mobius", "--n", "0", "--r", "262143"),
+            "1572856 triples i <= k <= j exceed the cap 1000000 (counted 3 of 262144 rows)",
+        ),
     ],
 )
 def test_cap_hit_is_one_error_line(capsys, argv, message):

@@ -133,7 +133,8 @@ def test_leq_matches_two_column_oracle():
 
 
 # SMALL_SPECS, then specs with g = 2 and g = 3 and components with r = 0
-# or n = 0, including the one-element poset.
+# or n = 0, including the one-element poset, and a chain whose prefix sums
+# pass 255 and so take two digit planes.
 INDEX_SPECS = SMALL_SPECS + [
     PosetSpec((0,), (0,)),
     PosetSpec((2, 1), (1, 2)),
@@ -141,6 +142,7 @@ INDEX_SPECS = SMALL_SPECS + [
     PosetSpec((1, 0, 1), (0, 2, 1)),
     PosetSpec((0, 0, 0), (1, 2, 1)),
     PosetSpec((1, 1, 1), (0, 0, 0)),
+    PosetSpec((0,), (300,)),
 ]
 
 
@@ -170,7 +172,31 @@ def test_order_key_is_the_prefix_sums():
 
 def test_order_index_of_no_elements():
     index = OrderIndex([])
-    assert (index.full, index.at_least) == (0, [])
+    assert (index.full, index.keys) == (0, [])
+
+
+def test_order_index_thresholds_across_digit_planes():
+    # Values at and around the base-256 digit boundaries, some repeated; the
+    # two columns take four and three digit planes.
+    values = [0, 1, 255, 256, 257, 511, 512, 65535, 65536, 65537, 70000, 16777216, 3, 256, 65536]
+    keys = [(v, values[-1 - k] // 7) for k, v in enumerate(values)]
+    index = OrderIndex(range(len(keys)), keys.__getitem__)
+    for c in range(2):
+        for t in sorted({k[c] for k in keys}):
+            expected = sum(1 << j for j, k in enumerate(keys) if k[c] >= t)
+            assert index.at_least(c, t) == expected
+    for i, a in enumerate(keys):
+        expected = [j for j, b in enumerate(keys) if j != i and a[0] <= b[0] and a[1] <= b[1]]
+        assert index.above(i) == expected
+
+
+def test_order_index_builds_only_the_masks_a_row_reads():
+    # A chain of 70,000 elements has 70,000 thresholds in three digit planes;
+    # one row reads one threshold, from at most two digit masks a plane.
+    elements = enumerate_elements(PosetSpec((0,), (69999,)))
+    index = OrderIndex(elements)
+    assert index.above(69990) == list(range(69991, 70000))
+    assert sum(len(masks) for column in index._digit_masks for masks in column) <= 5
 
 
 def test_s_vector():

@@ -7,9 +7,9 @@ from hlskit.poset import (
     DegenerateSpecError,
     OrderIndex,
     PosetSpec,
-    chains_in,
     enumerate_chains,
     interval_elements,
+    leq_t,
     order_key,
     parse_element,
     render_element,
@@ -35,6 +35,7 @@ from hlskit.series import (
 from hlskit.weight import chain_weight, phi_tableau, project, theta_tableau
 
 from conftest import (
+    brute_force_chains,
     reference_expand_multichain,
     reference_numerator_1_2,
     reference_numerator_sum,
@@ -407,7 +408,7 @@ def test_weak_order_igusa_matches_flag_oracle():
         one = LaurentPoly.const(ctx.table, 1)
         contributions = (
             (one, [ctx.x_ids[e] for e in flag])
-            for flag in chains_in(ctx.x_elements, key=subset_key)
+            for flag in brute_force_chains(ctx.x_elements, len(ctx.x_elements), leq=subset_leq)
         )
         wo = weak_order_igusa(g)
         numerator, count = reference_numerator_sum(ctx.table, wo.denominator_vars, contributions)
@@ -428,40 +429,45 @@ def test_specialization_chain_counts():
 # -- the chain-series kernel against the per-chain oracle ---------------------------
 
 
-def kernel_oracle(spec, pair, interval="half_open", key=order_key):
+def kernel_oracle(spec, pair, interval="half_open", leq=leq_t):
     """Numerator and chain count of ``series._series``, chain by chain."""
     ctx = make_context(spec)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     contributions = (
         (pair_product(pair, ctx, chain), [ctx.x_ids[e] for e in chain])
-        for chain in chains_in(elements, key=key)
+        for chain in brute_force_chains(elements, len(elements), leq=leq)
     )
     return reference_numerator_sum(ctx.table, [ctx.x_ids[e] for e in elements], contributions)
 
 
+# The orders of the builders: the key the sweep reads, and the pairwise test
+# the oracle reads.
+TABLEAU = (order_key, leq_t)
+SUBSETS = (subset_key, subset_leq)
+
 # Each public builder with its pair weight, its order and specs (n, r) with
 # g = 1 and 2 and, where the builder allows one, bottom == top.
 BUILDERS = {
-    "hls": (hls, _hls_pair, order_key, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
+    "hls": (hls, _hls_pair, TABLEAU, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
     "classical_igusa": (
         lambda spec: classical_igusa(spec.r[0]),
         _zero_count_pair,
-        order_key,
+        TABLEAU,
         [((0,), (0,)), ((0,), (2,)), ((0,), (4,))],
     ),
     "generalized_igusa": (
         lambda spec: generalized_igusa(spec.r),
         _zero_count_pair,
-        order_key,
+        TABLEAU,
         [((0, 0), (0, 0)), ((0,), (3,)), ((0, 0), (1, 2))],
     ),
     "mv_hls": (
-        lambda spec: mv_hls(spec.n[0]), _leg_pair, order_key, [((0,), (0,)), ((2,), (0,)), ((3,), (0,))]
+        lambda spec: mv_hls(spec.n[0]), _leg_pair, TABLEAU, [((0,), (0,)), ((2,), (0,)), ((3,), (0,))]
     ),
     "weak_order_igusa": (
         lambda spec: weak_order_igusa(spec.n[0]),
         _unit_pair,
-        subset_key,
+        SUBSETS,
         [((1,), (0,)), ((2,), (0,)), ((3,), (0,))],
     ),
 }
@@ -470,7 +476,7 @@ BUILDERS = {
 @pytest.mark.parametrize("interval", ["half_open", "open"])
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_kernel_matches_reference_for_every_builder(name, interval):
-    build, pair, key, shapes = BUILDERS[name]
+    build, pair, (key, leq), shapes = BUILDERS[name]
     for n, r in shapes:
         spec = PosetSpec(n, r)
         if interval == "half_open":
@@ -482,7 +488,7 @@ def test_kernel_matches_reference_for_every_builder(name, interval):
         else:
             # The specializations have no open-interval builder; sweep it directly.
             value = series._series(spec, pair, None, None, None, "open", key)
-        numerator, count = kernel_oracle(spec, pair, interval, key)
+        numerator, count = kernel_oracle(spec, pair, interval, leq)
         assert value.numerator == numerator
         assert value.chain_count == count
         assert len(value.denominator_vars) == len(make_context(spec).x_elements) - (

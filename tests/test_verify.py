@@ -106,9 +106,9 @@ def test_mobius_from_a_given_zeta_equals_mobius_alone(spec):
     )
 
 
-def test_mobius_rejects_a_zeta_of_another_spec_or_table():
+def test_mobius_rejects_a_zeta_of_another_spec_table_or_yvars():
     spec = PosetSpec((1,), (1,))
-    mismatch = "not over this spec's elements and variable table"
+    mismatch = "not over this spec's elements, variable table and Y variables"
     with pytest.raises(ValueError, match=mismatch):
         mobius_matrix(spec, zeta=zeta_matrix(PosetSpec((1,), (2,))))
     ctx = make_context(PosetSpec((1,), (2,)))
@@ -120,6 +120,11 @@ def test_mobius_rejects_a_zeta_of_another_spec_or_table():
         mobius_matrix(spec, zeta=zeta_matrix(spec, ctx.table, [ctx.yvars[0]]))
     with pytest.raises(ValueError, match=mismatch):
         mobius_matrix(spec, ctx.table, [ctx.yvars[0]], zeta=zeta_matrix(spec))
+    # The same table and elements, but the pair weights read the other Y variables.
+    with pytest.raises(ValueError, match=mismatch):
+        mobius_matrix(
+            spec, ctx.table, [ctx.yvars[0]], zeta=zeta_matrix(spec, ctx.table, [ctx.yvars[1]])
+        )
 
 
 def test_mobius_p11_by_direct_product():
