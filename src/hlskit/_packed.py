@@ -1,16 +1,17 @@
 """Packed ints: monomials (``Codec``), chain-series terms and polynomials.
 
 ``verify.matmul`` and the chain-series sweep (``pack_pair_weights``,
-``sweep``, ``unpack``) key monomials by a ``Codec``; ``packer`` packs whole
-polynomials for exact sums.
+``sweep``) key monomials by a ``Codec``; the sweep's numerator stays packed
+(``PackedNumerator``), rendered from its keys or unpacked on demand.
+``packer`` packs whole polynomials for exact sums.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactalg import LaurentPoly, Monomial, VarTable
+from .exactalg import LaurentPoly, Monomial, VarTable, _power_text, _terms_text
 from .poset import CapExceededError, Element
 
 # A partial numerator: packed key -> nonzero coefficient.
@@ -163,17 +164,77 @@ def sweep(
     return total
 
 
-def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, codec: Codec) -> LaurentPoly:
-    """The ``LaurentPoly`` of packed terms whose mask bits are ``x_vids``.
+class PackedNumerator(NamedTuple):
+    """A sweep's numerator, still packed.
 
-    Y variable ids must precede the X ones, and ``x_vids`` must increase.
+    ``terms`` are keyed as at ``pack_pair_weights``: mask bit ``i`` stands
+    for the X variable ``x_vids[i]``, and the rest of the key is a Y part
+    packed by ``codec``.  Y variable ids must precede the X ones, and
+    ``x_vids`` must increase.
     """
+
+    table: VarTable
+    x_vids: tuple[int, ...]
+    codec: Codec
+    terms: Terms
+
+    @property
+    def term_count(self) -> int:
+        return len(self.terms)
+
+    def text(self) -> str:
+        """``unpack(self).text()``, rendered from the keys.
+
+        ``LaurentPoly.text`` orders terms by total degree, then by the dense
+        exponent vector in variable id order.  Every Y id precedes every X
+        id, so that vector is the Y part's dense tuple followed by the X
+        exponents; those are 0 or 1 and in ``x_vids`` order, mask bit ``i``
+        first, so comparing them compares the masks with their ``m`` bits
+        reversed.  Packed exponents are never negative, so the total degree
+        is the Y part's plus the mask's bit count.  Each term thus sorts on
+        ``(degree, dense Y tuple, reversed mask)``, unique per term.
+
+        That tuple is folded into one int: with the ``ny`` distinct Y parts
+        ranked by dense tuple, ``(degree * ny + rank) << m | reversed mask``
+        sorts the same.  It is the sum of a Y part's ``(degree * ny + rank)
+        << m`` and a mask's ``degree * ny << m | reversed mask``, each
+        computed once, with the factor texts of the part.
+        """
+        names = self.table.names
+        m = len(self.x_vids)
+        low = (1 << m) - 1
+        dense = {}
+        for y in {key >> m for key in self.terms}:
+            dense[y] = tuple(y >> shift & mask for _, shift, mask in self.codec.fields)
+        ny = len(dense)
+        y_parts = {}
+        for rank, y in enumerate(sorted(dense, key=dense.__getitem__)):
+            factors = tuple(_power_text(names[v], e) for v, e in self.codec.unpack(y))
+            y_parts[y] = (sum(dense[y]) * ny + rank) << m, factors
+        x_names = [names[v] for v in self.x_vids]
+        x_parts = {}
+        for mask in {key & low for key in self.terms}:
+            bits = f"{mask:0{m}b}"[::-1]
+            factors = tuple(name for name, b in zip(x_names, bits) if b == "1")
+            x_parts[mask] = (mask.bit_count() * ny << m) + int(bits, 2), factors
+        rows = []
+        for key, c in self.terms.items():
+            y_order, y_factors = y_parts[key >> m]
+            x_order, x_factors = x_parts[key & low]
+            rows.append((y_order + x_order, y_factors, x_factors, c))
+        rows.sort()
+        return _terms_text((y + x, c) for _, y, x, c in rows)
+
+
+def unpack(numerator: PackedNumerator) -> LaurentPoly:
+    """The ``LaurentPoly`` of a packed numerator."""
+    table, x_vids, codec, terms = numerator
     m = len(x_vids)
     low = (1 << m) - 1
     x_parts: dict[int, Monomial] = {}
     y_parts: dict[int, Monomial] = {}
-    numerator = {}
-    for key, a in total.items():
+    polynomial = {}
+    for key, a in terms.items():
         mask, y = key & low, key >> m
         xs = x_parts.get(mask)
         if xs is None:
@@ -181,8 +242,8 @@ def unpack(table: VarTable, x_vids: Sequence[int], total: Terms, codec: Codec) -
         ys = y_parts.get(y)
         if ys is None:
             ys = y_parts[y] = codec.unpack(y)
-        numerator[ys + xs] = a
-    return LaurentPoly(table, numerator)
+        polynomial[ys + xs] = a
+    return LaurentPoly(table, polynomial)
 
 
 def _longest(paths: list[tuple[list[int], list[int]]]) -> list[int]:

@@ -94,7 +94,7 @@ def _spec_json(spec: PosetSpec | None) -> dict | None:
 def _series_text(value: HlsRational, stats: dict, stats_only: bool) -> str:
     lines = []
     if not stats_only:
-        lines.append(f"numerator = {value.numerator.text()}")
+        lines.append(f"numerator = {value.numerator_text()}")
         lines.append(f"denominator = {value.denominator_text()}")
     lines.extend(f"{key} = {val}" for key, val in stats.items())
     return "\n".join(lines) + "\n"
@@ -103,7 +103,7 @@ def _series_text(value: HlsRational, stats: dict, stats_only: bool) -> str:
 def _series_json(value: HlsRational, stats: dict, stats_only: bool) -> dict:
     out: dict = {"spec": _spec_json(value.spec)}
     if not stats_only:
-        out["numerator"] = value.numerator.text()
+        out["numerator"] = value.numerator_text()
         out["denominator"] = list(value.denominator_names)
     out["stats"] = stats
     return out

@@ -12,12 +12,13 @@ mathematical equality and makes values safe to share across threads.
 Printing is deterministic: terms are ordered by total degree, ties broken by
 the dense exponent vector, with variables ordered as in the ``VarTable``.
 The text format is the one used by the CLI and the golden tests, e.g.
-``1 - Y[1,1]^2*X{0^2}``.
+``1 - Y[1,1]^2*X{0^2}``.  ``_power_text`` and ``_terms_text`` state it, for
+``LaurentPoly.text`` and for the packed numerators of ``_packed`` alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 # A monomial: ((var id, exponent), ...), sorted by var id, exponents nonzero.
 Monomial = tuple[tuple[int, int], ...]
@@ -322,22 +323,47 @@ class LaurentPoly:
 
     def text(self) -> str:
         """Canonical text form, bit-exact across runs."""
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
+        names = self.table.names
+        # Loops, not comprehensions: on Python 3.11 each comprehension is a
+        # call, one per term, and most polynomials printed are small.
+        terms = []
+        for m, c in self.sorted_terms():
             factors = []
-            if abs(c) != 1 or not m:
-                factors.append(str(abs(c)))
             for v, e in m:
-                name = self.table.name(v)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
-            if i == 0:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+                factors.append(_power_text(names[v], e))
+            terms.append((factors, c))
+        return _terms_text(terms)
+
+
+# -- the text format ---------------------------------------------------------
+
+
+def _power_text(name: str, e: int) -> str:
+    """A factor of a monomial: ``Y[1,1]^2``, or the bare name for ``e = 1``."""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _terms_text(terms: Iterable[tuple[Sequence[str], int]]) -> str:
+    """Text of a polynomial from its terms in print order.
+
+    A term is the texts of its monomial's factors in variable order, and
+    its coefficient.  Factors join with ``*``, the coefficient shows first
+    unless it is 1 or -1 on a monomial other than 1, signs join the terms
+    as ``+ `` or ``- ``, and a leading ``+`` is dropped, as in
+    ``1 + X{0} - 2*Y[1,1]^2*X{0^2}``.  No terms print as ``0``.
+    """
+    parts = []
+    for factors, c in terms:
+        body = "*".join(factors)
+        if not body:
+            body = str(abs(c))
+        elif c != 1 and c != -1:
+            body = f"{abs(c)}*{body}"
+        parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # -- q-analogs ---------------------------------------------------------------

@@ -221,6 +221,22 @@ def _digit_planes(column: Sequence[int]) -> list[bytes]:
     return [bytes(v >> shift & 255 for v in reversed(column)) for shift in shifts]
 
 
+def _join_planes(blocks: Sequence[list[bytes]]) -> list[bytes]:
+    """The digit planes of a column from those of its consecutive blocks.
+
+    A block with fewer planes than the widest gets zero planes on top, and
+    the blocks join last first, as each plane is read backwards.
+    """
+    count = max(map(len, blocks))
+    padded = [[bytes(len(planes[0]))] * (count - len(planes)) + planes for planes in blocks]
+    return [b"".join(planes[p] for planes in reversed(padded)) for p in range(count)]
+
+
+# Elements an OrderIndex keys at a time: the key tuples of one block are the
+# only ones it holds while it builds its digit planes.
+_KEY_BLOCK = 4096
+
+
 class OrderIndex:
     """Componentwise ``<=`` of key vectors on a list of elements, as bitmasks.
 
@@ -231,22 +247,28 @@ class OrderIndex:
     one order test per element.  ``key`` maps an element to nonnegative
     ints, as many for every element.
 
-    Each column of keys is kept as base-256 digit planes.  A threshold mask
-    combines, plane by plane, the masks of the entries whose digit is at
-    least some ``d``; each of those is one ``bytes.translate`` of a plane
-    read as a binary number, built the first time it is needed and kept.
-    So a caller that reads a few rows builds only a few masks, and a column
-    with many distinct values, such as a long chain's, costs at most 256
-    translations per plane, each linear in the number of elements.
+    Each column of keys is kept as base-256 digit planes and nothing else:
+    keys are taken a block of elements at a time, and ``up`` reads them back
+    from the planes.  A threshold mask combines, plane by plane, the masks
+    of the entries whose digit is at least some ``d``; each of those is one
+    ``bytes.translate`` of a plane read as a binary number, built the first
+    time it is needed and kept.  So a caller that reads a few rows builds
+    only a few masks, and a column with many distinct values, such as a
+    long chain's, costs at most 256 translations per plane, each linear in
+    the number of elements.
     """
 
     def __init__(
         self, elements: Sequence[Element], key: Callable[[Element], Sequence[int]] = order_key
     ):
-        self.keys = [tuple(key(e)) for e in elements]
-        self.full = (1 << len(self.keys)) - 1
-        width = len(self.keys[0]) if self.keys else 0
-        self._planes = [_digit_planes([k[c] for k in self.keys]) for c in range(width)]
+        self.full = (1 << len(elements)) - 1
+        blocks = []  # per block of elements, per column, its digit planes
+        for start in range(0, len(elements), _KEY_BLOCK):
+            block = elements[start : start + _KEY_BLOCK]
+            flat = list(itertools.chain.from_iterable(map(key, block)))
+            width = len(flat) // len(block)
+            blocks.append([_digit_planes(flat[c::width]) for c in range(width)])
+        self._planes = [_join_planes(column) for column in zip(*blocks)]
         self._digit_masks = [[{} for _ in planes] for planes in self._planes]
         # Digit masks of a one-plane column are its threshold masks; up() reads
         # them there.  Those of a wider column are not kept: a long chain has
@@ -278,9 +300,16 @@ class OrderIndex:
         return mask
 
     def up(self, i: int) -> int:
-        """The mask of the elements at or above element ``i``."""
+        """The mask of the elements at or above element ``i``.
+
+        Element ``i``'s key is read from the digit planes, byte ``~i`` of each.
+        """
         mask = self.full
-        for c, t in enumerate(self.keys[i]):
+        for c, planes in enumerate(self._planes):
+            if len(planes) == 1:
+                t = planes[0][~i]
+            else:
+                t = int.from_bytes(bytes(plane[~i] for plane in planes), "big")
             found = self._thresholds[c].get(t)
             mask &= self.at_least(c, t) if found is None else found
         return mask

@@ -15,12 +15,12 @@ of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from ._packed import pack_pair_weights, sweep, unpack
+from ._packed import PackedNumerator, pack_pair_weights, sweep, unpack
 from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     DEFAULT_MAX_CHAINS,
@@ -80,21 +80,48 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
     return SeriesContext(spec, VarTable(names), tuple(yvars), x_elements, x_ids)
 
 
+class _Numerator:
+    """The ``numerator`` field of ``HlsRational``, a ``LaurentPoly`` read lazily.
+
+    It takes a ``LaurentPoly`` or the sweep's ``PackedNumerator``; a packed
+    value is unpacked on first read, and the polynomial replaces it.  The
+    field has no default: read on the class, it raises ``AttributeError``.
+    """
+
+    def __get__(self, obj, owner=None) -> LaurentPoly:
+        if obj is None:
+            raise AttributeError("numerator")
+        if isinstance(obj._numerator, PackedNumerator):
+            obj._numerator = unpack(obj._numerator)
+        return obj._numerator
+
+    def __set__(self, obj, value: LaurentPoly | PackedNumerator) -> None:
+        obj._numerator = value
+
+
 @dataclass
 class HlsRational:
-    """A series value: exact numerator over an implicit product of (1 - X_c)."""
+    """A series value: exact numerator over an implicit product of (1 - X_c).
+
+    A series built here keeps its numerator packed until ``numerator`` is
+    read; ``term_count`` and ``numerator_text`` do not unpack it.
+    """
 
     spec: PosetSpec | None
     table: VarTable
     yvars: tuple[tuple[int, ...], ...]
-    numerator: LaurentPoly
+    numerator: LaurentPoly = _Numerator()
     denominator_vars: tuple[int, ...]
     denominator_names: tuple[str, ...]
     chain_count: int
 
     @property
     def term_count(self) -> int:
-        return self.numerator.term_count
+        return self._numerator.term_count
+
+    def numerator_text(self) -> str:
+        """``numerator.text()``, from the packed keys while there are any."""
+        return self._numerator.text()
 
     def denominator_text(self) -> str:
         if not self.denominator_vars:
@@ -115,7 +142,7 @@ def _chain_series(
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
     max_terms: int | None = None,
-) -> tuple[LaurentPoly, int]:
+) -> tuple[PackedNumerator, int]:
     """Numerator and chain count of a chain sum, by the transfer-matrix method.
 
     The chains are the strict chains of ``elements`` in the order of their
@@ -142,7 +169,8 @@ def _chain_series(
 
     Terms are keyed by packed ints (``_packed.pack_pair_weights``), so a
     term times a pair-weight monomial times ``X_c`` is one int addition; a
-    negative exponent raises ``ValueError``.  Keys unpack once, at the end.
+    negative exponent raises ``ValueError``.  The numerator is returned
+    packed, its mask bits the X variables of ``elements``.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
@@ -174,7 +202,8 @@ def _chain_series(
     packed, fields = pack_pair_weights(partial(pair_w, ctx), bottom, top, ny, preds, swept, bit)
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
     total = sweep(bottom, top, above, preds, swept, bit, packed, term_cap)
-    return unpack(ctx.table, [ctx.x_ids[e] for e in elements], total, fields), chain_count
+    x_vids = tuple(ctx.x_ids[e] for e in elements)
+    return PackedNumerator(ctx.table, x_vids, fields, total), chain_count
 
 
 def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
@@ -194,9 +223,8 @@ def _series(
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     numerator, chain_count = _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
-    vids = tuple(ctx.x_ids[e] for e in elements)
     names = tuple(render_element(e) for e in elements)
-    return HlsRational(spec, ctx.table, ctx.yvars, numerator, vids, names, chain_count)
+    return HlsRational(spec, ctx.table, ctx.yvars, numerator, numerator.x_vids, names, chain_count)
 
 
 def hls(
@@ -462,4 +490,6 @@ def weak_order_igusa(
     spec = PosetSpec((g,), (0,))
     # Inclusion of subsets is componentwise <= of their indicator vectors.
     value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
-    return replace(value, spec=None)
+    # Set in place: replace() would read, and so unpack, the numerator.
+    value.spec = None
+    return value

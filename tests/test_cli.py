@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hlskit import series
 from hlskit.cli import CHECKS, SPECIALIZATIONS, build_parser, main
 from hlskit.poset import PosetSpec, enumerate_elements, enumerate_multichains
 
@@ -25,6 +26,43 @@ def test_compute_matches_golden_file(capsys):
     code, out, _ = run(capsys, "compute", "--n", "1", "--r", "2", "--no-timing")
     assert code == 0
     assert out == (GOLDEN / "compute_n1_r2.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("compute_n1_r2.json", ["compute", "--n", "1", "--r", "2", "--format", "json"]),
+        ("specialize_mv_hls_n3.txt", ["specialize", "--kind", "mv-hls", "--n", "3"]),
+    ],
+)
+def test_series_output_matches_golden_file(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n", "2", "--r", "2"],
+        ["compute", "--n", "1,1", "--r", "0,2", "--modified", "--format", "json"],
+        ["specialize", "--kind", "weak-order-igusa", "--g", "3"],
+        ["specialize", "--kind", "classical-igusa", "--r", "4", "--format", "json"],
+    ],
+)
+def test_series_output_never_unpacks_the_numerator(capsys, monkeypatch, argv):
+    # The text is rendered from the packed keys, and --stats-only renders
+    # nothing: no run builds the numerator's LaurentPoly.
+    code, expected, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0
+
+    def unpack(numerator):
+        raise AssertionError("the numerator was unpacked")
+
+    monkeypatch.setattr(series, "unpack", unpack)
+    assert run(capsys, *argv, "--no-timing")[:2] == (0, expected)
+    code, out, _ = run(capsys, *argv, "--no-timing", "--stats-only")
+    assert code == 0 and "numerator" not in out and "terms" in out
 
 
 def test_compute_byte_stable(capsys):

@@ -1,12 +1,25 @@
 """The packed-monomial codec, and both of its users against their oracles."""
 
+import dataclasses
+
 import pytest
 
-from hlskit._packed import Codec, exponent_bounds
+from hlskit import series
+from hlskit._packed import Codec, PackedNumerator, exponent_bounds
 from hlskit.exactalg import LaurentPoly, VarTable
 from hlskit.poset import PosetSpec, enumerate_chains, interval_elements
-from hlskit.series import expand_multichain, expand_rational, hls, hls_modified, make_context
-from hlskit.verify import is_identity, matmul, mobius_matrix, zeta_matrix
+from hlskit.series import (
+    classical_igusa,
+    expand_multichain,
+    expand_rational,
+    generalized_igusa,
+    hls,
+    hls_modified,
+    make_context,
+    mv_hls,
+    weak_order_igusa,
+)
+from hlskit.verify import is_identity, matmul, mobius_matrix, mobius_via_chains, zeta_matrix
 from hlskit.weight import chain_weight
 
 from conftest import reference_matmul, reference_numerator_sum
@@ -78,12 +91,92 @@ def oracle(spec, interval):
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(spec=small_specs(), bound=PARTS)
 def test_packed_routes_match_unpacked_ones(spec, bound):
-    if spec.element_count() <= ORACLE_ELEMENTS:
-        for build, interval in ((hls, "half_open"), (hls_modified, "open")):
-            value = build(spec)
+    for build, interval in ((hls, "half_open"), (hls_modified, "open")):
+        value = build(spec)
+        # Rendered from the keys before ``numerator`` unpacks them.
+        text = value.numerator_text()
+        assert text == value.numerator.text()
+        if spec.element_count() <= ORACLE_ELEMENTS:
             assert (value.numerator, value.chain_count) == oracle(spec, interval)
     assert expand_rational(hls(spec), bound) == expand_multichain(spec, bound)
     zeta, mobius = zeta_matrix(spec), mobius_matrix(spec)
     product = matmul(zeta, mobius)
     assert product.entries == reference_matmul(zeta, mobius).entries
     assert is_identity(product)
+    # The closed-form Möbius function against the alternating chain sums.
+    for i, a in enumerate(mobius.labels):
+        for j, b in enumerate(mobius.labels):
+            if zeta.entries[i][j]:
+                assert mobius_via_chains(spec, a, b) == mobius.entries[i][j]
+
+
+# -- the numerator text, rendered from packed keys ----------------------------------
+
+
+def packed_and_unpacked_text(value):
+    """The text of a series rendered from its keys, and its numerator's text."""
+    assert isinstance(value._numerator, PackedNumerator)
+    return value.numerator_text(), value.numerator.text()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: classical_igusa(0),
+        lambda: classical_igusa(4),
+        lambda: generalized_igusa((0, 0)),
+        lambda: generalized_igusa((1, 2)),
+        lambda: mv_hls(0),
+        lambda: mv_hls(3),
+        lambda: weak_order_igusa(1),
+        lambda: weak_order_igusa(3),
+    ],
+)
+def test_specialization_text_matches_the_unpacked_text(build):
+    rendered, unpacked = packed_and_unpacked_text(build())
+    assert rendered == unpacked
+
+
+def test_packed_text_of_the_empty_interval_is_one():
+    value = hls(PosetSpec((0,), (0,)))
+    assert value.denominator_vars == ()
+    assert packed_and_unpacked_text(value) == ("1", "1")
+
+
+def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
+    # weak_order_igusa(3) has coefficients of 2 on X monomials; a pair weight
+    # of 1 - 3*Y[1,0] gives larger ones, of both signs, on Y monomials.
+    value = weak_order_igusa(3)
+    assert max(map(abs, value._numerator.terms.values())) == 2
+    rendered, unpacked = packed_and_unpacked_text(value)
+    assert rendered == unpacked and "+ 2*X{1}" in rendered
+
+    def pair(ctx, a, b):
+        if a == b:
+            return LaurentPoly.const(ctx.table, 1)
+        return 1 - 3 * LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"))
+
+    monkeypatch.setattr(series, "_hls_pair", pair)
+    value = hls(PosetSpec((0,), (2,)))
+    rendered, unpacked = packed_and_unpacked_text(value)
+    assert rendered == unpacked == "1 - 3*Y[1,0] - 3*Y[1,0]*X{0} + 9*Y[1,0]^2*X{0}"
+
+
+def test_an_explicit_numerator_renders_as_given():
+    value = hls(PosetSpec((1,), (1,)))
+    table = value.table
+    numerator = 2 - 3 * LaurentPoly.variable(table, table.id("X{0}"))
+    for given in (
+        dataclasses.replace(value, numerator=numerator),
+        series.HlsRational(
+            value.spec,
+            table,
+            value.yvars,
+            numerator,
+            value.denominator_vars,
+            value.denominator_names,
+            value.chain_count,
+        ),
+    ):
+        assert given.numerator is numerator
+        assert (given.term_count, given.numerator_text()) == (2, "2 - 3*X{0}")

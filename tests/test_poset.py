@@ -172,7 +172,20 @@ def test_order_key_is_the_prefix_sums():
 
 def test_order_index_of_no_elements():
     index = OrderIndex([])
-    assert (index.full, index.keys) == (0, [])
+    assert (index.full, index._planes, index._thresholds) == (0, [], [])
+
+
+def test_order_index_joins_blocks_of_different_plane_counts():
+    # A chain past 4,096 elements is keyed in blocks; its first block takes
+    # two digit planes, the later ones three.
+    m = 70_000
+    index = OrderIndex(range(m), lambda e: (e, m - 1 - e))
+    assert [len(planes) for planes in index._planes] == [3, 3]
+    for t in (0, 1, 255, 256, 4095, 4096, 4097, 65535, 65536, 69999):
+        assert index.at_least(0, t) == index.full >> t << t
+        assert index.at_least(1, t) == index.full >> t
+    for i in (0, 4095, 4096, 65536, 69999):
+        assert index.up(i) == 1 << i  # the two columns run opposite ways
 
 
 def test_order_index_thresholds_across_digit_planes():

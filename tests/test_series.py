@@ -565,3 +565,35 @@ def test_term_cap_at_the_peak():
     hls(spec, max_terms=47868)
     with pytest.raises(CapExceededError, match="^term cap 47867 exceeded at element 13 of 15$"):
         hls(spec, max_terms=47867)
+
+
+# -- the series as rational functions, against sympy ----------------------------------
+
+
+@pytest.mark.parametrize("build, interval", [(hls, "half_open"), (hls_modified, "open")])
+@pytest.mark.parametrize(
+    "spec", [SPEC12, PosetSpec((1,), (1,)), PosetSpec((1, 1), (1, 0))], ids=spec_id
+)
+def test_series_is_the_chain_sum_as_a_rational_function(spec, build, interval):
+    # numerator / prod(1 - X_c) == sum over chains C of W_C * prod_{c in C} X_c / (1 - X_c),
+    # with the denominators left uncleared on the right.
+    sympy = pytest.importorskip("sympy")
+    ctx = make_context(spec)
+    symbol = sympy.symbols(f"v0:{len(ctx.table)}")
+
+    def expr(p):
+        terms = p.terms.items()
+        return sympy.Add(*(c * sympy.Mul(*(symbol[v] ** e for v, e in m)) for m, c in terms))
+
+    value = build(spec)
+    lhs = expr(value.numerator) / sympy.Mul(*(1 - symbol[v] for v in value.denominator_vars))
+    rhs = sympy.Add(
+        *(
+            expr(chain_weight(chain, spec, ctx.yvars, ctx.table))
+            * sympy.Mul(*(symbol[ctx.x_ids[c]] / (1 - symbol[ctx.x_ids[c]]) for c in chain))
+            for chain in enumerate_chains(spec, interval)
+        )
+    )
+    assert sympy.cancel(sympy.together(lhs - rhs)) == 0
+    # The comparison can fail: a difference of 1 does not cancel to zero.
+    assert sympy.cancel(sympy.together(lhs - rhs - 1)) != 0
