@@ -1,23 +1,38 @@
 """Packed ints: monomials (``Codec``), chain-series terms and polynomials.
 
-``verify.matmul`` and the chain-series sweep (``pack_pair_weights``,
-``sweep``) key monomials by a ``Codec``; the sweep's numerator stays packed
-(``PackedNumerator``), rendered from its keys or unpacked on demand.
-``packer`` packs whole polynomials for exact sums.
+Monomials are keyed by a ``Codec``, so a product of monomials is one int
+addition:
+
+- ``PairWeights`` packs each pair weight of a spec once, by the δ codec,
+  whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide.  Chain weights
+  (``weight.chain_weights``), the multichain expansion, the zeta and
+  Möbius rows of ``verify`` and their products (``multiply_rows``, shared
+  with ``verify.matmul``) all stay on its keys.
+- The chain-series sweep (``pack_pair_weights``, ``sweep``) sizes its own
+  codec by the longest path of its weights; its numerator stays packed
+  (``PackedNumerator``), and so do the truncated expansions of either
+  route (``PackedCoefficients``).
+
+Both packed values are rendered from their keys in ``LaurentPoly.text``'s
+order, on one ranking of their distinct Y keys (``y_orders``), or unpacked
+on demand.  ``packer`` packs whole polynomials for exact sums.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable, _power_text, _terms_text
-from .poset import CapExceededError, Element
+from .poset import CapExceededError, Element, render_element, s_vector
 
 # A partial numerator: packed key -> nonzero coefficient.
 Terms = dict[int, int]
 # A packed polynomial: [(packed key, coefficient), ...].
 Packed = list[tuple[int, int]]
+ONE: Packed = [(0, 1)]
 
 
 def exponent_bounds(polys: Iterable[LaurentPoly], nvars: int) -> list[int]:
@@ -57,6 +72,135 @@ class Codec:
 
     def unpack(self, key: int) -> Monomial:
         return tuple((v, e) for v, shift, mask in self.fields if (e := key >> shift & mask))
+
+
+class PairWeights:
+    """The pair weights of one spec, each computed, checked and packed once.
+
+    ``weight(a, b, yvars, table)`` gives the weight of a pair.  The codec
+    gives ``Y[c,p]`` a field for exponents up to ``δ_p(bottom, top)``, with
+    ``δ_p(a, b) = s_p(b) - s_p(a)`` over ``poset.s_vector``.  The Möbius
+    entry of ``a <= b`` is ``±Y^δ(a,b) * w(a, b)(1/Y)``, so no exponent of
+    ``w(a, b)`` exceeds ``δ(a, b)``, and packing checks that: an exponent
+    past it, or of a variable other than the spec's Y variables, raises
+    ``ValueError``.  δ adds up along a chain, so every chain weight, every
+    Möbius entry and every product of zeta and Möbius entries keeps within
+    ``δ(bottom, top)`` as well, and their keys add without carries.
+    """
+
+    def __init__(self, spec, table: VarTable, yvars: Sequence[Sequence[int]], weight: Callable):
+        self.table, self.yvars, self.weight = table, yvars, weight
+        self.ids = [v for comp in yvars for v in comp]
+        self._stats: dict[Element, tuple[list[int], int, int]] = {}
+        self._pairs: dict[tuple[Element, Element], Packed] = {}
+        lowest = self._s(spec.bottom())
+        bounds = [0] * len(table)
+        for v, lo, hi in zip(self.ids, lowest, self._s(spec.top())):
+            bounds[v] = hi - lo
+        self.codec = Codec(bounds)
+        self._lowest = lowest
+
+    @staticmethod
+    def _s(e: Element) -> list[int]:
+        """``s_p`` of each Y variable of ``e``, then its cardinality."""
+        out, card = [], 0
+        for component in e:
+            s = s_vector(component)
+            out += s[:-1]
+            card += s[-1]
+        return out + [card]
+
+    def stats(self, e: Element) -> tuple[list[int], int, int]:
+        """``_s(e)``, the key of ``Y^(s(e) - s(bottom))``, and ``e``'s cardinality."""
+        found = self._stats.get(e)
+        if found is None:
+            s = self._s(e)
+            shifts = self.codec.shifts
+            key = sum((x - lo) << shifts[v] for v, x, lo in zip(self.ids, s, self._lowest))
+            found = self._stats[e] = (s, key, s[-1])
+        return found
+
+    def mobius_factor(self, a: Element, b: Element) -> tuple[int, int]:
+        """The key of ``Y^δ(a, b)`` and the sign ``(-1)^(|b| - |a|)``, for ``a <= b``."""
+        _, low, card_a = self.stats(a)
+        _, high, card_b = self.stats(b)
+        return high - low, -1 if (card_b - card_a) % 2 else 1
+
+    def pack(self, a: Element, b: Element, w: LaurentPoly) -> Packed:
+        """``w``, the weight of ``(a, b)``, packed once its exponents are checked."""
+        delta = dict(zip(self.ids, map(sub, self.stats(b)[0], self.stats(a)[0])))
+        shifts = self.codec.shifts
+        out = []
+        for mono, c in w.terms.items():
+            key = 0
+            for v, e in mono:
+                if not 0 < e <= delta.get(v, 0):
+                    raise ValueError(
+                        f"the weight of ({render_element(a)}, {render_element(b)}) has"
+                        f" {self.table.name(v)}^{e}, past δ = {delta.get(v, 0)}"
+                    )
+                key += e << shifts[v]
+            out.append((key, c))
+        return out
+
+    def __call__(self, a: Element, b: Element) -> Packed:
+        w = self._pairs.get((a, b))
+        if w is None:
+            w = self._pairs[a, b] = self.pack(a, b, self.weight(a, b, self.yvars, self.table))
+        return w
+
+
+def polynomial(table: VarTable, codec: Codec, terms: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """The ``LaurentPoly`` of packed terms, whose coefficients are nonzero."""
+    return LaurentPoly(table, {codec.unpack(key): c for key, c in terms})
+
+
+def multiply(p: Packed, q: Packed) -> Packed:
+    """The product of two packed polynomials whose keys add without carries."""
+    if q == ONE:
+        return p
+    if p == ONE:
+        return q
+    acc: defaultdict[int, int] = defaultdict(int)
+    for kp, cp in p:
+        for kq, cq in q:
+            acc[kp + kq] += cp * cq
+    return [(k, c) for k, c in acc.items() if c]
+
+
+# A sparse matrix of packed polynomials: one {column: nonzero entry} per row.
+Rows = list[dict[int, Packed]]
+
+
+def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:
+    """The product of two matrices packed by ``codec``, over the nonzero products only.
+
+    The product's keys must add without carries.  Each row of ``b`` is
+    flattened once into one list, with its column ``j`` above the codec's
+    fields, in the key: ``key + (j << width)``.  Row ``i`` of the product
+    then accumulates ``a[i][k] * b[k]`` in one dict, for each nonzero
+    ``a[i][k]``, and is split by column; columns that sum to zero are
+    dropped.
+    """
+    width = codec.shifts[-1]
+    low = (1 << width) - 1
+    flat = [[(key + (j << width), c) for j, terms in row.items() for key, c in terms] for row in b]
+    out = []
+    for row_a in a:
+        acc: Terms = {}
+        get = acc.get
+        for k, terms_a in row_a.items():
+            terms_b = flat[k]
+            for key_a, c_a in terms_a:
+                for key_b, c_b in terms_b:
+                    key = key_a + key_b
+                    acc[key] = get(key, 0) + c_a * c_b
+        row: dict[int, Packed] = {}
+        for key, c in acc.items():
+            if c:
+                row.setdefault(key >> width, []).append((key & low, c))
+        out.append(dict(sorted(row.items())))
+    return out
 
 
 def pack_pair_weights(
@@ -195,22 +339,16 @@ class PackedNumerator(NamedTuple):
         ``(degree, dense Y tuple, reversed mask)``, unique per term.
 
         That tuple is folded into one int: with the ``ny`` distinct Y parts
-        ranked by dense tuple, ``(degree * ny + rank) << m | reversed mask``
-        sorts the same.  It is the sum of a Y part's ``(degree * ny + rank)
-        << m`` and a mask's ``degree * ny << m | reversed mask``, each
-        computed once, with the factor texts of the part.
+        ranked as at ``y_orders``, ``(degree * ny + rank) << m | reversed
+        mask`` sorts the same.  It is the sum of a Y part's ``y_orders``
+        value shifted by ``m`` and a mask's ``bit count * ny << m | reversed
+        mask``, each computed once, with the factor texts of the part.
         """
         names = self.table.names
         m = len(self.x_vids)
         low = (1 << m) - 1
-        dense = {}
-        for y in {key >> m for key in self.terms}:
-            dense[y] = tuple(y >> shift & mask for _, shift, mask in self.codec.fields)
-        ny = len(dense)
-        y_parts = {}
-        for rank, y in enumerate(sorted(dense, key=dense.__getitem__)):
-            factors = tuple(_power_text(names[v], e) for v, e in self.codec.unpack(y))
-            y_parts[y] = (sum(dense[y]) * ny + rank) << m, factors
+        y_parts = y_orders(self.codec, {key >> m for key in self.terms}, names)
+        ny = len(y_parts)
         x_names = [names[v] for v in self.x_vids]
         x_parts = {}
         for mask in {key & low for key in self.terms}:
@@ -221,9 +359,52 @@ class PackedNumerator(NamedTuple):
         for key, c in self.terms.items():
             y_order, y_factors = y_parts[key >> m]
             x_order, x_factors = x_parts[key & low]
-            rows.append((y_order + x_order, y_factors, x_factors, c))
+            rows.append(((y_order << m) + x_order, y_factors, x_factors, c))
         rows.sort()
         return _terms_text((y + x, c) for _, y, x, c in rows)
+
+
+def y_orders(
+    codec: Codec, keys: Iterable[int], names: Sequence[str]
+) -> dict[int, tuple[int, tuple[str, ...]]]:
+    """Each distinct key's print order and the texts of its factors.
+
+    ``LaurentPoly.text`` sorts monomials of nonnegative exponents by total
+    degree, then by the dense exponent vector in variable id order, which
+    is the tuple of the codec's fields.  With the ``ny`` keys ranked once by
+    that tuple, ``degree * ny + rank`` is an int that sorts the same.
+    """
+    dense = {y: tuple(y >> shift & mask for _, shift, mask in codec.fields) for y in keys}
+    ny = len(dense)
+    out = {}
+    for rank, y in enumerate(sorted(dense, key=dense.__getitem__)):
+        factors = tuple(_power_text(names[v], e) for v, e in codec.unpack(y))
+        out[y] = sum(dense[y]) * ny + rank, factors
+    return out
+
+
+class PackedCoefficients(NamedTuple):
+    """Coefficients of a truncated expansion, still packed.
+
+    ``terms`` maps each X multidegree to its coefficient, a dict of nonzero
+    coefficients keyed by Y monomials packed by ``codec``.
+    """
+
+    table: VarTable
+    codec: Codec
+    terms: dict[tuple[int, ...], Terms]
+
+    def texts(self) -> dict[tuple[int, ...], str]:
+        """Each coefficient's ``LaurentPoly.text``, rendered from the keys."""
+        orders = y_orders(self.codec, {y for t in self.terms.values() for y in t}, self.table.names)
+        out = {}
+        for degrees, t in self.terms.items():
+            rows = sorted([orders[y] + (c,) for y, c in t.items()])
+            out[degrees] = _terms_text((factors, c) for _, factors, c in rows)
+        return out
+
+    def unpack(self) -> dict[tuple[int, ...], LaurentPoly]:
+        return {d: polynomial(self.table, self.codec, t.items()) for d, t in self.terms.items()}
 
 
 def unpack(numerator: PackedNumerator) -> LaurentPoly:
@@ -233,7 +414,7 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
     low = (1 << m) - 1
     x_parts: dict[int, Monomial] = {}
     y_parts: dict[int, Monomial] = {}
-    polynomial = {}
+    monomials = {}
     for key, a in terms.items():
         mask, y = key & low, key >> m
         xs = x_parts.get(mask)
@@ -242,8 +423,8 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
         ys = y_parts.get(y)
         if ys is None:
             ys = y_parts[y] = codec.unpack(y)
-        polynomial[ys + xs] = a
-    return LaurentPoly(table, polynomial)
+        monomials[ys + xs] = a
+    return LaurentPoly(table, monomials)
 
 
 def _longest(paths: list[tuple[list[int], list[int]]]) -> list[int]:

@@ -40,12 +40,11 @@ from .series import (
 )
 from .verify import (
     count_products,
-    identity_mismatch,
-    matmul,
-    mobius_matrix,
+    mobius_rows,
+    rows_mismatch,
     verify_order_complex,
     verify_reciprocity,
-    zeta_matrix,
+    zeta_rows,
 )
 from .weight import project
 
@@ -168,9 +167,9 @@ def cmd_expand(args) -> int:
     if args.format == "json":
         element_names = [series.table.name(v)[2:-1] for v in series.x_vars]
         rows = []
-        for key, coeff in series.sorted_items():
+        for key, text in series.texts():
             mono = {element_names[pos]: e for pos, e in enumerate(key) if e}
-            rows.append({"monomial": mono, "coefficient": coeff.text()})
+            rows.append({"monomial": mono, "coefficient": text})
         payload = {
             "spec": _spec_json(spec),
             "max_degree": args.max_degree,
@@ -178,10 +177,7 @@ def cmd_expand(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        lines = [
-            f"{_x_label(series, key)} : {coeff.text()}"
-            for key, coeff in series.sorted_items()
-        ]
+        lines = [f"{_x_label(series, key)} : {text}" for key, text in series.texts()]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -282,16 +278,16 @@ def _order_complex(spec, args):
 
 def _zeta_mobius(spec, args):
     count_products(spec, args.max_products, args.max_elements)
-    zeta = zeta_matrix(spec, max_elements=args.max_elements)
-    product = matmul(zeta, mobius_matrix(spec, max_elements=args.max_elements, zeta=zeta))
-    mismatch = identity_mismatch(product)
+    zeta = zeta_rows(spec, max_elements=args.max_elements)
+    product = zeta.times(mobius_rows(zeta))
+    mismatch = rows_mismatch(product.rows)
     if mismatch is None:
         return True, None
     i, j = mismatch
     return False, {
         "row": render_element(product.labels[i]),
         "column": render_element(product.labels[j]),
-        "entry": product.entries[i][j].text(),
+        "entry": product.entry(i, j).text(),
     }
 
 

@@ -13,7 +13,8 @@ Printing is deterministic: terms are ordered by total degree, ties broken by
 the dense exponent vector, with variables ordered as in the ``VarTable``.
 The text format is the one used by the CLI and the golden tests, e.g.
 ``1 - Y[1,1]^2*X{0^2}``.  ``_power_text`` and ``_terms_text`` state it, for
-``LaurentPoly.text`` and for the packed numerators of ``_packed`` alike.
+``LaurentPoly.text`` and for the packed numerators and expansion
+coefficients of ``_packed`` alike.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ def _mono_mul(m: Monomial, n: Monomial) -> Monomial:
         else:
             del d[v]
     return tuple(sorted(d.items()))
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
 
 
 class LaurentPoly:
@@ -312,14 +309,31 @@ class LaurentPoly:
 
     # -- canonical rendering ------------------------------------------------
 
-    def _dense(self, m: Monomial) -> tuple[int, ...]:
-        row = [0] * len(self.table)
-        for v, e in m:
-            row[v] = e
-        return tuple(row)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda kv: (_mono_degree(kv[0]), self._dense(kv[0])))
+        """Terms by total degree, then by the dense exponent vector in variable order.
+
+        Each term sorts on a key read off its sparse monomial.  Two dense
+        vectors first differ at the least variable ``v`` where the monomials
+        differ, and there the larger exponent wins, an absent variable's
+        being 0.  After the degree, each factor ``(v, e)`` contributes
+        ``n - v, e`` if ``e > 0`` and ``v - n, e`` if ``e < 0``, with ``n``
+        the table's size, and a final 0 ends the key.  At the first place two
+        keys differ, the same ``v`` compares its exponents; otherwise a
+        positive exponent of the lesser variable compares greater, and a
+        negative one less, than a later variable's entry or the end.
+        """
+        n = len(self.table)
+
+        def key(term: tuple[Monomial, int]) -> list[int]:
+            degree, out = 0, [0]
+            for v, e in term[0]:
+                degree += e
+                out += (n - v, e) if e > 0 else (v - n, e)
+            out[0] = degree
+            out.append(0)
+            return out
+
+        return sorted(self.terms.items(), key=key)
 
     def text(self) -> str:
         """Canonical text form, bit-exact across runs."""

@@ -20,8 +20,16 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from ._packed import PackedNumerator, pack_pair_weights, sweep, unpack
-from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
+from ._packed import (
+    PackedCoefficients,
+    PackedNumerator,
+    PairWeights,
+    Terms,
+    pack_pair_weights,
+    sweep,
+    unpack,
+)
+from .exactalg import LaurentPoly, VarTable, y_binomial
 from .poset import (
     DEFAULT_MAX_CHAINS,
     CapExceededError,
@@ -80,23 +88,34 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
     return SeriesContext(spec, VarTable(names), tuple(yvars), x_elements, x_ids)
 
 
-class _Numerator:
-    """The ``numerator`` field of ``HlsRational``, a ``LaurentPoly`` read lazily.
+class _Unpacked:
+    """A field read as the unpacked view of a value that may be packed.
 
-    It takes a ``LaurentPoly`` or the sweep's ``PackedNumerator``; a packed
-    value is unpacked on first read, and the polynomial replaces it.  The
-    field has no default: read on the class, it raises ``AttributeError``.
+    It takes the view itself or a value of ``packed_type``, which is kept
+    and unpacked once, by ``unpack``, on first read.  The field has no
+    default: read on the class, it raises ``AttributeError``.
     """
 
-    def __get__(self, obj, owner=None) -> LaurentPoly:
-        if obj is None:
-            raise AttributeError("numerator")
-        if isinstance(obj._numerator, PackedNumerator):
-            obj._numerator = unpack(obj._numerator)
-        return obj._numerator
+    def __init__(self, packed_type: type, unpack: Callable):
+        self.packed_type, self.unpack = packed_type, unpack
 
-    def __set__(self, obj, value: LaurentPoly | PackedNumerator) -> None:
-        obj._numerator = value
+    def __set_name__(self, owner, name: str) -> None:
+        self.name, self.stored, self.view = name, "_" + name, f"_{name}_view"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.stored]
+        if not isinstance(value, self.packed_type):
+            return value
+        view = obj.__dict__.get(self.view)
+        if view is None:
+            view = obj.__dict__[self.view] = self.unpack(value)
+        return view
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.stored] = value
+        obj.__dict__.pop(self.view, None)
 
 
 @dataclass
@@ -110,7 +129,8 @@ class HlsRational:
     spec: PosetSpec | None
     table: VarTable
     yvars: tuple[tuple[int, ...], ...]
-    numerator: LaurentPoly = _Numerator()
+    # A lambda, so that rebinding ``unpack`` here (a test double) takes effect.
+    numerator: LaurentPoly = _Unpacked(PackedNumerator, lambda packed: unpack(packed))
     denominator_vars: tuple[int, ...]
     denominator_names: tuple[str, ...]
     chain_count: int
@@ -264,6 +284,10 @@ def relation_check(
     hm = hls_modified(spec, max_chains, max_elements, max_terms)
     if h.denominator_vars[:-1] != hm.denominator_vars:
         return False
+    # Each numerator is read as a polynomial, and its packed terms dropped:
+    # nothing here reads them again.
+    for value in (h, hm):
+        value.numerator = value.numerator
     return h.numerator == hm.numerator
 
 
@@ -272,18 +296,31 @@ def relation_check(
 
 @dataclass
 class TruncatedSeries:
-    """Coefficients of X multidegrees up to a total-degree bound."""
+    """Coefficients of X multidegrees up to a total-degree bound.
+
+    A series built here keeps its coefficients packed until
+    ``coefficients`` is read; ``texts`` renders them from the keys.
+    """
 
     bound: int
     table: VarTable
     x_vars: tuple[int, ...]
-    coefficients: dict[tuple[int, ...], LaurentPoly]
+    # A lambda, so that a test double of ``PackedCoefficients.unpack`` takes effect.
+    coefficients: dict[tuple[int, ...], LaurentPoly] = _Unpacked(
+        PackedCoefficients, lambda packed: packed.unpack()
+    )
 
     def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
         return self.coefficients.get(key, LaurentPoly.zero(self.table))
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], LaurentPoly]]:
-        return sorted(self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    def texts(self) -> list[tuple[tuple[int, ...], str]]:
+        """Each X multidegree and its coefficient's text, by total degree, then multidegree."""
+        stored = self._coefficients
+        if isinstance(stored, PackedCoefficients):
+            texts = stored.texts()
+        else:
+            texts = {key: c.text() for key, c in stored.items()}
+        return sorted(texts.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
 def expand_multichain(
@@ -292,69 +329,68 @@ def expand_multichain(
     max_chains: int | None = None,
     max_elements: int | None = None,
 ) -> TruncatedSeries:
-    """Direct multichain expansion: one weight per multiplicity vector."""
+    """Direct multichain expansion: one weight per multiplicity vector.
+
+    The weights come packed by the δ codec (``_packed.PairWeights``), and
+    each coefficient sums them on their keys.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     ctx = make_context(spec, max_elements)
     index = {e: k for k, e in enumerate(ctx.x_elements)}
     m = len(ctx.x_elements)
-    coeffs: dict[tuple[int, ...], LaurentPoly] = {}
+    weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
+    coeffs: dict[tuple[int, ...], Terms] = {}
     mchains = enumerate_multichains(spec, "half_open", bound, max_chains, max_elements)
-    for mchain, weight in chain_weights(mchains, spec.bottom(), spec.top(), ctx.yvars, ctx.table):
+    for mchain, weight in chain_weights(mchains, spec.bottom(), spec.top(), weights):
         key = [0] * m
         for e in mchain:
             key[index[e]] += 1
-        k = tuple(key)
-        prev = coeffs.get(k)
-        coeffs[k] = weight if prev is None else prev + weight
-    coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-    return TruncatedSeries(bound, ctx.table, tuple(ctx.x_ids[e] for e in ctx.x_elements), coeffs)
+        acc = coeffs.setdefault(tuple(key), {})
+        for y, c in weight:
+            acc[y] = acc.get(y, 0) + c
+    coeffs = {k: t for k, acc in coeffs.items() if (t := {y: c for y, c in acc.items() if c})}
+    x_vars = tuple(ctx.x_ids[e] for e in ctx.x_elements)
+    packed = PackedCoefficients(ctx.table, weights.codec, coeffs)
+    return TruncatedSeries(bound, ctx.table, x_vars, packed)
 
 
 def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
-    """Geometric expansion of the stored numerator/denominator, truncated."""
+    """Geometric expansion of the stored numerator/denominator, truncated.
+
+    The numerator must be the packed one of a series built here: each
+    term's X degrees are the bits of its mask, and its Y key is kept.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    xset = {v: k for k, v in enumerate(h.denominator_vars)}
-    m = len(h.denominator_vars)
-    coeffs: dict[tuple[int, ...], dict[Monomial, int]] = {}
-    for mono, c in h.numerator.terms.items():
-        key = [0] * m
-        rest = []
-        for v, e in mono:
-            if v in xset:
-                key[xset[v]] = e
-            else:
-                rest.append((v, e))
-        if sum(key) > bound:
-            continue
-        bucket = coeffs.setdefault(tuple(key), {})
-        rm = tuple(rest)
-        c2 = bucket.get(rm, 0) + c
-        if c2:
-            bucket[rm] = c2
-        elif rm in bucket:
-            del bucket[rm]
+    numerator = h._numerator
+    if not isinstance(numerator, PackedNumerator):
+        raise ValueError("expand_rational takes a series whose numerator is still packed")
+    m = len(numerator.x_vids)
+    low = (1 << m) - 1
+    coeffs: dict[tuple[int, ...], Terms] = {}
+    for key, c in numerator.terms.items():
+        mask = key & low
+        if mask.bit_count() <= bound:
+            degrees = tuple(mask >> i & 1 for i in range(m))
+            coeffs.setdefault(degrees, {})[key >> m] = c
     for pos in range(m):
-        update: dict[tuple[int, ...], dict[Monomial, int]] = {}
+        update: dict[tuple[int, ...], Terms] = {}
         for key, bucket in coeffs.items():
             total = sum(key)
             for t in range(0, bound - total + 1):
                 key2 = key[:pos] + (key[pos] + t,) + key[pos + 1 :]
                 target = update.setdefault(key2, {})
-                for mono, c in bucket.items():
-                    c2 = target.get(mono, 0) + c
+                for y, c in bucket.items():
+                    c2 = target.get(y, 0) + c
                     if c2:
-                        target[mono] = c2
-                    elif mono in target:
-                        del target[mono]
+                        target[y] = c2
+                    elif y in target:
+                        del target[y]
         coeffs = update
-    out = {
-        key: LaurentPoly(h.table, bucket)
-        for key, bucket in coeffs.items()
-        if bucket
-    }
-    return TruncatedSeries(bound, h.table, h.denominator_vars, out)
+    coeffs = {key: bucket for key, bucket in coeffs.items() if bucket}
+    packed = PackedCoefficients(h.table, numerator.codec, coeffs)
+    return TruncatedSeries(bound, h.table, h.denominator_vars, packed)
 
 
 # -- substitution ------------------------------------------------------------------

@@ -17,9 +17,18 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from ._packed import Codec, exponent_bounds, packer as _packer
+from ._packed import (
+    ONE,
+    Codec,
+    PairWeights,
+    Rows,
+    exponent_bounds,
+    multiply_rows,
+    packer as _packer,
+    polynomial,
+)
 from .exactalg import LaurentPoly, VarTable
 from .poset import (
     CapExceededError,
@@ -28,7 +37,6 @@ from .poset import (
     OrderIndex,
     PosetSpec,
     chains_in,
-    delta,
     enumerate_elements,
     leq_t,
     lt_t,
@@ -68,6 +76,82 @@ def _context_vars(
     return table, tuple(tuple(v) for v in yvars)
 
 
+class PackedRows(NamedTuple):
+    """A matrix over ``labels`` on the packed keys of ``weights.codec``.
+
+    Row ``i`` maps each column ``j`` of a nonzero entry to it, packed;
+    entry ``(i, j)`` has exponents at most ``δ(labels[i], labels[j])``.
+    """
+
+    labels: tuple[Element, ...]
+    weights: PairWeights
+    rows: Rows
+
+    def times(self, other: "PackedRows") -> "PackedRows":
+        """The product, whose entries must keep within δ as those of zeta and Möbius do."""
+        codec = self.weights.codec
+        if (other.labels, other.weights.codec.fields) != (self.labels, codec.fields):
+            raise ValueError("the rows are not over the same elements and codec")
+        return self._replace(rows=multiply_rows(self.rows, other.rows, codec))
+
+    def entry(self, i: int, j: int) -> LaurentPoly:
+        return polynomial(self.weights.table, self.weights.codec, self.rows[i].get(j, []))
+
+    def view(self) -> PolyMatrix:
+        """The ``PolyMatrix`` of these rows."""
+        weights = self.weights
+        entries = _unpacked(self.rows, len(self.labels), weights.table, weights.codec)
+        return PolyMatrix(self.labels, entries, weights.table, weights.yvars)
+
+
+def _unpacked(rows: Rows, n: int, table: VarTable, codec: Codec) -> list[list[LaurentPoly]]:
+    """The ``n`` by ``n`` entries of packed rows; zero entries share one zero."""
+    zero = LaurentPoly.zero(table)
+    entries = []
+    for row in rows:
+        entries.append([zero] * n)
+        for j, terms in row.items():
+            entries[-1][j] = polynomial(table, codec, terms)
+    return entries
+
+
+def zeta_rows(
+    spec: PosetSpec,
+    table: VarTable | None = None,
+    yvars: Sequence[Sequence[int]] | None = None,
+    max_elements: int | None = None,
+) -> PackedRows:
+    """The pair weights of the comparable pairs, found by ``OrderIndex``, packed."""
+    table, yvars = _context_vars(spec, table, yvars, max_elements)
+    elements = tuple(enumerate_elements(spec, max_elements))
+    index = OrderIndex(elements)
+    weights = PairWeights(spec, table, yvars, pair_weight)
+    rows = []
+    for i, a in enumerate(elements):
+        pairs = ((j, weights(a, elements[j])) for j in (i, *index.above(i)))
+        rows.append({j: w for j, w in pairs if w})
+    return PackedRows(elements, weights, rows)
+
+
+def mobius_rows(zeta: PackedRows) -> PackedRows:
+    """The closed-form inverse of packed zeta rows.
+
+    Entry ``(a, b)`` is ``(-1)^(|b| - |a|) * Y^δ(a,b)`` times the zeta
+    entry at inverted Y variables.  Each of its terms ``c * Y^e`` has
+    ``e <= δ(a, b)``, as packing checked, so it becomes ``±c * Y^(δ - e)``,
+    whose key is ``key(δ) - key(e)`` with no borrow.
+    """
+    labels, weights = zeta.labels, zeta.weights
+    rows = []
+    for a, row in zip(labels, zeta.rows):
+        out = {}
+        for j, terms in row.items():
+            delta, sign = weights.mobius_factor(a, labels[j])
+            out[j] = [(delta - key, sign * c) for key, c in terms]
+        rows.append(out)
+    return PackedRows(labels, weights, rows)
+
+
 def zeta_matrix(
     spec: PosetSpec,
     table: VarTable | None = None,
@@ -76,20 +160,10 @@ def zeta_matrix(
 ) -> PolyMatrix:
     """Entries are the pair weights; zero off the order, one on the diagonal.
 
-    ``pair_weight`` is called once per comparable pair, found by
-    ``OrderIndex``; every other entry is one shared zero.
+    The view of ``zeta_rows``: ``pair_weight`` is called once per
+    comparable pair, and every other entry is one shared zero.
     """
-    table, yvars = _context_vars(spec, table, yvars, max_elements)
-    elements = tuple(enumerate_elements(spec, max_elements))
-    index = OrderIndex(elements)
-    zero = LaurentPoly.zero(table)
-    entries = []
-    for i, a in enumerate(elements):
-        row = [zero] * len(elements)
-        for j in (i, *index.above(i)):
-            row[j] = pair_weight(a, elements[j], yvars, table)
-        entries.append(row)
-    return PolyMatrix(elements, entries, table, yvars)
+    return zeta_rows(spec, table, yvars, max_elements).view()
 
 
 def mobius_matrix(
@@ -99,21 +173,17 @@ def mobius_matrix(
     max_elements: int | None = None,
     zeta: PolyMatrix | None = None,
 ) -> PolyMatrix:
-    """Closed-form inverse of the zeta matrix, read off the zeta matrix.
+    """Closed-form inverse of the zeta matrix, the view of ``mobius_rows``.
 
-    Entry (a, b) is the zeta entry, the pair weight, at inverted variables,
-    times the sign (-1)^(cardinality difference) and the monomial of
-    per-position deltas, which clears every negative exponent; the result
-    is asserted to be a plain polynomial.  Only the nonzero zeta entries,
-    the comparable pairs, are visited.  ``zeta`` must be
-    ``zeta_matrix(spec, table, yvars)``, and is built when not given; one
-    whose labels, variable table or Y variables differ raises
+    ``zeta`` must be ``zeta_matrix(spec, table, yvars)``; given, its
+    entries are packed (and checked) instead of computing the pair weights
+    again.  One whose labels, variable table or Y variables differ raises
     ``ValueError``.
     """
     table, yvars = _context_vars(spec, table, yvars, max_elements)
     if zeta is None:
-        zeta = zeta_matrix(spec, table, yvars, max_elements)
-    elif (zeta.labels, zeta.table, zeta.yvars) != (
+        return mobius_rows(zeta_rows(spec, table, yvars, max_elements)).view()
+    if (zeta.labels, zeta.table, zeta.yvars) != (
         tuple(enumerate_elements(spec, max_elements)),
         table,
         yvars,
@@ -121,31 +191,12 @@ def mobius_matrix(
         raise ValueError(
             "the zeta matrix is not over this spec's elements, variable table and Y variables"
         )
-    all_y = [v for comp in yvars for v in comp]
-    zero = LaurentPoly.zero(table)
-    entries = []
-    for a, weights in zip(zeta.labels, zeta.entries):
-        row = [zero] * len(weights)
-        for j, w in enumerate(weights):
-            if not w.terms:
-                continue
-            b = zeta.labels[j]
-            sign = 1
-            exps: dict[int, int] = {}
-            for c in range(spec.g):
-                nc = spec.n[c]
-                if delta(a[c], b[c], nc + 1) % 2:
-                    sign = -sign
-                for p in range(nc + 1):
-                    d = delta(a[c], b[c], p)
-                    if d:
-                        exps[yvars[c][p]] = d
-            w_inv = w.invert_vars(all_y)
-            entry = LaurentPoly.monomial(table, exps, sign) * w_inv
-            assert not entry.has_negative_exponent(), "Moebius entry failed to clear"
-            row[j] = entry
-        entries.append(row)
-    return PolyMatrix(zeta.labels, entries, table)
+    weights = PairWeights(spec, table, yvars, pair_weight)
+    rows = [
+        {j: weights.pack(a, zeta.labels[j], w) for j, w in enumerate(row) if w.terms}
+        for a, row in zip(zeta.labels, zeta.entries)
+    ]
+    return mobius_rows(PackedRows(zeta.labels, weights, rows)).view()
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -154,46 +205,25 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Entries must be polynomials: a negative exponent raises ``ValueError``.
     Each monomial packs into one int (``_packed.Codec``), each variable
     bounded by its largest exponent in ``a`` plus that in ``b``, so a product
-    of monomials is one int addition.  The nonzero entries of ``b`` are
-    packed once, by rows, and ``a`` one row at a time, so the loop visits
-    only the nonzero products ``a[i][k] * b[k][j]``.  Each entry accumulates
-    in one dict, and only nonzero entries are unpacked; zero entries share
-    one zero.
+    of monomials is one int addition; ``_packed.multiply_rows`` visits only
+    the nonzero products ``a[i][k] * b[k][j]``.
     """
     if a.labels != b.labels:
         raise ValueError("matrix index mismatch")
     if a.table != b.table:
         raise ValueError("operands use different variable tables")
-    n = a.dim
     bounds = [exponent_bounds((e for row in m.entries for e in row), len(m.table)) for m in (a, b)]
     codec = Codec(map(add, *bounds))
 
-    def pack(p: LaurentPoly) -> list[tuple[int, int]]:
-        return [(codec.pack(mono), c) for mono, c in p.terms.items()]
+    def rows(m: PolyMatrix) -> Rows:
+        pack = codec.pack
+        return [
+            {j: [(pack(mono), c) for mono, c in e.terms.items()] for j, e in enumerate(row) if e}
+            for row in m.entries
+        ]
 
-    rows_b = [[(j, pack(y)) for j, y in enumerate(row) if y.terms] for row in b.entries]
-    unpack = codec.unpack
-    zero = LaurentPoly.zero(a.table)
-    entries = []
-    for row_a in a.entries:
-        accs: list[defaultdict[int, int] | None] = [None] * n
-        for k, x in enumerate(row_a):
-            if not x.terms:
-                continue
-            terms_a = pack(x)
-            for j, terms_b in rows_b[k]:
-                acc = accs[j]
-                if acc is None:
-                    acc = accs[j] = defaultdict(int)
-                for key_a, c_a in terms_a:
-                    for key_b, c_b in terms_b:
-                        acc[key_a + key_b] += c_a * c_b
-        row = []
-        for acc in accs:
-            terms = {} if acc is None else {unpack(key): c for key, c in acc.items() if c}
-            row.append(LaurentPoly(a.table, terms) if terms else zero)
-        entries.append(row)
-    return PolyMatrix(a.labels, entries, a.table)
+    product = multiply_rows(rows(a), rows(b), codec)
+    return PolyMatrix(a.labels, _unpacked(product, a.dim, a.table, codec), a.table)
 
 
 def count_products(
@@ -241,6 +271,20 @@ def identity_mismatch(a: PolyMatrix) -> tuple[int, int] | None:
     return None
 
 
+def rows_mismatch(rows: Rows) -> tuple[int, int] | None:
+    """``identity_mismatch`` of packed rows, read off the keys.
+
+    Row ``i`` is the identity's when its one nonzero entry is ``{i: 1}``;
+    otherwise its first column out of place is the first of its nonzero
+    columns other than ``i``, and ``i`` itself if that entry is not 1.
+    """
+    for i, row in enumerate(rows):
+        if row != {i: ONE}:
+            wrong = [j for j, terms in row.items() if j != i or terms != ONE]
+            return i, min(wrong if i in row else [*wrong, i])
+    return None
+
+
 def is_identity(a: PolyMatrix) -> bool:
     return identity_mismatch(a) is None
 
@@ -275,10 +319,13 @@ def mobius_via_chains(
     if not leq_t(a, b):
         raise ValueError("a must lie below b in the tableau order")
     between = [c for c in enumerate_elements(spec) if lt_t(a, c) and lt_t(c, b)]
-    total = LaurentPoly.zero(table)
-    for chain, w in chain_weights(chains_in(between), a, b, yvars, table):
-        total = total + (w if len(chain) % 2 else -w)
-    return total
+    weights = PairWeights(spec, table, yvars, pair_weight)
+    total: defaultdict[int, int] = defaultdict(int)
+    for chain, w in chain_weights(chains_in(between), a, b, weights):
+        sign = 1 if len(chain) % 2 else -1
+        for key, c in w:
+            total[key] += sign * c
+    return polynomial(table, weights.codec, (kc for kc in total.items() if kc[1]))
 
 
 def K_and_N(
@@ -366,6 +413,8 @@ def verify_reciprocity(
     else:
         value = hls_modified(spec, max_chains, max_elements, max_terms)
         top_var = None
+    # The check reads the numerator as a polynomial only: drop its packed terms.
+    value.numerator = value.numerator
     k, n_value = K_and_N(spec, value.table, value.yvars)
     lhs, rhs = cleared_reciprocity(value, k, n_value, top_var)
     return ReciprocityCertificate(spec, kind, n_value, k, lhs, rhs, lhs == rhs)
@@ -426,27 +475,37 @@ def verify_order_complex(
     all_y = ctx.all_y_ids()
     rhs_scale = k if (n_value - 1) % 2 == 0 else -k
 
-    # One signed weight per chain of the open interval, with its bitmask.
+    # One signed, packed weight per chain of the open interval, with its bitmask.
     index = {e: pos for pos, e in enumerate(open_interval)}
+    weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
     chains = []
     norm = 0
     walk = chains_in(open_interval, max_chains=max_chains)
-    for chain, w in chain_weights(walk, spec.bottom(), spec.top(), ctx.yvars, ctx.table):
+    for chain, w in chain_weights(walk, spec.bottom(), spec.top(), weights):
         mask = 0
         for e in chain:
             mask |= 1 << index[e]
         if len(chain) % 2:
-            w = -w
-        norm += sum(map(abs, w.terms.values()))
+            w = [(key, -c) for key, c in w]
+        norm += sum(abs(c) for _, c in w)
         chains.append((mask, w))
 
+    # Each Y key packs as its monomial on the left and as that monomial,
+    # inverted and scaled, on the right, once.
     pack = _packer(norm * max(1, sum(map(abs, k.terms.values()))))
+    unpack = weights.codec.unpack
+    sides = {}
     lhs = [0] * (1 << m)
     rhs = [0] * (1 << m)
     while chains:
         mask, w = chains.pop()
-        lhs[mask] += pack(w)
-        rhs[mask] += pack(rhs_scale * w.invert_vars(all_y))
+        for key, c in w:
+            packed = sides.get(key)
+            if packed is None:
+                y = LaurentPoly(ctx.table, {unpack(key): 1})
+                packed = sides[key] = pack(y), pack(rhs_scale * y.invert_vars(all_y))
+            lhs[mask] += c * packed[0]
+            rhs[mask] += c * packed[1]
     _subset_sums(lhs, m)
     _subset_sums(rhs, m)
 

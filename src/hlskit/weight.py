@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from ._packed import ONE, Packed, PairWeights, multiply
 from .exactalg import LaurentPoly, VarTable, y_binomial
 from .poset import (
     Component,
@@ -101,32 +102,24 @@ def chain_weights(
     chains: Iterable[Sequence[Element]],
     bottom: Element,
     top: Element,
-    yvars: Sequence[Sequence[int]],
-    table: VarTable,
-) -> Iterator[tuple[Sequence[Element], LaurentPoly]]:
+    weights: PairWeights,
+) -> Iterator[tuple[Sequence[Element], Packed]]:
     """Each chain with its weight from ``bottom`` through the chain to ``top``.
 
-    The chains must come by length, each after its prefix one element
-    shorter, as the poset walkers yield them.  A chain's product from the
-    bottom is then its prefix's product times one pair weight, so only the
-    previous length's products are kept, and each pair weight is computed
-    once.  Each chain is checked as it extends its prefix, as in
-    ``chain_weight``: the new element lies above the last, not at the bottom.
+    The weight comes packed by ``weights.codec``, as a product of the packed
+    pair weights of ``weights``.  The chains must come by length, each after
+    its prefix one element shorter, as the poset walkers yield them.  A
+    chain's product from the bottom is then its prefix's product times one
+    pair weight, so only the previous length's products are kept.  Each
+    chain is checked as it extends its prefix, as in ``chain_weight``: the
+    new element lies above the last, not at the bottom.
     """
-    pairs: dict[tuple[Element, Element], LaurentPoly] = {}
-
-    def pair(a: Element, b: Element) -> LaurentPoly:
-        w = pairs.get((a, b))
-        if w is None:
-            w = pairs[a, b] = pair_weight(a, b, yvars, table)
-        return w
-
-    shorter: dict[Sequence[Element], LaurentPoly] = {}
-    level: dict[Sequence[Element], LaurentPoly] = {(): LaurentPoly.const(table, 1)}
+    shorter: dict[Sequence[Element], Packed] = {}
+    level: dict[Sequence[Element], Packed] = {(): ONE}
     length = 0
     for chain in chains:
         if not chain:
-            yield chain, pair(bottom, top)
+            yield chain, weights(bottom, top)
             continue
         if len(chain) != length:
             shorter, level, length = level, {}, len(chain)
@@ -139,8 +132,8 @@ def chain_weights(
         prefix = shorter.get(chain[:-1])
         if prefix is None:
             raise ValueError("chains must come by length, each after its prefix")
-        w = level[chain] = prefix * pair(prev, last)
-        yield chain, w * pair(last, top)
+        w = level[chain] = multiply(prefix, weights(prev, last))
+        yield chain, multiply(w, weights(last, top))
 
 
 # -- skew tableaux ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from hlskit.poset import (
     DegenerateSpecError,
     Element,
     PosetSpec,
+    delta,
     enumerate_elements,
     enumerate_multichains,
     leq_t,
@@ -192,6 +193,41 @@ def reference_matmul(a: verify.PolyMatrix, b: verify.PolyMatrix) -> verify.PolyM
             row.append(acc)
         entries.append(row)
     return verify.PolyMatrix(a.labels, entries, a.table)
+
+
+def reference_mobius_matrix(spec: PosetSpec, zeta: verify.PolyMatrix) -> verify.PolyMatrix:
+    """The closed-form Möbius matrix on ``LaurentPoly`` arithmetic, read off ``zeta``.
+
+    Entry (a, b) is the zeta entry at inverted Y variables times the sign
+    (-1)^(cardinality difference) and the monomial of per-position deltas,
+    which clears every negative exponent.  ``zeta`` must be a zeta matrix
+    of ``spec``, with its Y variables.
+    """
+    yvars = zeta.yvars
+    all_y = [v for comp in yvars for v in comp]
+    zero = LaurentPoly.zero(zeta.table)
+    entries = []
+    for a, weights in zip(zeta.labels, zeta.entries):
+        row = [zero] * len(weights)
+        for j, w in enumerate(weights):
+            if not w.terms:
+                continue
+            b = zeta.labels[j]
+            sign = 1
+            exps: dict[int, int] = {}
+            for c in range(spec.g):
+                nc = spec.n[c]
+                if delta(a[c], b[c], nc + 1) % 2:
+                    sign = -sign
+                for p in range(nc + 1):
+                    d = delta(a[c], b[c], p)
+                    if d:
+                        exps[yvars[c][p]] = d
+            entry = LaurentPoly.monomial(zeta.table, exps, sign) * w.invert_vars(all_y)
+            assert not entry.has_negative_exponent(), "Moebius entry failed to clear"
+            row[j] = entry
+        entries.append(row)
+    return verify.PolyMatrix(zeta.labels, entries, zeta.table)
 
 
 def reference_expand_multichain(

@@ -511,15 +511,18 @@ def test_verify_zeta_mobius_computes_each_pair_weight_once(capsys, monkeypatch):
 def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):
     # No true instance fails, so perturb one Moebius entry: adding 1 at
     # (bottom, b) changes only the product entry (bottom, b) of zeta * mobius.
+    # The entry is perturbed on its packed keys, where the run reads it.
     import hlskit.cli as cli
-    from hlskit.verify import mobius_matrix
+    from hlskit.verify import mobius_rows
 
-    def broken(spec, **kwargs):
-        m = mobius_matrix(spec, **kwargs)
-        m.entries[0][1] = m.entries[0][1] + 1
+    def broken(zeta):
+        m = mobius_rows(zeta)
+        terms = dict(m.rows[0][1])
+        terms[0] = terms.get(0, 0) + 1
+        m.rows[0][1] = [(key, c) for key, c in terms.items() if c]
         return m
 
-    monkeypatch.setattr(cli, "mobius_matrix", broken)
+    monkeypatch.setattr(cli, "mobius_rows", broken)
     code, out, _ = run(
         capsys, "verify", "zeta-mobius", "--n", "1", "--r", "1", "--no-timing"
     )
@@ -527,6 +530,66 @@ def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):
     data = json.loads(out)
     assert data["pass"] is False
     assert data["counterexample"] == {"row": "-", "column": "0", "entry": "1"}
+
+
+def test_verify_zeta_mobius_with_a_flipped_mobius_sign_exits_3(capsys, monkeypatch):
+    # Flip the sign of the closed form at the cover (bottom, 0) only: the
+    # product entry there, mu(bottom, 0) + zeta(bottom, 0), is then twice
+    # zeta(bottom, 0), which is Y[1,1].
+    from hlskit._packed import PairWeights
+
+    spec = PosetSpec((1,), (1,))
+    bottom, first = enumerate_elements(spec)[:2]
+    factor = PairWeights.mobius_factor
+
+    def flipped(self, a, b):
+        delta, sign = factor(self, a, b)
+        return delta, -sign if (a, b) == (bottom, first) else sign
+
+    monkeypatch.setattr(PairWeights, "mobius_factor", flipped)
+    code, out, _ = run(capsys, "verify", "zeta-mobius", "--n", "1", "--r", "1", "--no-timing")
+    assert code == 3
+    assert json.loads(out)["counterexample"] == {"row": "-", "column": "0", "entry": "2*Y[1,1]"}
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "verify"),
+        (("verify", "order-complex", "--n", "1", "--r", "2"), "verify"),
+        (("expand", "--n", "1", "--r", "2", "--max-degree", "2"), "series"),
+    ],
+)
+def test_a_pair_weight_past_delta_exits_1_with_one_line(capsys, monkeypatch, argv, module):
+    import importlib
+
+    from hlskit.exactalg import LaurentPoly
+    from hlskit.weight import pair_weight
+
+    def wrong(a, b, yvars, table):
+        return pair_weight(a, b, yvars, table) * LaurentPoly.variable(table, yvars[0][0], 2)
+
+    monkeypatch.setattr(importlib.import_module(f"hlskit.{module}"), "pair_weight", wrong)
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the weight of (") and "past δ" in err
+    assert err.count("\n") == 1
+
+
+def test_verify_order_complex_with_a_wrong_k_exits_3(capsys, monkeypatch):
+    import hlskit.verify as verify
+    from hlskit.exactalg import LaurentPoly
+
+    def k_times_y(spec, table=None, yvars=None):
+        k, n_value = K_and_N(spec, table, yvars)
+        return k * LaurentPoly.variable(k.table, yvars[0][0]), n_value
+
+    K_and_N = verify.K_and_N
+    monkeypatch.setattr(verify, "K_and_N", k_times_y)
+    code, out, _ = run(capsys, "verify", "order-complex", "--n", "2", "--r", "1", "--no-timing")
+    assert code == 3
+    data = json.loads(out)
+    assert data["pass"] is False and len(data["counterexample"]) == 8
 
 
 def test_verify_order_complex(capsys):

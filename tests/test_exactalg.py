@@ -237,3 +237,34 @@ def test_binomial_symmetry():
 
 def test_binomial_specialization():
     assert run_specialization_cases() == 66
+
+
+# -- the print order of terms --------------------------------------------------------
+
+
+def _dense_key(m, nvars):
+    """The print order as first stated: total degree, then the dense exponent row."""
+    row = [0] * nvars
+    for v, e in m:
+        row[v] = e
+    return sum(row), tuple(row)
+
+
+def test_sorted_terms_sort_as_the_dense_key():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nvars = 6
+    table = VarTable([f"x{i}" for i in range(nvars)])
+    exponents = st.integers(min_value=-3, max_value=3)
+    monomials = st.dictionaries(st.integers(min_value=0, max_value=nvars - 1), exponents)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(monomials, max_size=12))
+    def check(monos):
+        p = LaurentPoly.zero(table)
+        for exps in monos:
+            p = p + LaurentPoly.monomial(table, exps, 1)
+        got = [m for m, _ in p.sorted_terms()]
+        assert got == sorted(p.terms, key=lambda m: _dense_key(m, nvars))
+
+    check()

@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 
 from hlskit import series
-from hlskit._packed import Codec, PackedNumerator, exponent_bounds
+from hlskit._packed import (
+    Codec,
+    PackedCoefficients,
+    PackedNumerator,
+    exponent_bounds,
+)
 from hlskit.exactalg import LaurentPoly, VarTable
 from hlskit.poset import PosetSpec, enumerate_chains, interval_elements
 from hlskit.series import (
@@ -19,10 +24,24 @@ from hlskit.series import (
     mv_hls,
     weak_order_igusa,
 )
-from hlskit.verify import is_identity, matmul, mobius_matrix, mobius_via_chains, zeta_matrix
+from hlskit.verify import (
+    is_identity,
+    matmul,
+    mobius_matrix,
+    mobius_rows,
+    mobius_via_chains,
+    rows_mismatch,
+    zeta_matrix,
+    zeta_rows,
+)
 from hlskit.weight import chain_weight
 
-from conftest import reference_matmul, reference_numerator_sum
+from conftest import (
+    reference_expand_multichain,
+    reference_matmul,
+    reference_mobius_matrix,
+    reference_numerator_sum,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -88,6 +107,10 @@ def oracle(spec, interval):
     return reference_numerator_sum(ctx.table, vids, contributions)
 
 
+def sorted_coefficients(expansion):
+    return sorted(expansion.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(spec=small_specs(), bound=PARTS)
 def test_packed_routes_match_unpacked_ones(spec, bound):
@@ -98,11 +121,21 @@ def test_packed_routes_match_unpacked_ones(spec, bound):
         assert text == value.numerator.text()
         if spec.element_count() <= ORACLE_ELEMENTS:
             assert (value.numerator, value.chain_count) == oracle(spec, interval)
-    assert expand_rational(hls(spec), bound) == expand_multichain(spec, bound)
+    expansions = expand_rational(hls(spec), bound), expand_multichain(spec, bound)
+    for expansion in expansions:
+        # Rendered from the keys before ``coefficients`` unpacks them.
+        texts = expansion.texts()
+        assert texts == [(key, c.text()) for key, c in sorted_coefficients(expansion)]
+    assert expansions[0] == expansions[1]
+    if spec.element_count() <= ORACLE_ELEMENTS:
+        assert expansions[1] == reference_expand_multichain(spec, bound)
     zeta, mobius = zeta_matrix(spec), mobius_matrix(spec)
+    assert mobius.entries == reference_mobius_matrix(spec, zeta).entries
     product = matmul(zeta, mobius)
     assert product.entries == reference_matmul(zeta, mobius).entries
     assert is_identity(product)
+    packed = zeta_rows(spec)
+    assert rows_mismatch(packed.times(mobius_rows(packed)).rows) is None
     # The closed-form Möbius function against the alternating chain sums.
     for i, a in enumerate(mobius.labels):
         for j, b in enumerate(mobius.labels):
@@ -180,3 +213,45 @@ def test_an_explicit_numerator_renders_as_given():
     ):
         assert given.numerator is numerator
         assert (given.term_count, given.numerator_text()) == (2, "2 - 3*X{0}")
+
+
+# -- truncated expansions, rendered from packed keys --------------------------------
+
+
+@pytest.mark.parametrize("method", ["multichain", "rational"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_output_never_unpacks_the_coefficients(capsys, monkeypatch, method, fmt):
+    from hlskit.cli import main
+
+    argv = ["expand", "--n", "1,1", "--r", "1,1", "--max-degree", "3", "--method", method]
+    argv += ["--format", fmt, "--no-timing"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def unpack(coefficients):
+        raise AssertionError("the coefficients were unpacked")
+
+    monkeypatch.setattr(PackedCoefficients, "unpack", unpack)
+    monkeypatch.setattr(series, "unpack", unpack)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_expansions_hold_their_coefficients_packed():
+    spec = PosetSpec((2,), (1,))
+    for expansion in (expand_multichain(spec, 3), expand_rational(hls(spec), 3)):
+        assert isinstance(expansion._coefficients, PackedCoefficients)
+        view = expansion.coefficients
+        assert expansion.coefficients is view
+        assert isinstance(expansion._coefficients, PackedCoefficients)
+
+
+def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
+    spec = PosetSpec((1,), (2,))
+    value = hls(spec)
+    expected = expand_rational(value, 3)
+    assert value.numerator.term_count == 12
+    assert expand_rational(value, 3) == expected
+    explicit = dataclasses.replace(value, numerator=value.numerator)
+    with pytest.raises(ValueError, match="still packed"):
+        expand_rational(explicit, 3)

@@ -3,11 +3,13 @@ import itertools
 import pytest
 
 from hlskit import verify
+from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
     CapExceededError,
     DegenerateSpecError,
     PosetSpec,
+    delta,
     enumerate_elements,
     leq_t,
     lt_t,
@@ -26,13 +28,18 @@ from hlskit.verify import (
     kron,
     matmul,
     mobius_matrix,
+    mobius_rows,
     mobius_via_chains,
+    rows_mismatch,
     verify_order_complex,
     verify_reciprocity,
     zeta_matrix,
+    zeta_rows,
 )
+from hlskit.weight import pair_weight
 
-from conftest import reference_matmul, reference_order_complex
+from conftest import reference_matmul, reference_mobius_matrix, reference_order_complex
+from test_series import SMALL_SPECS, spec_id
 
 Q_PASCAL_SPEC = PosetSpec((0,), (2,))
 
@@ -287,6 +294,96 @@ def test_matmul_rejects_negative_exponents(side):
     inverse = PolyMatrix(labels, [[LaurentPoly.variable(table, 0, -1)]], table)
     with pytest.raises(ValueError, match="negative exponent"):
         matmul(inverse, one) if side == "a" else matmul(one, inverse)
+
+
+# -- packed zeta and Möbius rows against the LaurentPoly routes ----------------------
+
+
+@pytest.mark.parametrize(
+    "spec", SMALL_SPECS + [PosetSpec((1, 1), (1, 2)), PosetSpec((4,), (3,))], ids=spec_id
+)
+def test_packed_rows_match_the_laurent_routes(spec):
+    ctx = make_context(spec)
+    zeta = zeta_rows(spec)
+    mobius = mobius_rows(zeta)
+    z = zeta.view()
+    zero = LaurentPoly.zero(ctx.table)
+    for i, a in enumerate(z.labels):
+        for j, b in enumerate(z.labels):
+            expected = pair_weight(a, b, ctx.yvars, ctx.table) if leq_t(a, b) else zero
+            assert z.entries[i][j] == expected
+    assert mobius.view().entries == reference_mobius_matrix(spec, z).entries
+    assert mobius_matrix(spec).entries == mobius.view().entries
+    # Every product of two of them, as the run and as matmul compute it.
+    for left, right in ((zeta, mobius), (mobius, zeta), (zeta, zeta), (mobius, mobius)):
+        product = left.times(right)
+        want = reference_matmul(left.view(), right.view())
+        assert product.view().entries == want.entries
+        assert matmul(left.view(), right.view()).entries == want.entries
+        assert rows_mismatch(product.rows) == identity_mismatch(want)
+        assert (rows_mismatch(product.rows) is None) == (right is not left)
+
+
+def test_packed_rows_multiply_only_over_the_same_elements_and_codec():
+    spec = PosetSpec((1,), (2,))
+    zeta = zeta_rows(spec)
+    identity = [{i: [(0, 1)]} for i in range(len(zeta.labels))]
+    assert zeta.times(mobius_rows(zeta)).rows == identity
+    ctx = make_context(PosetSpec((1, 1), (1, 2)))
+    # Other elements; then the same elements, with the Y variables of a wider table.
+    for other in (zeta_rows(PosetSpec((1,), (3,))), zeta_rows(spec, ctx.table, ctx.yvars[1:])):
+        with pytest.raises(ValueError, match="same elements and codec"):
+            zeta.times(other)
+
+
+def test_rows_mismatch_finds_the_first_entry_out_of_place():
+    one = [(0, 1)]
+    assert rows_mismatch([{0: one}, {1: one}]) is None
+    assert rows_mismatch([{0: one}, {}]) == (1, 1)
+    assert rows_mismatch([{0: one}, {0: [(3, 2)], 1: one}]) == (1, 0)
+    assert rows_mismatch([{0: one, 1: [(1, -1)]}, {1: one}]) == (0, 1)
+    assert rows_mismatch([{1: one}, {1: one}]) == (0, 0)
+    assert rows_mismatch([{0: [(1, 1)]}]) == (0, 0)
+
+
+@pytest.mark.parametrize("spec", [PosetSpec((2,), (2,)), PosetSpec((1, 1), (1, 2))], ids=str)
+def test_packing_a_weight_past_delta_raises(spec):
+    ctx = make_context(spec)
+    weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
+    elements = enumerate_elements(spec)
+    for a, b in itertools.product(elements, repeat=2):
+        if not leq_t(a, b):
+            continue
+        w = pair_weight(a, b, ctx.yvars, ctx.table)
+        for c in range(spec.g):
+            for p in range(spec.n[c] + 1):
+                v, d = ctx.yvars[c][p], delta(a[c], b[c], p)
+                at_delta = w + LaurentPoly.variable(ctx.table, v, d)
+                assert len(weights.pack(a, b, at_delta)) == len(at_delta.terms)
+                with pytest.raises(ValueError, match="past δ"):
+                    weights.pack(a, b, w + LaurentPoly.variable(ctx.table, v, d + 1))
+                with pytest.raises(ValueError, match="past δ"):
+                    weights.pack(a, b, w + LaurentPoly.variable(ctx.table, v, -1))
+        x = LaurentPoly.variable(ctx.table, ctx.x_ids[ctx.x_elements[0]])
+        with pytest.raises(ValueError, match="past δ = 0"):
+            weights.pack(a, b, w * x)
+
+
+def test_zeta_rows_raise_on_a_pair_weight_past_delta(monkeypatch):
+    spec = PosetSpec((1,), (2,))
+    bottom, top = spec.bottom(), spec.top()
+
+    def wrong(a, b, yvars, table):
+        w = pair_weight(a, b, yvars, table)
+        if (a, b) == (bottom, top):
+            w = w + LaurentPoly.variable(table, yvars[0][1], delta(a[0], b[0], 1) + 1)
+        return w
+
+    monkeypatch.setattr(verify, "pair_weight", wrong)
+    with pytest.raises(ValueError, match=r"\(-, 0\^2 1\) has Y\[1,1\]\^3, past δ = 2"):
+        zeta_rows(spec)
+    with pytest.raises(ValueError, match="past δ"):
+        mobius_via_chains(spec, bottom, top)
 
 
 def test_mobius_via_chains_at_equal_arguments():

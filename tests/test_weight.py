@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable
 from hlskit.poset import (
     PosetSpec,
@@ -130,11 +131,15 @@ def test_chain_weight_rejects_non_chains():
 def test_chain_weights_match_chain_weight():
     for spec, length in ((PosetSpec((2,), (2,)), 3), (PosetSpec((1, 1), (1, 0)), 4)):
         ctx = make_context(spec)
+        weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
         chains = list(enumerate_multichains(spec, max_total_length=length))
-        got = list(chain_weights(chains, spec.bottom(), spec.top(), ctx.yvars, ctx.table))
+        got = list(chain_weights(chains, spec.bottom(), spec.top(), weights))
         assert [c for c, _ in got] == chains
         for chain, w in got:
-            assert w == chain_weight(chain, spec, ctx.yvars, ctx.table)
+            unpacked = {weights.codec.unpack(key): c for key, c in w}
+            assert len(unpacked) == len(w) and all(c for _, c in w)
+            expected = chain_weight(chain, spec, ctx.yvars, ctx.table)
+            assert LaurentPoly(ctx.table, unpacked) == expected
 
 
 def test_chain_weights_reject_what_chain_weight_rejects():
@@ -144,7 +149,8 @@ def test_chain_weights_reject_what_chain_weight_rejects():
     b = parse_element("1 2", spec)
 
     def weigh(*chains):
-        return list(chain_weights(chains, spec.bottom(), spec.top(), ctx.yvars, ctx.table))
+        weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
+        return list(chain_weights(chains, spec.bottom(), spec.top(), weights))
 
     with pytest.raises(ValueError, match="not a multichain"):
         weigh((), (a,), (b,), (a, b))
