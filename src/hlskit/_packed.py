@@ -1,15 +1,14 @@
 """Packed ints: monomials (``Codec``), chain-series terms and polynomials.
 
 Monomials are keyed by a ``Codec``, so a product of monomials is one int
-addition:
+addition.  ``PairWeights`` packs each pair weight of a spec once, by the δ
+codec, whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide, and every
+packed route stays on its keys:
 
-- ``PairWeights`` packs each pair weight of a spec once, by the δ codec,
-  whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide.  Chain weights
-  (``weight.chain_weights``), the multichain expansion, the zeta and
-  Möbius rows of ``verify`` and their products (``multiply_rows``, shared
-  with ``verify.matmul``) all stay on its keys.
-- The chain-series sweep (``pack_pair_weights``, ``sweep``) sizes its own
-  codec by the longest path of its weights; its numerator stays packed
+- chain weights (``weight.chain_weights``) and the multichain expansion;
+- the zeta and Möbius rows of ``verify`` and their products
+  (``multiply_rows``, shared with ``verify.matmul``);
+- the chain-series sweep (``sweep``), whose numerator stays packed
   (``PackedNumerator``), and so do the truncated expansions of either
   route (``PackedCoefficients``).
 
@@ -126,12 +125,15 @@ class PairWeights:
         _, high, card_b = self.stats(b)
         return high - low, -1 if (card_b - card_a) % 2 else 1
 
-    def pack(self, a: Element, b: Element, w: LaurentPoly) -> Packed:
-        """``w``, the weight of ``(a, b)``, packed once its exponents are checked."""
+    def __call__(self, a: Element, b: Element) -> Packed:
+        """The weight of ``(a, b)``, packed once its exponents are checked."""
+        w = self._pairs.get((a, b))
+        if w is not None:
+            return w
         delta = dict(zip(self.ids, map(sub, self.stats(b)[0], self.stats(a)[0])))
         shifts = self.codec.shifts
-        out = []
-        for mono, c in w.terms.items():
+        w = []
+        for mono, c in self.weight(a, b, self.yvars, self.table).terms.items():
             key = 0
             for v, e in mono:
                 if not 0 < e <= delta.get(v, 0):
@@ -140,13 +142,8 @@ class PairWeights:
                         f" {self.table.name(v)}^{e}, past δ = {delta.get(v, 0)}"
                     )
                 key += e << shifts[v]
-            out.append((key, c))
-        return out
-
-    def __call__(self, a: Element, b: Element) -> Packed:
-        w = self._pairs.get((a, b))
-        if w is None:
-            w = self._pairs[a, b] = self.pack(a, b, self.weight(a, b, self.yvars, self.table))
+            w.append((key, c))
+        self._pairs[a, b] = w
         return w
 
 
@@ -203,50 +200,6 @@ def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:
     return out
 
 
-def pack_pair_weights(
-    weight: Callable[[Element, Element], LaurentPoly],
-    bottom: Element,
-    top: Element,
-    ny: int,
-    preds: dict[Element, list[Element]],
-    swept: Sequence[Element],
-    bit: dict[Element, int],
-) -> tuple[dict[tuple[Element, Element], Packed], Codec]:
-    """Every pair weight of the sweep, packed, and the codec of its Y parts.
-
-    A sweep term ``c * Y^e * prod_{i in S} X_i`` has the key ``mask(S) |
-    codec.pack(e) << m``, bit ``i`` of the mask for element ``i`` of the
-    ``m`` in ``bit``.  The codec bounds each of the ``ny`` Y variables by the
-    largest exponent any chain can reach, the longest path over the sweep in
-    the max-plus sense of the weights' exponents.  A weight into a swept
-    element ``c`` carries ``X_c``; the top's own weight is stored as
-    ``weight(top, top) - 1``, as its step takes it.
-    """
-    weights = {(s, c): weight(s, c) for c in swept for s in preds[c]}
-    for s in [bottom, *swept]:
-        weights[s, top] = weight(s, top)
-    if top in preds:
-        weights[top, top] = weight(top, top)
-    highest = {pair: exponent_bounds([w], ny) for pair, w in weights.items()}
-    reach = {bottom: [0] * ny}
-    for c in swept:
-        reach[c] = _longest([(reach[s], highest[s, c]) for s in preds[c]])
-    bound = _longest([(reach[s], highest[s, top]) for s in reach])
-    if top in preds:
-        bound = _longest([(bound, highest[top, top])])
-        weights[top, top] -= 1
-    codec = Codec(bound)
-    m = len(bit)
-    packed = {
-        (s, c): [
-            (codec.pack(mono) << m | (0 if c == top else bit[c]), k)
-            for mono, k in w.terms.items()
-        ]
-        for (s, c), w in weights.items()
-    }
-    return packed, codec
-
-
 def sweep(
     bottom: Element,
     top: Element,
@@ -254,13 +207,18 @@ def sweep(
     preds: dict[Element, list[Element]],
     swept: Sequence[Element],
     bit: dict[Element, int],
-    packed: dict[tuple[Element, Element], Packed],
+    weights: PairWeights,
     term_cap: int,
 ) -> Terms:
     """The folded transfer-matrix sweep, as described at ``_chain_series``.
 
     ``bit`` maps the elements, in X variable order, to their mask bits, and
     ``above`` lists, by index in that order, the elements above each one.
+    A term ``c * Y^e * prod_{i in S} X_i`` has the key ``y << m | mask(S)``,
+    ``y`` the key of ``Y^e`` by ``weights.codec`` and bit ``i`` of the mask
+    for element ``i`` of the ``m`` in ``bit``.  A weight into a swept element
+    ``c`` carries ``X_c``, and the top's own weight enters its step as
+    ``weights(top, top) - 1``.
     """
     elements = list(bit)
     m = len(elements)
@@ -278,7 +236,7 @@ def sweep(
     total: Terms = {}
 
     def fold(s: Element) -> None:
-        _add_product(total, states.pop(s), packed[s, top])
+        _add_product(total, states.pop(s), [(y << m, a) for y, a in weights(s, top)])
 
     def check(step: int) -> None:
         if len(total) + sum(map(len, states.values())) > term_cap:
@@ -288,12 +246,12 @@ def sweep(
         fold(bottom)
     check(0)
     for k, c in enumerate(swept):
+        b = bit[c]
         incoming: Terms = {}
         for s in preds[c]:
-            _add_product(incoming, states[s], packed[s, c])
+            _add_product(incoming, states[s], [(y << m | b, a) for y, a in weights(s, c)])
         for s in fold_at.get(k, ()):
             fold(s)
-        b = bit[c]
         for terms in (*states.values(), total):
             terms.update({key + b: -a for key, a in terms.items()})
         states[c] = incoming
@@ -303,7 +261,9 @@ def sweep(
     if top in preds:
         b = bit[top]
         state_top = {key + b: a for key, a in total.items()}
-        _add_product(total, state_top, packed[top, top])
+        step = dict(weights(top, top))
+        step[0] = step.get(0, 0) - 1
+        _add_product(total, state_top, [(y << m, a) for y, a in step.items() if a])
         check(m)
     return total
 
@@ -311,7 +271,7 @@ def sweep(
 class PackedNumerator(NamedTuple):
     """A sweep's numerator, still packed.
 
-    ``terms`` are keyed as at ``pack_pair_weights``: mask bit ``i`` stands
+    ``terms`` are keyed as at ``sweep``: mask bit ``i`` stands
     for the X variable ``x_vids[i]``, and the rest of the key is a Y part
     packed by ``codec``.  Y variable ids must precede the X ones, and
     ``x_vids`` must increase.
@@ -425,11 +385,6 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
             ys = y_parts[y] = codec.unpack(y)
         monomials[ys + xs] = a
     return LaurentPoly(table, monomials)
-
-
-def _longest(paths: list[tuple[list[int], list[int]]]) -> list[int]:
-    """Componentwise max of ``a + b`` over the pairs of vectors in ``paths``."""
-    return [max(column) for column in zip(*([x + y for x, y in zip(a, b)] for a, b in paths))]
 
 
 def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:

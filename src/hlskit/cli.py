@@ -27,7 +27,6 @@ from .poset import (
 )
 from .series import (
     HlsRational,
-    TruncatedSeries,
     classical_igusa,
     expand_multichain,
     expand_rational,
@@ -145,13 +144,10 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _x_label(series: TruncatedSeries, key: tuple[int, ...]) -> str:
-    parts = []
-    for pos, e in enumerate(key):
-        if e:
-            name = series.table.name(series.x_vars[pos])
-            parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+def _x_label(names: list[str], key: tuple[int, ...]) -> str:
+    """The X monomial of a multidegree, over the names of its positions."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
+    return "*".join(parts) or "1"
 
 
 def cmd_expand(args) -> int:
@@ -164,8 +160,9 @@ def cmd_expand(args) -> int:
     else:
         _reject_unread(args, "expand --method multichain", ("--max-terms",), ())
         series = expand_multichain(spec, args.max_degree, args.max_chains, args.max_elements)
+    names = [series.table.name(v) for v in series.x_vars]
     if args.format == "json":
-        element_names = [series.table.name(v)[2:-1] for v in series.x_vars]
+        element_names = [name[2:-1] for name in names]
         rows = []
         for key, text in series.texts():
             mono = {element_names[pos]: e for pos, e in enumerate(key) if e}
@@ -177,7 +174,7 @@ def cmd_expand(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        lines = [f"{_x_label(series, key)} : {text}" for key, text in series.texts()]
+        lines = [f"{_x_label(names, key)} : {text}" for key, text in series.texts()]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -25,7 +24,6 @@ from ._packed import (
     PackedNumerator,
     PairWeights,
     Terms,
-    pack_pair_weights,
     sweep,
     unpack,
 )
@@ -171,7 +169,7 @@ def _chain_series(
     and its top appended.  The bottom must lie below every element, the top
     above every other element if it is one of them, ``elements`` must come
     in X variable order, and ``pair_w`` must return polynomials in the Y
-    variables alone.
+    variables alone, whose exponents keep within δ (``_packed.PairWeights``).
 
     The sweep follows a linear extension and keeps one partial numerator
     per last chain element, starting from the bottom.  At each element
@@ -187,10 +185,11 @@ def _chain_series(
     ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
     copy of ``total``.
 
-    Terms are keyed by packed ints (``_packed.pack_pair_weights``), so a
-    term times a pair-weight monomial times ``X_c`` is one int addition; a
-    negative exponent raises ``ValueError``.  The numerator is returned
-    packed, its mask bits the X variables of ``elements``.
+    Each pair weight is packed once, by the δ codec of ``PairWeights``, and
+    terms are keyed by packed ints (``_packed.sweep``), so a term times a
+    pair-weight monomial times ``X_c`` is one int addition; an exponent past
+    δ raises ``ValueError``.  The numerator is returned packed, its mask
+    bits the X variables of ``elements``.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
@@ -218,12 +217,11 @@ def _chain_series(
 
     swept = order[:-1] if top in preds else order
     bit = {c: 1 << k for k, c in enumerate(elements)}
-    ny = sum(map(len, ctx.yvars))
-    packed, fields = pack_pair_weights(partial(pair_w, ctx), bottom, top, ny, preds, swept, bit)
+    weights = PairWeights(ctx.spec, ctx.table, ctx.yvars, lambda a, b, *_: pair_w(ctx, a, b))
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    total = sweep(bottom, top, above, preds, swept, bit, packed, term_cap)
+    total = sweep(bottom, top, above, preds, swept, bit, weights, term_cap)
     x_vids = tuple(ctx.x_ids[e] for e in elements)
-    return PackedNumerator(ctx.table, x_vids, fields, total), chain_count
+    return PackedNumerator(ctx.table, x_vids, weights.codec, total), chain_count
 
 
 def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:

@@ -15,7 +15,7 @@ conventions; the test suite locks them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -56,8 +56,6 @@ class PolyMatrix:
     labels: tuple[Element, ...]
     entries: list[list[LaurentPoly]]
     table: VarTable
-    # The Y variables of a zeta matrix's pair weights; None for other matrices.
-    yvars: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -101,7 +99,7 @@ class PackedRows(NamedTuple):
         """The ``PolyMatrix`` of these rows."""
         weights = self.weights
         entries = _unpacked(self.rows, len(self.labels), weights.table, weights.codec)
-        return PolyMatrix(self.labels, entries, weights.table, weights.yvars)
+        return PolyMatrix(self.labels, entries, weights.table)
 
 
 def _unpacked(rows: Rows, n: int, table: VarTable, codec: Codec) -> list[list[LaurentPoly]]:
@@ -171,32 +169,9 @@ def mobius_matrix(
     table: VarTable | None = None,
     yvars: Sequence[Sequence[int]] | None = None,
     max_elements: int | None = None,
-    zeta: PolyMatrix | None = None,
 ) -> PolyMatrix:
-    """Closed-form inverse of the zeta matrix, the view of ``mobius_rows``.
-
-    ``zeta`` must be ``zeta_matrix(spec, table, yvars)``; given, its
-    entries are packed (and checked) instead of computing the pair weights
-    again.  One whose labels, variable table or Y variables differ raises
-    ``ValueError``.
-    """
-    table, yvars = _context_vars(spec, table, yvars, max_elements)
-    if zeta is None:
-        return mobius_rows(zeta_rows(spec, table, yvars, max_elements)).view()
-    if (zeta.labels, zeta.table, zeta.yvars) != (
-        tuple(enumerate_elements(spec, max_elements)),
-        table,
-        yvars,
-    ):
-        raise ValueError(
-            "the zeta matrix is not over this spec's elements, variable table and Y variables"
-        )
-    weights = PairWeights(spec, table, yvars, pair_weight)
-    rows = [
-        {j: weights.pack(a, zeta.labels[j], w) for j, w in enumerate(row) if w.terms}
-        for a, row in zip(zeta.labels, zeta.entries)
-    ]
-    return mobius_rows(PackedRows(zeta.labels, weights, rows)).view()
+    """Closed-form inverse of the zeta matrix, the view of ``mobius_rows``."""
+    return mobius_rows(zeta_rows(spec, table, yvars, max_elements)).view()
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -195,15 +195,19 @@ def reference_matmul(a: verify.PolyMatrix, b: verify.PolyMatrix) -> verify.PolyM
     return verify.PolyMatrix(a.labels, entries, a.table)
 
 
-def reference_mobius_matrix(spec: PosetSpec, zeta: verify.PolyMatrix) -> verify.PolyMatrix:
+def reference_mobius_matrix(
+    spec: PosetSpec, zeta: verify.PolyMatrix, yvars=None
+) -> verify.PolyMatrix:
     """The closed-form Möbius matrix on ``LaurentPoly`` arithmetic, read off ``zeta``.
 
     Entry (a, b) is the zeta entry at inverted Y variables times the sign
     (-1)^(cardinality difference) and the monomial of per-position deltas,
     which clears every negative exponent.  ``zeta`` must be a zeta matrix
-    of ``spec``, with its Y variables.
+    of ``spec`` whose pair weights read ``yvars``, by default those of
+    ``make_context(spec)``.
     """
-    yvars = zeta.yvars
+    if yvars is None:
+        yvars = make_context(spec).yvars
     all_y = [v for comp in yvars for v in comp]
     zero = LaurentPoly.zero(zeta.table)
     entries = []

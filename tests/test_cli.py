@@ -553,23 +553,32 @@ def test_verify_zeta_mobius_with_a_flipped_mobius_sign_exits_3(capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "argv, module",
+    "argv, target",
     [
         (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "verify"),
         (("verify", "order-complex", "--n", "1", "--r", "2"), "verify"),
         (("expand", "--n", "1", "--r", "2", "--max-degree", "2"), "series"),
+        (("compute", "--n", "1", "--r", "2"), "series"),
+        (("specialize", "--kind", "classical-igusa", "--r", "2"), "series._zero_count_pair"),
     ],
 )
-def test_a_pair_weight_past_delta_exits_1_with_one_line(capsys, monkeypatch, argv, module):
+def test_a_pair_weight_past_delta_exits_1_with_one_line(capsys, monkeypatch, argv, target):
+    # ``target`` is the module, and the pair weight in it if not ``pair_weight``,
+    # whose every value is multiplied by Y[1,0]^2.
     import importlib
 
     from hlskit.exactalg import LaurentPoly
-    from hlskit.weight import pair_weight
 
-    def wrong(a, b, yvars, table):
-        return pair_weight(a, b, yvars, table) * LaurentPoly.variable(table, yvars[0][0], 2)
+    module, _, name = target.partition(".")
+    module = importlib.import_module(f"hlskit.{module}")
+    name = name or "pair_weight"
+    right = getattr(module, name)
 
-    monkeypatch.setattr(importlib.import_module(f"hlskit.{module}"), "pair_weight", wrong)
+    def wrong(*args):
+        w = right(*args)
+        return w * LaurentPoly.variable(w.table, w.table.id("Y[1,0]"), 2)
+
+    monkeypatch.setattr(module, name, wrong)
     code, out, err = run(capsys, *argv, "--no-timing")
     assert (code, out) == (1, "")
     assert err.startswith("error: the weight of (") and "past δ" in err

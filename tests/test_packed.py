@@ -178,21 +178,21 @@ def test_packed_text_of_the_empty_interval_is_one():
 
 def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
     # weak_order_igusa(3) has coefficients of 2 on X monomials; a pair weight
-    # of 1 - 3*Y[1,0] gives larger ones, of both signs, on Y monomials.
+    # of 4 - 3*w, within δ as the weight w is, gives larger ones, of both
+    # signs, on Y monomials.
     value = weak_order_igusa(3)
     assert max(map(abs, value._numerator.terms.values())) == 2
     rendered, unpacked = packed_and_unpacked_text(value)
     assert rendered == unpacked and "+ 2*X{1}" in rendered
 
-    def pair(ctx, a, b):
-        if a == b:
-            return LaurentPoly.const(ctx.table, 1)
-        return 1 - 3 * LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"))
-
-    monkeypatch.setattr(series, "_hls_pair", pair)
-    value = hls(PosetSpec((0,), (2,)))
+    hls_pair = series._hls_pair
+    monkeypatch.setattr(series, "_hls_pair", lambda ctx, a, b: 4 - 3 * hls_pair(ctx, a, b))
+    value = hls(PosetSpec((0,), (3,)))
     rendered, unpacked = packed_and_unpacked_text(value)
-    assert rendered == unpacked == "1 - 3*Y[1,0] - 3*Y[1,0]*X{0} + 9*Y[1,0]^2*X{0}"
+    assert rendered == unpacked == (
+        "1 - 3*Y[1,0]*X{0^2} - 3*Y[1,0]*X{0} - 3*Y[1,0]^2*X{0^2} - 3*Y[1,0]^2*X{0}"
+        " + 12*Y[1,0]^2*X{0}*X{0^2} + 9*Y[1,0]^3*X{0}*X{0^2}"
+    )
 
 
 def test_an_explicit_numerator_renders_as_given():

@@ -1,6 +1,7 @@
 import pytest
 
 from hlskit import series
+from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
 from hlskit.poset import (
     CapExceededError,
@@ -32,7 +33,7 @@ from hlskit.series import (
     substitute,
     weak_order_igusa,
 )
-from hlskit.weight import chain_weight, phi_tableau, project, theta_tableau
+from hlskit.weight import chain_weight, pair_weight, phi_tableau, project, theta_tableau
 
 from conftest import (
     brute_force_chains,
@@ -473,27 +474,42 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("interval", ["half_open", "open"])
-@pytest.mark.parametrize("name", list(BUILDERS))
-def test_kernel_matches_reference_for_every_builder(name, interval):
-    build, pair, (key, leq), shapes = BUILDERS[name]
+def built(name, interval):
+    """Each spec of a builder in ``BUILDERS`` with its series over ``interval``."""
+    build, pair, (key, _), shapes = BUILDERS[name]
     for n, r in shapes:
         spec = PosetSpec(n, r)
         if interval == "half_open":
-            value = build(spec)
+            yield spec, build(spec)
         elif spec.is_degenerate():
             continue
         elif name == "hls":
-            value = hls_modified(spec)
+            yield spec, hls_modified(spec)
         else:
             # The specializations have no open-interval builder; sweep it directly.
-            value = series._series(spec, pair, None, None, None, "open", key)
+            yield spec, series._series(spec, pair, None, None, None, "open", key)
+
+
+@pytest.mark.parametrize("interval", ["half_open", "open"])
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_kernel_matches_reference_for_every_builder(name, interval):
+    _, pair, (_, leq), _ = BUILDERS[name]
+    for spec, value in built(name, interval):
         numerator, count = kernel_oracle(spec, pair, interval, leq)
         assert value.numerator == numerator
         assert value.chain_count == count
         assert len(value.denominator_vars) == len(make_context(spec).x_elements) - (
             interval == "open"
         )
+
+
+@pytest.mark.parametrize("interval", ["half_open", "open"])
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_every_builder_packs_by_the_delta_codec(name, interval):
+    for spec, value in built(name, interval):
+        ctx = make_context(spec)
+        delta_codec = PairWeights(spec, ctx.table, ctx.yvars, pair_weight).codec
+        assert value._numerator.codec.fields == delta_codec.fields
 
 
 def strict_pair(weight):
@@ -505,26 +521,17 @@ def strict_pair(weight):
     return pair
 
 
-def test_full_width_y_field_does_not_wrap(monkeypatch):
-    # On (0,0),(3,0) the longest path bottom < 0 < 0^2 < 0^3 has three strict
-    # pairs, so both Y exponents reach 3: each field is 2 bits wide and full.
-    def weight(ctx):
-        y1 = LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"))
-        y2 = LaurentPoly.variable(ctx.table, ctx.table.id("Y[2,0]"))
-        return 1 + y1 - 2 * y1 * y2
-
-    pair = strict_pair(weight)
-    spec = PosetSpec((0, 0), (3, 0))
-    monkeypatch.setattr(series, "_hls_pair", pair)
+def test_full_width_y_field_does_not_wrap():
+    # On (0),(3), δ_0(bottom, top) = 3 gives Y[1,0] a full field of 2 bits,
+    # and the weights of the chain 0 < 0^2 reach Y[1,0]^3 in either interval.
+    spec = PosetSpec((0,), (3,))
+    y = make_context(spec).table.id("Y[1,0]")
     for build, interval in ((hls, "half_open"), (hls_modified, "open")):
         h = build(spec)
-        numerator, count = kernel_oracle(spec, pair, interval)
+        assert h._numerator.codec.fields == [(y, 0, 3)]
+        numerator, count = kernel_oracle(spec, _hls_pair, interval)
         assert h.numerator == numerator and h.chain_count == count
-        highest = {}
-        for mono in h.numerator.terms:
-            for v, e in mono:
-                highest[v] = max(highest.get(v, 0), e)
-        assert highest[0] == highest[1] == 3
+        assert max(e for mono in h.numerator.terms for v, e in mono if v == y) == 3
 
 
 def test_negative_pair_exponent_raises(monkeypatch):
@@ -532,7 +539,7 @@ def test_negative_pair_exponent_raises(monkeypatch):
         return LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"), -1)
 
     monkeypatch.setattr(series, "_hls_pair", strict_pair(weight))
-    with pytest.raises(ValueError, match="negative exponent"):
+    with pytest.raises(ValueError, match=r"Y\[1,0\]\^-1, past δ"):
         hls(PosetSpec((0,), (2,)))
 
 
