@@ -321,64 +321,63 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed is True or passed == "vacuous" else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only the subparser of command ``only`` if it names one.
+
+    Any other ``only`` gets every subparser, which usage errors and help need.
+    """
     parser = _Parser(prog="hlskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=("--max-elements", "--max-chains", "--max-terms")):
+    def command(name, help, fn, caps=("--max-elements", "--max-chains", "--max-terms")):
+        """The subparser of ``name`` with the flags every command takes, if it is built."""
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
         p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
         for cap in caps:
             p.add_argument(cap, type=_nonnegative_int, default=None)
         p.add_argument("--no-timing", action="store_true")
         p.add_argument("--output", default=None)
+        return p
 
-    p = sub.add_parser("compute", help="numerator and denominator of the series")
-    common(p)
-    p.add_argument("--modified", action="store_true", help="open-interval series")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--stats-only", action="store_true")
-    p.set_defaults(fn=cmd_compute)
+    if p := command("compute", "numerator and denominator of the series", cmd_compute):
+        p.add_argument("--modified", action="store_true", help="open-interval series")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--stats-only", action="store_true")
 
-    p = sub.add_parser("expand", help="truncated multichain expansion")
-    common(p)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--method", choices=["multichain", "rational"], default="multichain")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_expand)
+    if p := command("expand", "truncated multichain expansion", cmd_expand):
+        p.add_argument("--max-degree", type=int, default=None)
+        p.add_argument("--method", choices=["multichain", "rational"], default="multichain")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("project", help="project a chain literal to skew tableaux")
-    common(p, caps=())
-    p.add_argument("--chain", help="chain literal, e.g. '2|- < 2 5|2'")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_project)
+    if p := command("project", "project a chain literal to skew tableaux", cmd_project, caps=()):
+        p.add_argument("--chain", help="chain literal, e.g. '2|- < 2 5|2'")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("hasse", help="Hasse diagram export")
-    common(p, caps=("--max-elements",))
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.set_defaults(fn=cmd_hasse)
+    if p := command("hasse", "Hasse diagram export", cmd_hasse, caps=("--max-elements",)):
+        p.add_argument("--format", choices=["dot", "json"], default="dot")
 
-    p = sub.add_parser("specialize", help="classical and weak-order specializations")
-    common(p)
-    p.add_argument("--kind", required=True, choices=list(SPECIALIZATIONS))
-    p.add_argument("--g", help="rank for weak-order-igusa")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--stats-only", action="store_true")
-    p.set_defaults(fn=cmd_specialize)
+    if p := command("specialize", "classical and weak-order specializations", cmd_specialize):
+        p.add_argument("--kind", required=True, choices=list(SPECIALIZATIONS))
+        p.add_argument("--g", help="rank for weak-order-igusa")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--stats-only", action="store_true")
 
-    p = sub.add_parser("verify", help="machine-checked identities, JSON verdicts")
-    p.add_argument("check", choices=list(CHECKS))
-    common(p)
-    p.add_argument("--modified", action="store_true")
-    p.add_argument("--max-subsets", type=_nonnegative_int, default=None)
-    p.add_argument("--max-products", type=_nonnegative_int, default=None)
-    p.set_defaults(fn=cmd_verify)
+    if p := command("verify", "machine-checked identities, JSON verdicts", cmd_verify):
+        p.add_argument("check", choices=list(CHECKS))
+        p.add_argument("--modified", action="store_true")
+        p.add_argument("--max-subsets", type=_nonnegative_int, default=None)
+        p.add_argument("--max-products", type=_nonnegative_int, default=None)
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

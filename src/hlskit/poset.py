@@ -13,7 +13,6 @@ every matrix and variable list in this package is indexed by.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 Component = tuple[int, ...]
@@ -32,22 +31,37 @@ class DegenerateSpecError(ValueError):
     """The operation presupposes a poset whose bottom and top differ."""
 
 
-@dataclass(frozen=True)
 class PosetSpec:
-    """Shape descriptor: one (n_i, r_i) bound pair per component."""
+    """Shape descriptor: one (n_i, r_i) bound pair per component.
 
-    n: tuple[int, ...]
-    r: tuple[int, ...]
+    Immutable and hashable, with equality by value, so a spec can key a dict.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        if len(self.n) != len(self.r):
+    def __init__(self, n: Sequence[int], r: Sequence[int]):
+        n = tuple(int(v) for v in n)
+        r = tuple(int(v) for v in r)
+        if len(n) != len(r):
             raise ValueError("n and r must have the same length")
-        if not self.n:
+        if not n:
             raise ValueError("at least one component is required")
-        if any(v < 0 for v in self.n) or any(v < 0 for v in self.r):
+        if any(v < 0 for v in n) or any(v < 0 for v in r):
             raise ValueError("bounds must be nonnegative")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r) == (other.n, other.r)
+
+    def __hash__(self):
+        return hash((self.n, self.r))
+
+    def __repr__(self):
+        return f"PosetSpec(n={self.n!r}, r={self.r!r})"
 
     @property
     def g(self) -> int:

@@ -15,9 +15,8 @@ of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._packed import (
     PackedCoefficients,
@@ -43,8 +42,7 @@ from .poset import (
 from .weight import chain_weights, pair_weight, phi_tableau, project
 
 
-@dataclass(frozen=True)
-class SeriesContext:
+class SeriesContext(NamedTuple):
     """Variable bookkeeping for one poset spec.
 
     Y variables come first, ordered by (component, position); X variables
@@ -55,7 +53,7 @@ class SeriesContext:
     table: VarTable
     yvars: tuple[tuple[int, ...], ...]
     x_elements: tuple[Element, ...]
-    x_ids: dict[Element, int] = field(hash=False, compare=False)
+    x_ids: dict[Element, int]
 
     def all_y_ids(self) -> list[int]:
         return [v for comp in self.yvars for v in comp]
@@ -116,22 +114,46 @@ class _Unpacked:
         obj.__dict__.pop(self.view, None)
 
 
-@dataclass
-class HlsRational:
+class _Fields:
+    """Equality field by field, over ``_fields`` read as attributes."""
+
+    _fields: tuple[str, ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter(*self._fields)
+        return fields(self) == fields(other)
+
+
+class HlsRational(_Fields):
     """A series value: exact numerator over an implicit product of (1 - X_c).
 
     A series built here keeps its numerator packed until ``numerator`` is
-    read; ``term_count`` and ``numerator_text`` do not unpack it.
+    read; ``term_count`` and ``numerator_text`` do not unpack it.  Fields
+    may be assigned; assigning ``numerator`` drops its unpacked view.
     """
 
-    spec: PosetSpec | None
-    table: VarTable
-    yvars: tuple[tuple[int, ...], ...]
+    _fields = (
+        "spec", "table", "yvars", "numerator",
+        "denominator_vars", "denominator_names", "chain_count",
+    )
     # A lambda, so that rebinding ``unpack`` here (a test double) takes effect.
-    numerator: LaurentPoly = _Unpacked(PackedNumerator, lambda packed: unpack(packed))
-    denominator_vars: tuple[int, ...]
-    denominator_names: tuple[str, ...]
-    chain_count: int
+    numerator = _Unpacked(PackedNumerator, lambda packed: unpack(packed))
+
+    def __init__(
+        self,
+        spec: PosetSpec | None,
+        table: VarTable,
+        yvars: tuple[tuple[int, ...], ...],
+        numerator: LaurentPoly | PackedNumerator,
+        denominator_vars: tuple[int, ...],
+        denominator_names: tuple[str, ...],
+        chain_count: int,
+    ):
+        self.spec, self.table, self.yvars, self.numerator = spec, table, yvars, numerator
+        self.denominator_vars, self.denominator_names = denominator_vars, denominator_names
+        self.chain_count = chain_count
 
     @property
     def term_count(self) -> int:
@@ -292,21 +314,25 @@ def relation_check(
 # -- truncated expansions ----------------------------------------------------------
 
 
-@dataclass
-class TruncatedSeries:
+class TruncatedSeries(_Fields):
     """Coefficients of X multidegrees up to a total-degree bound.
 
     A series built here keeps its coefficients packed until
     ``coefficients`` is read; ``texts`` renders them from the keys.
     """
 
-    bound: int
-    table: VarTable
-    x_vars: tuple[int, ...]
+    _fields = ("bound", "table", "x_vars", "coefficients")
     # A lambda, so that a test double of ``PackedCoefficients.unpack`` takes effect.
-    coefficients: dict[tuple[int, ...], LaurentPoly] = _Unpacked(
-        PackedCoefficients, lambda packed: packed.unpack()
-    )
+    coefficients = _Unpacked(PackedCoefficients, lambda packed: packed.unpack())
+
+    def __init__(
+        self,
+        bound: int,
+        table: VarTable,
+        x_vars: tuple[int, ...],
+        coefficients: dict[tuple[int, ...], LaurentPoly] | PackedCoefficients,
+    ):
+        self.bound, self.table, self.x_vars, self.coefficients = bound, table, x_vars, coefficients
 
     def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
         return self.coefficients.get(key, LaurentPoly.zero(self.table))
@@ -398,8 +424,7 @@ class ZeroDenominatorError(ValueError):
     """A substitution sent some denominator factor to the zero polynomial."""
 
 
-@dataclass
-class SubstitutedRational:
+class SubstitutedRational(NamedTuple):
     table: VarTable
     numerator: LaurentPoly
     denominator_factors: tuple[LaurentPoly, ...]
@@ -524,6 +549,6 @@ def weak_order_igusa(
     spec = PosetSpec((g,), (0,))
     # Inclusion of subsets is componentwise <= of their indicator vectors.
     value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
-    # Set in place: replace() would read, and so unpack, the numerator.
+    # Set in place, which leaves the numerator packed.
     value.spec = None
     return value

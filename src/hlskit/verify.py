@@ -15,7 +15,6 @@ conventions; the test suite locks them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -49,8 +48,7 @@ DEFAULT_MAX_SUBSETS = 1 << 12
 DEFAULT_MAX_PRODUCTS = 1_000_000
 
 
-@dataclass
-class PolyMatrix:
+class PolyMatrix(NamedTuple):
     """Square matrix of polynomials indexed by an ordered element list."""
 
     labels: tuple[Element, ...]
@@ -323,8 +321,7 @@ def K_and_N(
     return LaurentPoly.monomial(table, exps, 1), n_value
 
 
-@dataclass
-class ReciprocityCertificate:
+class ReciprocityCertificate(NamedTuple):
     """Cleared-denominator reciprocity instance; equal iff lhs == rhs."""
 
     spec: PosetSpec
@@ -395,8 +392,7 @@ def verify_reciprocity(
     return ReciprocityCertificate(spec, kind, n_value, k, lhs, rhs, lhs == rhs)
 
 
-@dataclass
-class OrderComplexReport:
+class OrderComplexReport(NamedTuple):
     spec: PosetSpec
     subsets_checked: int
     failures: tuple[str, ...]

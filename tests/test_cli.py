@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hlskit import series
-from hlskit.cli import CHECKS, SPECIALIZATIONS, build_parser, main
+from hlskit.cli import CHECKS, SPECIALIZATIONS, UsageError, build_parser, main
 from hlskit.poset import PosetSpec, enumerate_elements, enumerate_multichains
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -688,3 +688,51 @@ def test_failed_stdout_write_exits_1_with_one_line(capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (
         1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
     )
+
+
+# One argv per command, giving every flag it takes a value other than its default.
+EVERY_FLAG = [
+    "compute --n 1 --r 2 --max-elements 9 --max-chains 9 --max-terms 9 --no-timing --output o"
+    " --modified --format json --stats-only",
+    "expand --n 1 --r 2 --max-elements 9 --max-chains 9 --max-terms 9 --no-timing --output o"
+    " --max-degree 3 --method rational --format json",
+    "project --n 1 --r 2 --no-timing --output o --chain 0 --format json",
+    "hasse --n 1 --r 2 --max-elements 9 --no-timing --output o --format json",
+    "specialize --n 1 --r 2 --max-elements 9 --max-chains 9 --max-terms 9 --no-timing --output o"
+    " --kind mv-hls --g 2 --format json --stats-only",
+    "verify zeta-mobius --n 1 --r 2 --max-elements 9 --max-chains 9 --max-terms 9 --no-timing"
+    " --output o --modified --max-subsets 9 --max-products 9",
+]
+
+
+@pytest.mark.parametrize("argv", [item.split() for item in EVERY_FLAG], ids=lambda a: a[0])
+def test_the_one_command_parser_parses_as_the_full_parser(argv):
+    args = build_parser(argv[0]).parse_args(argv)
+    assert args == build_parser().parse_args(argv)
+    assert all(value is not None and value is not False for value in vars(args).values())
+    other = "verify" if argv[0] != "verify" else "compute"
+    with pytest.raises(UsageError, match="invalid choice"):
+        build_parser(argv[0]).parse_args([other])
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_usage_errors_and_help_read_as_from_the_full_parser(capsys):
+    assert _outcome(capsys, main, []) == (
+        1, "", "error: the following arguments are required: command\n"
+    )
+    code, out, err = _outcome(capsys, main, ["bogus"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument command: invalid choice: ") and err.count("\n") == 1
+    assert all(name in err for name in ("compute", "expand", "project", "hasse", "specialize", "verify"))
+    for argv in (["--help"], ["compute", "--help"]):
+        want = _outcome(capsys, build_parser().parse_args, argv)
+        assert want[0] == 0 and want[1].startswith("usage: hlskit")
+        assert _outcome(capsys, main, argv) == want

@@ -1,6 +1,6 @@
 """The packed-monomial codec, and both of its users against their oracles."""
 
-import dataclasses
+import copy
 
 import pytest
 
@@ -195,12 +195,19 @@ def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
     )
 
 
+def with_numerator(value, numerator):
+    """A shallow copy of ``value`` with ``numerator`` assigned."""
+    copied = copy.copy(value)
+    copied.numerator = numerator
+    return copied
+
+
 def test_an_explicit_numerator_renders_as_given():
     value = hls(PosetSpec((1,), (1,)))
     table = value.table
     numerator = 2 - 3 * LaurentPoly.variable(table, table.id("X{0}"))
     for given in (
-        dataclasses.replace(value, numerator=numerator),
+        with_numerator(value, numerator),
         series.HlsRational(
             value.spec,
             table,
@@ -252,6 +259,29 @@ def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
     expected = expand_rational(value, 3)
     assert value.numerator.term_count == 12
     assert expand_rational(value, 3) == expected
-    explicit = dataclasses.replace(value, numerator=value.numerator)
+    explicit = with_numerator(value, value.numerator)
     with pytest.raises(ValueError, match="still packed"):
         expand_rational(explicit, 3)
+
+
+def test_series_values_compare_field_by_field_and_drop_the_view_on_assignment():
+    spec = PosetSpec((1,), (2,))
+    value = hls(spec)
+    assert value == hls(spec) and value != hls_modified(spec)
+    with pytest.raises(TypeError):
+        hash(value)
+    view = value.numerator
+    assert value.numerator is view
+    value.numerator = value._numerator
+    assert value.numerator is not view and value.numerator == view
+    value.numerator = 2 * view
+    assert value.numerator == 2 * view and value != hls(spec)
+
+    expansion = expand_multichain(spec, 3)
+    assert expansion == expand_rational(hls(spec), 3) != expand_multichain(spec, 2)
+    view = expansion.coefficients
+    assert expansion.coefficients is view
+    expansion.coefficients = expansion._coefficients
+    assert expansion.coefficients is not view and expansion.coefficients == view
+    expansion.coefficients = {}
+    assert expansion.coefficients == {} and expansion != expand_multichain(spec, 3)

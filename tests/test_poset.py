@@ -56,12 +56,28 @@ def two_column_semistandard(a, b):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n and r must have the same length$"):
         PosetSpec((1,), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^at least one component is required$"):
         PosetSpec((), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
         PosetSpec((-1,), (0,))
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        PosetSpec(("x",), (0,))
+
+
+def test_spec_is_an_immutable_value():
+    spec = PosetSpec([1, 0], (2, "1"))
+    assert (spec.n, spec.r) == ((1, 0), (2, 1))
+    assert repr(spec) == "PosetSpec(n=(1, 0), r=(2, 1))"
+    same = PosetSpec((1, 0), (2, 1))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != PosetSpec((1, 0), (2, 2)) and spec != ((1, 0), (2, 1))
+    assert {spec: "a", same: "b"} == {PosetSpec((1, 0), (2, 1)): "b"}
+    for field in ("n", "r", "g"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, (0, 0))
+    assert spec == same
 
 
 def test_element_counts():

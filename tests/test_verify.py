@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -538,9 +539,8 @@ def test_mv_hls_reciprocity_corollary():
         collapse = {v: LaurentPoly.variable(ctx.table, ys[0]) for v in ys[1:]}
         collapsed = value.numerator.subs(collapse)
         k = LaurentPoly.monomial(ctx.table, {ys[0]: n * (n - 1) // 2}, 1)
-        import dataclasses
-
-        value2 = dataclasses.replace(value, numerator=collapsed)
+        value2 = copy.copy(value)
+        value2.numerator = collapsed
         lhs, rhs = cleared_reciprocity(value2, k, n, ctx.top_var())
         assert lhs == rhs
 
