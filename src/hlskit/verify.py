@@ -411,6 +411,17 @@ def _subset_sums(values: list[int], m: int) -> None:
             values[hi : hi + bit] = map(add, values[hi : hi + bit], values[lo:hi])
 
 
+def _superset_sums(values: dict[int, int], m: int) -> None:
+    """Sparse Yates in place: ``values[s]`` becomes the sum over its keys t containing s.
+
+    A missing key holds 0; a subset of a key gains a key of its own.
+    """
+    for i in range(m):
+        bit = 1 << i
+        for s in [s for s in values if s & bit]:
+            values[s ^ bit] = values.get(s ^ bit, 0) + values[s]
+
+
 def verify_order_complex(
     spec: PosetSpec,
     max_subsets: int | None = None,
@@ -423,14 +434,18 @@ def verify_order_complex(
     order complex of S must equal (-1)^(N-1) K times the signed inverted
     chain weights over the complement of S.
 
-    Both sides are subset sums over chain bitmasks, so each is filled once
-    per chain at the chain's mask and summed over all 2^m subsets by Yates'
-    zeta transform, m * 2^(m-1) additions a side (Bjorklund, Husfeldt,
-    Kaski and Koivisto, "Fourier meets Moebius", STOC 2007).  The additions
-    are on ints that pack each polynomial exactly (``_packer``).  The bound
-    is the larger side's sum of |coefficient| over all chains: the sum of
-    the weights' 1-norms for the left side, times the 1-norm of K for the
-    right side, which holds whether or not K is a monomial.
+    With ``L[t]`` and ``R[t]`` the signed left and right weights of chain
+    t, that is ``sum(L[t], t within s) == sum(R[t], t within full - s)``.
+    Its Moebius inversion is ``D[s] = L[s] - (-1)^|s| * sum(R[t], t
+    containing s) == 0`` for every s, and only the chains (the faces of the
+    order complex) can fail it: a superset of a non-chain is none.  So
+    ``_superset_sums`` on the faces makes a passing run, and a failing one
+    lists its subsets from the zeta transform of D, one list of 2^m ints.
+    The ints pack each polynomial exactly (``_packer``) for a ``bound`` of
+    the larger side's sum of |coefficient| over all chains (the right
+    side's times the 1-norm of K, monomial or not).  A slot of D or of its
+    transform then lies within ``2 * bound < 2^(width - 1)``, so it is zero
+    exactly when its polynomial is.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError(
@@ -466,24 +481,33 @@ def verify_order_complex(
     pack = _packer(norm * max(1, sum(map(abs, k.terms.values()))))
     unpack = weights.codec.unpack
     sides = {}
-    lhs = [0] * (1 << m)
-    rhs = [0] * (1 << m)
+    lhs = {}
+    rhs = {}
     while chains:
         mask, w = chains.pop()
+        left = right = 0
         for key, c in w:
             packed = sides.get(key)
             if packed is None:
                 y = LaurentPoly(ctx.table, {unpack(key): 1})
                 packed = sides[key] = pack(y), pack(rhs_scale * y.invert_vars(all_y))
-            lhs[mask] += c * packed[0]
-            rhs[mask] += c * packed[1]
-    _subset_sums(lhs, m)
-    _subset_sums(rhs, m)
+            left += c * packed[0]
+            right += c * packed[1]
+        lhs[mask] = left
+        rhs[mask] = right
+    _superset_sums(rhs, m)
+    # D at each key of rhs: each chain and each subset of one.
+    faces = {s: lhs.get(s, 0) + (-r if s.bit_count() % 2 == 0 else r) for s, r in rhs.items()}
+    if not any(faces.values()):
+        return OrderComplexReport(spec, 1 << m, ())
 
-    # The complement of s is full ^ s = full - s, so rhs is read backwards.
+    diff = [0] * (1 << m)
+    for s, d in faces.items():
+        diff[s] = d
+    _subset_sums(diff, m)
     failures = []
-    for s, (left, right) in enumerate(zip(lhs, reversed(rhs))):
-        if left != right:
+    for s, d in enumerate(diff):
+        if d:
             members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
             failures.append("{" + ", ".join(members) + "}")
     return OrderComplexReport(spec, 1 << m, tuple(failures))

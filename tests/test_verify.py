@@ -14,6 +14,7 @@ from hlskit.poset import (
     enumerate_elements,
     leq_t,
     lt_t,
+    render_element,
     s_vector,
 )
 from hlskit.series import classical_igusa, hls, make_context, mv_hls
@@ -22,6 +23,7 @@ from hlskit.verify import (
     PolyMatrix,
     _packer,
     _subset_sums,
+    _superset_sums,
     cleared_reciprocity,
     count_products,
     identity_mismatch,
@@ -37,7 +39,7 @@ from hlskit.verify import (
     zeta_matrix,
     zeta_rows,
 )
-from hlskit.weight import pair_weight
+from hlskit.weight import chain_weights, pair_weight
 
 from conftest import reference_matmul, reference_mobius_matrix, reference_order_complex
 from test_series import SMALL_SPECS, spec_id
@@ -587,13 +589,80 @@ ORACLE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec_parts", ORACLE_SPECS, ids=str)
+# The SMALL_SPECS whose open interval, all elements but bottom and top,
+# has at most 12 elements, unless ORACLE_SPECS has them.
+SMALL_ORACLE_SPECS = [
+    (spec.n, spec.r)
+    for spec in SMALL_SPECS
+    if (spec.n, spec.r) not in ORACLE_SPECS and len(enumerate_elements(spec)) - 2 <= 12
+]
+
+
+@pytest.mark.parametrize("spec_parts", ORACLE_SPECS + SMALL_ORACLE_SPECS, ids=str)
 def test_order_complex_matches_per_subset_oracle(spec_parts):
     spec = PosetSpec(*spec_parts)
     got = verify_order_complex(spec, max_subsets=1 << 14)
     want = reference_order_complex(spec, max_subsets=1 << 14)
     assert got.passed and want.passed
     assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
+
+
+@pytest.mark.parametrize("spec_parts", ORACLE_SPECS, ids=str)
+def test_a_passing_order_complex_run_fills_no_subset_list(monkeypatch, spec_parts):
+    def no_subset_sums(values, m):
+        raise AssertionError("a passing run filled the list of 2^m subsets")
+
+    monkeypatch.setattr(verify, "_subset_sums", no_subset_sums)
+    spec = PosetSpec(*spec_parts)
+    report = verify_order_complex(spec, max_subsets=1 << 14)
+    assert report.passed
+    assert report.subsets_checked == 1 << len(make_context(spec).x_elements) - 1
+
+
+def _one_chain_changed(victim, change):
+    """``chain_weights`` with chain number ``victim`` passed to ``change``.
+
+    ``change`` returns the new weight, or None to drop the chain.  The
+    changed chain is kept in ``changed``.
+    """
+    changed = []
+
+    def changed_chain_weights(chains, bottom, top, weights):
+        every = list(chain_weights(chains, bottom, top, weights))
+        chain, w = every[victim]
+        changed.append(chain)
+        every[victim] = chain, change(w)
+        return [(c, w) for c, w in every if w is not None]
+
+    return changed_chain_weights, changed
+
+
+# The empty chain, a one-element chain and a longest chain.
+@pytest.mark.parametrize("victim", [0, 1, -1])
+@pytest.mark.parametrize(
+    "change",
+    [lambda w: None, lambda w: [(key, -c) for key, c in w]],
+    ids=["dropped", "negated"],
+)
+@pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((0, 1), (2, 1))], ids=str)
+def test_order_complex_fails_with_one_chain_changed(monkeypatch, spec_parts, change, victim):
+    # Changing chain c by w on both sides moves the left sum of every S
+    # containing c by w and the right sum of every S missing c by w's image,
+    # so exactly those subsets fail (all of them when c is empty: w differs
+    # from its image there).
+    patched, changed = _one_chain_changed(victim, change)
+    monkeypatch.setattr(verify, "chain_weights", patched)
+    spec = PosetSpec(*spec_parts)
+    report = verify_order_complex(spec)
+    open_interval = make_context(spec).x_elements[:-1]
+    (chain,) = changed
+    failing = []
+    for s in itertools.product([False, True], repeat=len(open_interval)):
+        members = [e for e, inside in zip(open_interval, s[::-1]) if inside]
+        if set(chain) <= set(members) or not set(chain) & set(members):
+            failing.append("{" + ", ".join(map(render_element, members)) + "}")
+    assert not report.passed
+    assert report.failures == tuple(failing)
 
 
 def _negated_k(spec, table=None, yvars=None):
@@ -650,6 +719,48 @@ def test_packing_is_exact_at_the_bound():
         assert values == [pack(p) for p in sums]
     assert 4 * one in polys and -4 * one + x in polys
     for (p, a), (q, b) in itertools.combinations(zip(polys, packed), 2):
+        assert (a == b) == (p == q)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_face_difference_is_exact_at_twice_the_bound(sign):
+    # Both sides put the whole bound on face {0}, at the constant monomial,
+    # so D there is L + R = ±2·bound = ±8.  A field of bound.bit_length() + 1
+    # bits would pack it as the probe ∓8 ± x, the slot of x next door; no
+    # one instance reaches both, so the probe is packed on its own.
+    table = VarTable(["x"])
+    one = LaurentPoly.const(table, 1)
+    x = LaurentPoly.variable(table, 0)
+    zero = 0 * one
+    bound = 4
+    left = [zero, sign * bound * one, zero, zero]
+    right = [zero, sign * bound * one, zero, zero]
+    pack = _packer(bound)
+
+    faces = {s: pack(p) for s, p in enumerate(right)}
+    _superset_sums(faces, 2)
+    packed = [pack(left[s]) - (-1) ** s.bit_count() * faces[s] for s in range(4)]
+    diff = [
+        left[s] - (-1) ** s.bit_count() * sum((right[t] for t in range(4) if s & ~t == 0), zero)
+        for s in range(4)
+    ]
+    assert packed == [pack(p) for p in diff]
+    assert diff[1] == 2 * sign * bound * one
+
+    # The per-subset differences, from D, are those of the two sides.
+    per_subset = list(packed)
+    _subset_sums(per_subset, 2)
+    sums = [
+        sum((left[t] for t in range(4) if t & ~s == 0), zero)
+        - sum((right[t] for t in range(4) if t & s == 0), zero)
+        for s in range(4)
+    ]
+    assert per_subset == [pack(p) for p in sums]
+
+    probe = sign * (x - 2 * bound * one)
+    polys = [*diff, *sums, probe]
+    ints = [*packed, *per_subset, pack(probe)]
+    for (p, a), (q, b) in itertools.combinations(zip(polys, ints), 2):
         assert (a == b) == (p == q)
 
 
