@@ -9,8 +9,8 @@ packed route stays on its keys:
 - the zeta and Möbius rows of ``verify`` and their products
   (``multiply_rows``, shared with ``verify.matmul``);
 - the chain-series sweep (``sweep``), whose numerator stays packed
-  (``PackedNumerator``), and so do the truncated expansions of either
-  route (``PackedCoefficients``).
+  (``PackedNumerator``) to be rendered and checked, and so do the truncated
+  expansions of either route (``PackedCoefficients``).
 
 Both packed values are rendered from their keys in ``LaurentPoly.text``'s
 order, on one ranking of their distinct Y keys (``y_orders``), or unpacked
@@ -45,8 +45,7 @@ def exponent_bounds(polys: Iterable[LaurentPoly], nvars: int) -> list[int]:
             for v, e in mono:
                 if e < 0:
                     raise ValueError("packed monomials take polynomials, not negative exponents")
-                if e > top[v]:
-                    top[v] = e
+                top[v] = max(top[v], e)
     return top
 
 
@@ -282,12 +281,12 @@ class PackedNumerator(NamedTuple):
     codec: Codec
     terms: Terms
 
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def text(self) -> str:
-        """``unpack(self).text()``, rendered from the keys.
+        """``unpack(self).text()``, rendered from the keys (``ordered_rows``)."""
+        return _terms_text((y + x, c) for _, y, x, c, _ in self.ordered_rows())
+
+    def ordered_rows(self) -> list[tuple[int, tuple[str, ...], tuple[str, ...], int, int]]:
+        """Each term's print order, Y and X factor texts, coefficient and key, in print order.
 
         ``LaurentPoly.text`` orders terms by total degree, then by the dense
         exponent vector in variable id order.  Every Y id precedes every X
@@ -319,9 +318,76 @@ class PackedNumerator(NamedTuple):
         for key, c in self.terms.items():
             y_order, y_factors = y_parts[key >> m]
             x_order, x_factors = x_parts[key & low]
-            rows.append(((y_order << m) + x_order, y_factors, x_factors, c))
+            rows.append(((y_order << m) + x_order, y_factors, x_factors, c, key))
         rows.sort()
-        return _terms_text((y + x, c) for _, y, x, c in rows)
+        return rows
+
+    def reciprocity_failure(self, k: LaurentPoly, n: int, top: bool) -> tuple[str, str] | None:
+        """The first term in print order lacking its reciprocity partner, and that partner; or None.
+
+        Inverting and multiplying by ``(-1)^m * K * prod X`` sends each term
+        ``c * Y^e * X^S`` to one term, of key ``(key(K) - y) << m | (full ^
+        mask)``, which must be one of ``(-1)^n * X_top * N`` if ``top``
+        (the top's is the last mask bit), else of ``(-1)^(n - 1) * N``.
+        So the partner has that key, less the top bit, and the coefficient
+        ``(-1)^(m + n - (not top)) * c``.  There is none if K is not a
+        monomial of coefficient 1, if ``K - e`` has an exponent below 0 or
+        past its field, or if ``top`` and the term has the top bit.  Both are
+        rendered as one-term numerators, or the second says why there is none.
+        """
+        terms, names = self.terms, self.table.names
+        m = len(self.x_vids)
+        low = (1 << m) - 1
+        top_bit = 1 << m - 1 if top else 0
+        flip = low ^ top_bit
+        sign = -1 if (m + n + (not top)) % 2 else 1
+        fields = {v: (shift, mask) for v, shift, mask in self.codec.fields}
+        k_exps = dict(next(iter(k.terms))) if list(k.terms.values()) == [1] else None
+
+        def partner(y: int) -> int | str:  # the key of Y^(K - e) past the mask, or why none
+            if k_exps is None:
+                return f"none: K = {k.text()} is not a monomial of coefficient 1"
+            out = 0
+            for v in sorted(fields.keys() | k_exps.keys()):
+                shift, mask = fields.get(v, (0, 0))
+                d = k_exps.get(v, 0) - (y >> shift & mask)
+                if not 0 <= d <= mask:
+                    return f"none: no term can carry {_power_text(names[v], d)}"
+                out += d << shift
+            return out << m
+
+        partners: dict[int, int | str] = {}
+        failing: dict[int, int | str] = {}
+        for key, c in terms.items():
+            p = partners.get(key >> m)
+            if p is None:
+                p = partners[key >> m] = partner(key >> m)
+            if key & top_bit:
+                p = f"none: the term has {names[self.x_vids[-1]]}"
+            if isinstance(p, str) or terms.get(p := p | (key & low ^ flip)) != sign * c:
+                failing[key] = p
+        if not failing:
+            return None
+        *_, c, key = self._replace(terms={key: terms[key] for key in failing}).ordered_rows()[0]
+        p = failing[key]
+        expected = p if isinstance(p, str) else self._replace(terms={p: sign * c}).text()
+        return self._replace(terms={key: c}).text(), expected
+
+    def equals_open(self, other: "PackedNumerator") -> bool:
+        """Whether this half-open numerator equals ``other``, the open one.
+
+        ``other`` must have these fields and mask bits but the top's, the last;
+        its key ``y << (m - 1) | mask`` is then ``y << m | mask`` here, one to
+        one, so the two are equal if as many terms and each re-keyed one match.
+        """
+        m = len(self.x_vids)
+        if not m or other.x_vids != self.x_vids[:-1] or other.codec.fields != self.codec.fields:
+            return False
+        low = (1 << m - 1) - 1
+        get = self.terms.get
+        return len(other.terms) == len(self.terms) and all(
+            get((key >> m - 1) << m | (key & low)) == c for key, c in other.terms.items()
+        )
 
 
 def y_orders(
@@ -372,19 +438,10 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
     table, x_vids, codec, terms = numerator
     m = len(x_vids)
     low = (1 << m) - 1
-    x_parts: dict[int, Monomial] = {}
-    y_parts: dict[int, Monomial] = {}
-    monomials = {}
-    for key, a in terms.items():
-        mask, y = key & low, key >> m
-        xs = x_parts.get(mask)
-        if xs is None:
-            xs = x_parts[mask] = tuple((v, 1) for i, v in enumerate(x_vids) if mask >> i & 1)
-        ys = y_parts.get(y)
-        if ys is None:
-            ys = y_parts[y] = codec.unpack(y)
-        monomials[ys + xs] = a
-    return LaurentPoly(table, monomials)
+    ys = {y: codec.unpack(y) for y in {key >> m for key in terms}}
+    masks = {key & low for key in terms}
+    xs = {x: tuple((v, 1) for i, v in enumerate(x_vids) if x >> i & 1) for x in masks}
+    return LaurentPoly(table, {ys[key >> m] + xs[key & low]: a for key, a in terms.items()})
 
 
 def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:

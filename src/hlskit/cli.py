@@ -265,7 +265,7 @@ def _reciprocity(spec, args):
     cert = verify_reciprocity(spec, kind, args.max_chains, args.max_elements, args.max_terms)
     if cert.equal:
         return True, None
-    return False, {"lhs": cert.lhs.text(), "rhs": cert.rhs.text()}
+    return False, {"term": cert.term, "expected": cert.expected}
 
 
 def _order_complex(spec, args):

@@ -297,16 +297,6 @@ class LaurentPoly:
             acc = acc + term
         return acc
 
-    # -- inspection --------------------------------------------------------
-
-    def has_negative_exponent(self, vids: Iterable[int] | None = None) -> bool:
-        s = None if vids is None else set(vids)
-        for m in self.terms:
-            for v, e in m:
-                if e < 0 and (s is None or v in s):
-                    return True
-        return False
-
     # -- canonical rendering ------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:

@@ -58,11 +58,6 @@ class SeriesContext(NamedTuple):
     def all_y_ids(self) -> list[int]:
         return [v for comp in self.yvars for v in comp]
 
-    def top_var(self) -> int | None:
-        if not self.x_elements:
-            return None
-        return self.x_ids[self.x_elements[-1]]
-
 
 def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesContext:
     names = []
@@ -157,7 +152,13 @@ class HlsRational(_Fields):
 
     @property
     def term_count(self) -> int:
-        return self._numerator.term_count
+        return len(self._numerator.terms)
+
+    def packed_numerator(self) -> PackedNumerator:
+        """The numerator of a series built here, still packed, however it was read."""
+        if not isinstance(self._numerator, PackedNumerator):
+            raise ValueError("this needs a series whose numerator is still packed, not assigned")
+        return self._numerator
 
     def numerator_text(self) -> str:
         """``numerator.text()``, from the packed keys while there are any."""
@@ -296,19 +297,14 @@ def relation_check(
     """Exact check that the half-open series is the open one over 1 - X_top.
 
     With the shared universal denominator this reduces to equality of the
-    two numerators, since the denominators differ by exactly the top factor.
+    two packed numerators (``PackedNumerator.equals_open``), since the
+    denominators differ by exactly the top factor.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the relation presupposes otherwise")
     h = hls(spec, max_chains, max_elements, max_terms)
     hm = hls_modified(spec, max_chains, max_elements, max_terms)
-    if h.denominator_vars[:-1] != hm.denominator_vars:
-        return False
-    # Each numerator is read as a polynomial, and its packed terms dropped:
-    # nothing here reads them again.
-    for value in (h, hm):
-        value.numerator = value.numerator
-    return h.numerator == hm.numerator
+    return h.packed_numerator().equals_open(hm.packed_numerator())
 
 
 # -- truncated expansions ----------------------------------------------------------
@@ -387,9 +383,7 @@ def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    numerator = h._numerator
-    if not isinstance(numerator, PackedNumerator):
-        raise ValueError("expand_rational takes a series whose numerator is still packed")
+    numerator = h.packed_numerator()
     m = len(numerator.x_vids)
     low = (1 << m) - 1
     coeffs: dict[tuple[int, ...], Terms] = {}

@@ -1,15 +1,13 @@
 """Identity checking: zeta/Moebius matrices, reciprocity, order-complex sums.
 
-All checks are exact Laurent-polynomial identities after clearing the
-universal denominator; no rational normal form is ever computed.  The sign
-and monomial bookkeeping of the cleared forms comes from
-
-    1 - 1/X = -(1 - X)/X,
-
-so inverting every variable of a numerator over m denominator factors
-multiplies the value by (-1)^m * prod X_c relative to the uninverted
-denominator.  The (1),(2) instance of the half-open series pins these
-conventions; the test suite locks them.
+All checks are exact polynomial identities after clearing the universal
+denominator.  By 1 - 1/X = -(1 - X)/X, inverting every variable of a
+numerator over m denominator factors multiplies the value by (-1)^m * prod X.
+Times K, that is an involution on the sweep's packed keys: c * Y^e * X^S goes
+to ±c * Y^(K - e) * X^(full - S), of key (key(K) - key(e)) << m | (full ^ mask),
+with no borrow while e <= K in every field (``PackedNumerator.reciprocity_failure``).
+The Möbius rows invert on keys under δ alike; ``verify_order_complex``
+inverts chain weights as polynomials, a route independent of both.
 """
 
 from __future__ import annotations
@@ -267,14 +265,7 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.table != b.table:
         raise ValueError("operands use different variable tables")
     labels = tuple(la + lb for la in a.labels for lb in b.labels)
-    entries = []
-    for i in range(a.dim):
-        for k in range(b.dim):
-            row = []
-            for j in range(a.dim):
-                for l in range(b.dim):
-                    row.append(a.entries[i][j] * b.entries[k][l])
-            entries.append(row)
+    entries = [[x * y for x in row_a for y in row_b] for row_a in a.entries for row_b in b.entries]
     return PolyMatrix(labels, entries, a.table)
 
 
@@ -309,59 +300,36 @@ def K_and_N(
     """The reciprocity monomial and exponent sum for a spec."""
     table, yvars = _context_vars(spec, table, yvars)
     exps: dict[int, int] = {}
-    n_value = 0
-    for i in range(spec.g):
-        ri = spec.r[i]
-        n_value += spec.n[i] + ri
-        e0 = ri * (ri - 1) // 2
-        if e0:
-            exps[yvars[i][0]] = e0
-        for j in range(1, spec.n[i] + 1):
-            exps[yvars[i][j]] = ri + j - 1
-    return LaurentPoly.monomial(table, exps, 1), n_value
+    for n, r, ys in zip(spec.n, spec.r, yvars):
+        exps[ys[0]] = r * (r - 1) // 2
+        exps.update((ys[j], r + j - 1) for j in range(1, n + 1))
+    return LaurentPoly.monomial(table, exps, 1), sum(spec.n) + sum(spec.r)
+
+
+_SERIES = {"hls": hls, "hls_modified": hls_modified}
 
 
 class ReciprocityCertificate(NamedTuple):
-    """Cleared-denominator reciprocity instance; equal iff lhs == rhs."""
+    """A reciprocity verdict; a failed one has a term without its partner, and that partner."""
 
-    spec: PosetSpec
+    spec: PosetSpec | None
     kind: str
     n_value: int
-    k: LaurentPoly
-    lhs: LaurentPoly
-    rhs: LaurentPoly
     equal: bool
+    term: str | None = None
+    expected: str | None = None
 
 
-def cleared_reciprocity(
-    value: HlsRational,
-    k: LaurentPoly,
-    n_value: int,
-    top_var: int | None,
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both cleared sides of the functional equation for a series value.
-
-    lhs = (-1)^m * K * prod X_c * Num(inverted), with m denominator factors;
-    rhs = (-1)^N * X_top * Num for the half-open series (top_var given), and
-    rhs = (-1)^(N-1) * Num for the open one (top_var None).
+def check_reciprocity(
+    value: HlsRational, k: LaurentPoly, n_value: int, kind: str
+) -> ReciprocityCertificate:
+    """Reciprocity on the packed numerator of a half-open series value (``kind`` ``"hls"``,
+    its last factor the top's) or of an open one (``"hls_modified"``).
     """
-    table = value.table
-    m = len(value.denominator_vars)
-    all_vars = range(len(table))
-    inverted = value.numerator.invert_vars(all_vars)
-    x_product = LaurentPoly.monomial(table, {v: 1 for v in value.denominator_vars}, 1)
-    lhs = k * x_product * inverted
-    if m % 2:
-        lhs = -lhs
-    if top_var is not None:
-        rhs = LaurentPoly.variable(table, top_var) * value.numerator
-        if n_value % 2:
-            rhs = -rhs
-    else:
-        rhs = value.numerator
-        if (n_value - 1) % 2:
-            rhs = -rhs
-    return lhs, rhs
+    if kind not in _SERIES:
+        raise ValueError(f"unknown series kind {kind!r}")
+    failure = value.packed_numerator().reciprocity_failure(k, n_value, kind == "hls")
+    return ReciprocityCertificate(value.spec, kind, n_value, failure is None, *failure or ())
 
 
 def verify_reciprocity(
@@ -376,20 +344,11 @@ def verify_reciprocity(
         raise DegenerateSpecError(
             "bottom equals top; the reciprocity statement is vacuous here"
         )
-    if kind not in ("hls", "hls_modified"):
+    if kind not in _SERIES:
         raise ValueError(f"unknown series kind {kind!r}")
-    if kind == "hls":
-        value = hls(spec, max_chains, max_elements, max_terms)
-        # The top is the last element of the half-open interval.
-        top_var = value.denominator_vars[-1]
-    else:
-        value = hls_modified(spec, max_chains, max_elements, max_terms)
-        top_var = None
-    # The check reads the numerator as a polynomial only: drop its packed terms.
-    value.numerator = value.numerator
+    value = _SERIES[kind](spec, max_chains, max_elements, max_terms)
     k, n_value = K_and_N(spec, value.table, value.yvars)
-    lhs, rhs = cleared_reciprocity(value, k, n_value, top_var)
-    return ReciprocityCertificate(spec, kind, n_value, k, lhs, rhs, lhs == rhs)
+    return check_reciprocity(value, k, n_value, kind)
 
 
 class OrderComplexReport(NamedTuple):
@@ -461,7 +420,7 @@ def verify_order_complex(
     all_y = ctx.all_y_ids()
     rhs_scale = k if (n_value - 1) % 2 == 0 else -k
 
-    # One signed, packed weight per chain of the open interval, with its bitmask.
+    # One packed weight per chain of the open interval, with its bitmask.
     index = {e: pos for pos, e in enumerate(open_interval)}
     weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
     chains = []
@@ -471,8 +430,6 @@ def verify_order_complex(
         mask = 0
         for e in chain:
             mask |= 1 << index[e]
-        if len(chain) % 2:
-            w = [(key, -c) for key, c in w]
         norm += sum(abs(c) for _, c in w)
         chains.append((mask, w))
 
@@ -493,8 +450,9 @@ def verify_order_complex(
                 packed = sides[key] = pack(y), pack(rhs_scale * y.invert_vars(all_y))
             left += c * packed[0]
             right += c * packed[1]
-        lhs[mask] = left
-        rhs[mask] = right
+        sign = -1 if mask.bit_count() % 2 else 1
+        lhs[mask] = sign * left
+        rhs[mask] = sign * right
     _superset_sums(rhs, m)
     # D at each key of rhs: each chain and each subset of one.
     faces = {s: lhs.get(s, 0) + (-r if s.bit_count() % 2 == 0 else r) for s, r in rhs.items()}

@@ -18,7 +18,7 @@ from hlskit.poset import (
     lt_t,
     render_element,
 )
-from hlskit.series import TruncatedSeries, make_context
+from hlskit.series import HlsRational, TruncatedSeries, make_context
 from hlskit.weight import chain_weight
 
 SEED = 20260809
@@ -173,6 +173,43 @@ def reference_order_complex(
     return verify.OrderComplexReport(spec, 1 << m, tuple(failures))
 
 
+def reference_reciprocity(
+    value: HlsRational, kind: str, k: LaurentPoly | None = None, n_value: int | None = None
+) -> bool:
+    """The functional equation of a series value, on ``LaurentPoly`` arithmetic.
+
+    Checks ``(-1)^m * K * prod X_c * Num(inverted)`` against ``(-1)^N *
+    X_top * Num`` for the half-open series (``kind`` ``"hls"``, whose last
+    denominator factor is the top's) and against ``(-1)^(N-1) * Num`` for
+    the open one, with ``m`` denominator factors.  K and N default to
+    ``K_and_N`` of the value's spec, looked up on the ``verify`` module, so
+    a test that patches it there reaches both routes.
+    """
+    if k is None:
+        k, n_value = verify.K_and_N(value.spec, value.table, value.yvars)
+    table = value.table
+    m = len(value.denominator_vars)
+    inverted = value.numerator.invert_vars(range(len(table)))
+    x_product = LaurentPoly.monomial(table, {v: 1 for v in value.denominator_vars}, 1)
+    lhs = k * x_product * inverted
+    if m % 2:
+        lhs = -lhs
+    if kind == "hls":
+        rhs = LaurentPoly.variable(table, value.denominator_vars[-1]) * value.numerator
+        if n_value % 2:
+            rhs = -rhs
+    else:
+        rhs = value.numerator
+        if (n_value - 1) % 2:
+            rhs = -rhs
+    return lhs == rhs
+
+
+def reference_relation(h: HlsRational, hm: HlsRational) -> bool:
+    """The half-open series ``h`` is the open one ``hm`` over ``1 - X_top``, as polynomials."""
+    return h.denominator_vars[:-1] == hm.denominator_vars and h.numerator == hm.numerator
+
+
 def reference_matmul(a: verify.PolyMatrix, b: verify.PolyMatrix) -> verify.PolyMatrix:
     """Matrix product by the full triple loop over immutable polynomial sums."""
     if a.labels != b.labels:
@@ -228,7 +265,7 @@ def reference_mobius_matrix(
                     if d:
                         exps[yvars[c][p]] = d
             entry = LaurentPoly.monomial(zeta.table, exps, sign) * w.invert_vars(all_y)
-            assert not entry.has_negative_exponent(), "Moebius entry failed to clear"
+            assert all(e >= 0 for mono in entry.terms for _, e in mono), "Moebius entry failed to clear"
             row[j] = entry
         entries.append(row)
     return verify.PolyMatrix(zeta.labels, entries, zeta.table)

@@ -623,26 +623,28 @@ def test_verify_includes_millis_unless_suppressed(capsys):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    # No true instance fails, so force a failing certificate to pin the
-    # exit-code and counterexample contract.
-    import hlskit.cli as cli
-    from hlskit.poset import PosetSpec
-    from hlskit.verify import ReciprocityCertificate, verify_reciprocity
+    # No true instance fails, so a wrong K, times Y[1,1], drives a real
+    # failure through the check, to pin the exit code and the counterexample:
+    # the first numerator term in print order and its expected partner.
+    import hlskit.verify as verify
+    from hlskit.exactalg import LaurentPoly
 
-    def broken(spec, kind, *caps):
-        cert = verify_reciprocity(spec, kind, *caps)
-        return ReciprocityCertificate(
-            spec, kind, cert.n_value, cert.k, cert.lhs, -cert.rhs, False
-        )
+    def k_times_y(spec, table=None, yvars=None):
+        k, n_value = K_and_N(spec, table, yvars)
+        return k * LaurentPoly.variable(k.table, yvars[0][1]), n_value
 
-    monkeypatch.setattr(cli, "verify_reciprocity", broken)
-    code, out, _ = run(
-        capsys, "verify", "reciprocity", "--n", "1", "--r", "1", "--no-timing"
-    )
-    assert code == 3
-    data = json.loads(out)
-    assert data["pass"] is False
-    assert "lhs" in data["counterexample"] and "rhs" in data["counterexample"]
+    K_and_N = verify.K_and_N
+    monkeypatch.setattr(verify, "K_and_N", k_times_y)
+    for modified in ((), ("--modified",)):
+        argv = ("verify", "reciprocity", "--n", "1", "--r", "2", "--no-timing", *modified)
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        data = json.loads(out)
+        assert data["pass"] is False
+        assert data["counterexample"] == {
+            "term": "1",
+            "expected": "Y[1,0]*Y[1,1]^3*X{0}*X{0^2}*X{1}*X{0 1}",
+        }
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

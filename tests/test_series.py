@@ -67,7 +67,7 @@ def test_context_variable_layout():
     assert ctx.table.names[:3] == ("Y[1,0]", "Y[1,1]", "Y[2,0]")
     assert all(name.startswith("X{") for name in ctx.table.names[3:])
     assert len(ctx.x_elements) == 2 * 3 - 1
-    assert ctx.table.name(ctx.top_var()) == "X{1|0^2}"
+    assert ctx.table.name(ctx.x_ids[ctx.x_elements[-1]]) == "X{1|0^2}"
 
 
 def test_hls_1_2_matches_the_reference_numerator():
@@ -95,7 +95,8 @@ def test_degenerate_series_is_one():
 def test_modified_series_avoids_the_top_variable():
     h = hls_modified(SPEC12)
     ctx = make_context(SPEC12)
-    assert all(v != ctx.top_var() for mono in h.numerator.terms for v, _ in mono)
+    top = ctx.x_ids[ctx.x_elements[-1]]
+    assert all(v != top for mono in h.numerator.terms for v, _ in mono)
     assert len(h.denominator_vars) == 4
 
 

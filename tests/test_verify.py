@@ -1,4 +1,3 @@
-import copy
 import itertools
 
 import pytest
@@ -17,14 +16,23 @@ from hlskit.poset import (
     render_element,
     s_vector,
 )
-from hlskit.series import classical_igusa, hls, make_context, mv_hls
+from hlskit.series import (
+    classical_igusa,
+    generalized_igusa,
+    hls,
+    hls_modified,
+    make_context,
+    mv_hls,
+    relation_check,
+    weak_order_igusa,
+)
 from hlskit.verify import (
     K_and_N,
     PolyMatrix,
     _packer,
     _subset_sums,
     _superset_sums,
-    cleared_reciprocity,
+    check_reciprocity,
     count_products,
     identity_mismatch,
     is_identity,
@@ -41,7 +49,14 @@ from hlskit.verify import (
 )
 from hlskit.weight import chain_weights, pair_weight
 
-from conftest import reference_matmul, reference_mobius_matrix, reference_order_complex
+from conftest import (
+    reference_matmul,
+    reference_mobius_matrix,
+    reference_order_complex,
+    reference_reciprocity,
+    reference_relation,
+)
+from test_packed import with_numerator
 from test_series import SMALL_SPECS, spec_id
 
 Q_PASCAL_SPEC = PosetSpec((0,), (2,))
@@ -496,6 +511,8 @@ def test_k_exponents_are_bottom_top_deltas():
 
 GRID_G1 = [(n, r) for n in range(4) for r in range(4) if 0 < n + r <= 3]
 GRID_G2 = [((1, 1), (1, 0)), ((1, 0), (0, 2)), ((0, 0), (2, 1))]
+GRID = [((n,), (r,)) for n, r in GRID_G1] + GRID_G2
+BUILDERS = {"hls": hls, "hls_modified": hls_modified}
 
 
 @pytest.mark.parametrize("nr", GRID_G1)
@@ -503,7 +520,7 @@ GRID_G2 = [((1, 1), (1, 0)), ((1, 0), (0, 2)), ((0, 0), (2, 1))]
 def test_reciprocity_grid_g1(nr, kind):
     cert = verify_reciprocity(PosetSpec((nr[0],), (nr[1],)), kind)
     assert cert.equal
-    assert cert.lhs.text() == cert.rhs.text()
+    assert (cert.term, cert.expected) == (None, None)
 
 
 @pytest.mark.parametrize("spec_parts", GRID_G2)
@@ -518,45 +535,147 @@ def test_reciprocity_degenerate_is_vacuous():
         verify_reciprocity(PosetSpec((0,), (0,)))
 
 
+def with_terms(value, terms):
+    """A copy of ``value`` whose packed numerator has ``terms``."""
+    return with_numerator(value, value.packed_numerator()._replace(terms=terms))
+
+
+def reciprocity_mutants(value):
+    """Copies of ``(value, K, N)``, by name, each breaking the functional equation."""
+    k, n = K_and_N(value.spec, value.table, value.yvars)
+    ys = value.yvars[0]
+    y = LaurentPoly.variable(value.table, ys[1] if len(ys) > 1 else ys[0])
+    terms = value.packed_numerator().terms
+    first, c = next(iter(terms.items()))
+    flipped = {**terms, first: -c}
+    dropped = {key: c for key, c in terms.items() if key != first}
+    return {
+        "K times Y[1,1]": (value, k * y, n),
+        "N + 1": (value, k, n + 1),
+        "K + 1": (value, k + 1, n),
+        "a flipped sign": (with_terms(value, flipped), k, n),
+        "a dropped term": (with_terms(value, dropped), k, n),
+    }
+
+
+@pytest.mark.parametrize("spec_parts", GRID, ids=str)
+@pytest.mark.parametrize("kind", ["hls", "hls_modified"])
+def test_packed_reciprocity_matches_the_oracle_and_fails_every_mutant(spec_parts, kind):
+    value = BUILDERS[kind](PosetSpec(*spec_parts))
+    k, n = K_and_N(value.spec, value.table, value.yvars)
+    assert check_reciprocity(value, k, n, kind).equal
+    assert reference_reciprocity(value, kind)
+    # With no element strictly between bottom and top, a numerator term can
+    # be its own partner: changing it alone keeps the equation.
+    between = len(make_context(value.spec).x_elements) > 1
+    for name, (mutant, k2, n2) in reciprocity_mutants(value).items():
+        cert = check_reciprocity(mutant, k2, n2, kind)
+        assert cert.equal == reference_reciprocity(mutant, kind, k2, n2), name
+        if between or name in ("K times Y[1,1]", "N + 1", "K + 1"):
+            assert not cert.equal and cert.term and cert.expected, name
+
+
+@pytest.mark.parametrize("spec_parts", GRID, ids=str)
+def test_packed_relation_matches_the_oracle_and_fails_every_mutant(spec_parts):
+    spec = PosetSpec(*spec_parts)
+    h, hm = hls(spec), hls_modified(spec)
+    assert relation_check(spec) and reference_relation(h, hm)
+    packed, open_packed = h.packed_numerator(), hm.packed_numerator()
+    top = 1 << len(packed.x_vids) - 1
+    first, c = next((key, c) for key, c in packed.terms.items() if not key & top)
+    dropped = {key: c for key, c in packed.terms.items() if key != first}
+    moved = {**dropped, first | top: c}
+    for terms in (dropped, moved):
+        mutant = with_terms(h, terms)
+        assert not mutant.packed_numerator().equals_open(open_packed)
+        assert not reference_relation(mutant, hm)
+
+
+def test_certificate_names_a_term_and_its_expected_partner():
+    value = hls(PosetSpec((1,), (2,)))
+    k, n = K_and_N(value.spec, value.table, value.yvars)
+    assert n == 3
+    y = LaurentPoly.variable(value.table, value.table.id("Y[1,1]"))
+    cert = check_reciprocity(value, k * y, n, "hls")
+    # The term 1 is first in print order; its partner carries K's extra Y[1,1].
+    partner = "Y[1,0]*Y[1,1]^3*X{0}*X{0^2}*X{1}*X{0 1}"
+    assert cert == (value.spec, "hls", 3, False, "1", partner)
+    assert check_reciprocity(value, k, n + 1, "hls").expected == "-" + partner.replace("^3", "^2")
+    reason = "none: K = 1 + Y[1,0]*Y[1,1]^2 is not a monomial of coefficient 1"
+    assert check_reciprocity(value, k + 1, n, "hls").expected == reason
+    y0 = LaurentPoly.variable(value.table, value.table.id("Y[1,0]"))
+    assert check_reciprocity(value, k * y0**2, n, "hls")[4:] == ("1", "none: no term can carry Y[1,0]^3")
+    # Past K: a term of Y[1,0] has no partner once K lacks Y[1,0].
+    y1_squared = LaurentPoly.monomial(value.table, {value.table.id("Y[1,1]"): 2}, 1)
+    terms = value.packed_numerator().terms
+    with_y0 = with_terms(value, {key: c for key, c in terms.items() if "Y[1,0]" in text_of(value, key)})
+    cert = check_reciprocity(with_y0, y1_squared, n, "hls")
+    assert cert.expected == "none: no term can carry Y[1,0]^-1"
+    # A term with the top bit has no partner in X_top times the numerator.
+    top = 1 << len(value.denominator_vars) - 1
+    moved = with_terms(value, {key | top: c for key, c in terms.items()})
+    assert check_reciprocity(moved, k, n, "hls").expected == "none: the term has X{0^2 1}"
+    assert not reference_reciprocity(moved, "hls")
+
+
+def test_check_reciprocity_reads_only_a_packed_numerator():
+    value = hls(PosetSpec((1,), (1,)))
+    k, n = K_and_N(value.spec, value.table, value.yvars)
+    with pytest.raises(ValueError, match="unknown series kind"):
+        check_reciprocity(value, k, n, "open")
+    with pytest.raises(ValueError, match="still packed"):
+        check_reciprocity(with_numerator(value, value.numerator), k, n, "hls")
+
+
+def text_of(value, key):
+    """The text of the one term of ``value``'s packed numerator at ``key``."""
+    packed = value.packed_numerator()
+    return packed._replace(terms={key: packed.terms[key]}).text()
+
+
 def test_classical_igusa_reciprocity_corollary():
     # I_r at inverted variables equals (-1)^r X_r Y^(-C(r,2)) I_r, checked in
-    # cleared form on the subset-sum construction itself.
-    for r in (1, 2, 3):
+    # cleared form on the subset-sum construction itself, on keys and by the
+    # oracle.
+    for r in range(1, 7):
         value = classical_igusa(r)
-        ctx = make_context(PosetSpec((0,), (r,)))
-        y0 = ctx.yvars[0][0]
-        k = LaurentPoly.monomial(ctx.table, {y0: r * (r - 1) // 2}, 1)
-        lhs, rhs = cleared_reciprocity(value, k, r, ctx.top_var())
-        assert lhs == rhs
+        k = LaurentPoly.monomial(value.table, {value.yvars[0][0]: r * (r - 1) // 2}, 1)
+        assert check_reciprocity(value, k, r, "hls").equal
+        assert reference_reciprocity(value, "hls", k, r)
 
 
 def test_mv_hls_reciprocity_corollary():
     # The univariate specialization satisfies the original functional
-    # equation with K = Y^C(n,2) and sign (-1)^n.
+    # equation with K = Y^C(n,2) and sign (-1)^n.  Collapsing Y[1,j] to
+    # Y[1,1] leaves the packed keys, so only the oracle checks it.
     for n in (2, 3):
         spec = PosetSpec((n,), (0,))
         ctx = make_context(spec)
         value = mv_hls(n)
         ys = ctx.yvars[0][1:]
         collapse = {v: LaurentPoly.variable(ctx.table, ys[0]) for v in ys[1:]}
-        collapsed = value.numerator.subs(collapse)
+        collapsed = with_numerator(value, value.numerator.subs(collapse))
         k = LaurentPoly.monomial(ctx.table, {ys[0]: n * (n - 1) // 2}, 1)
-        value2 = copy.copy(value)
-        value2.numerator = collapsed
-        lhs, rhs = cleared_reciprocity(value2, k, n, ctx.top_var())
-        assert lhs == rhs
+        assert reference_reciprocity(collapsed, "hls", k, n)
 
 
 def test_generalized_igusa_reciprocity_corollary():
-    from hlskit.series import generalized_igusa
-
-    for rv in ((2,), (2, 1)):
+    for rv in ((2,), (2, 1), (3, 2)):
         spec = PosetSpec(tuple(0 for _ in rv), rv)
         value = generalized_igusa(rv)
-        ctx = make_context(spec)
-        k, n = K_and_N(spec, ctx.table, ctx.yvars)
-        lhs, rhs = cleared_reciprocity(value, k, n, ctx.top_var())
-        assert lhs == rhs
+        k, n = K_and_N(spec, value.table, value.yvars)
+        assert check_reciprocity(value, k, n, "hls").equal
+        assert reference_reciprocity(value, "hls", k, n)
+
+
+def test_weak_order_igusa_reciprocity_corollary():
+    # K = 1 and N = g; N = g - 1 and N = g + 1 break it on both routes.
+    for g in range(1, 5):
+        value = weak_order_igusa(g)
+        one = LaurentPoly.const(value.table, 1)
+        for n in (g - 1, g, g + 1):
+            assert check_reciprocity(value, one, n, "hls").equal == (n == g)
+            assert reference_reciprocity(value, "hls", one, n) == (n == g)
 
 
 @pytest.mark.parametrize(
@@ -785,11 +904,3 @@ def test_count_products_reference_values(n, triples):
     assert count_products(spec, max_products=triples) == triples
     with pytest.raises(CapExceededError, match=f"exceed the cap {triples - 1} "):
         count_products(spec, max_products=triples - 1)
-
-
-def test_certificate_carries_both_sides():
-    cert = verify_reciprocity(PosetSpec((1,), (2,)), "hls")
-    h = hls(PosetSpec((1,), (2,)))
-    assert cert.n_value == 3
-    assert cert.rhs.term_count == h.term_count
-    assert cert.equal == (cert.lhs == cert.rhs)
