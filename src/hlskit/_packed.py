@@ -57,6 +57,7 @@ class Codec:
     gets none.  While no exponent of a product of monomials exceeds its
     bound, no field of the sum of their keys carries into the next, so that
     sum is the product's key.  Callers choose bounds that hold for it.
+    Codecs of the same fields are equal.
     """
 
     def __init__(self, bounds: Iterable[int]):
@@ -64,6 +65,9 @@ class Codec:
         self.shifts = [0, *accumulate(widths)]
         # (variable, shift, field mask) of each variable with a field
         self.fields = [(v, self.shifts[v], (1 << w) - 1) for v, w in enumerate(widths) if w]
+
+    def __eq__(self, other):
+        return self.fields == other.fields if isinstance(other, Codec) else NotImplemented
 
     def pack(self, mono: Monomial) -> int:
         return sum(e << self.shifts[v] for v, e in mono)
@@ -381,7 +385,7 @@ class PackedNumerator(NamedTuple):
         one, so the two are equal if as many terms and each re-keyed one match.
         """
         m = len(self.x_vids)
-        if not m or other.x_vids != self.x_vids[:-1] or other.codec.fields != self.codec.fields:
+        if not m or other.x_vids != self.x_vids[:-1] or other.codec != self.codec:
             return False
         low = (1 << m - 1) - 1
         get = self.terms.get

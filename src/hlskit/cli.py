@@ -388,8 +388,11 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except MemoryError:
-        print("error: out of memory; lower a resource cap or use a smaller spec", file=sys.stderr)
+    except (MemoryError, SystemError) as exc:
+        # Near an address-space limit CPython may raise SystemError instead.
+        cause = f" ({exc!r})" if isinstance(exc, SystemError) else ""
+        advice = "lower a resource cap or use a smaller spec"
+        print(f"error: out of memory{cause}; {advice}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:
         return EXIT_OK

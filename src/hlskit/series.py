@@ -1,22 +1,25 @@
 """Chain generating series over the universal denominator, and specializations.
 
-A series value is stored as an exact numerator polynomial together with the
-ordered list of denominator factors ``(1 - X_c)``, one per interval element;
-no rational-function normalization ever happens.  The numerator of the
-half-open series is
+A series value (``HlsRational``) is an immutable record around the exact
+numerator that the sweep leaves packed (``_packed.PackedNumerator``), over
+the ordered denominator factors ``(1 - X_c)``, one per X variable of the
+numerator, i.e. per interval element; no rational-function normalization
+ever happens.  The numerator of the half-open series is
 
     sum over strict chains C of  W_C(Y) * prod_{c in C} X_c * prod_{c not in C} (1 - X_c),
 
 which is the chain sum with denominators cleared.  Every series here is
 assembled by one transfer-matrix sweep, ``_chain_series``, from a pair weight
-of its own.
+of its own.  Truncated expansions (``TruncatedSeries``) hold their
+coefficients packed (``_packed.PackedCoefficients``) in the same way; the
+``LaurentPoly`` views, ``numerator`` and ``coefficients``, unpack on each read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter, itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from ._packed import (
     PackedCoefficients,
@@ -79,90 +82,44 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
     return SeriesContext(spec, VarTable(names), tuple(yvars), x_elements, x_ids)
 
 
-class _Unpacked:
-    """A field read as the unpacked view of a value that may be packed.
+class HlsRational(NamedTuple):
+    """A series value: the sweep's packed numerator over an implicit product of (1 - X_c).
 
-    It takes the view itself or a value of ``packed_type``, which is kept
-    and unpacked once, by ``unpack``, on first read.  The field has no
-    default: read on the class, it raises ``AttributeError``.
+    The denominator has one factor per X variable of ``packed``, in its
+    mask bit order.  ``numerator`` unpacks ``packed`` on each read;
+    ``term_count`` and the texts read the keys.
     """
 
-    def __init__(self, packed_type: type, unpack: Callable):
-        self.packed_type, self.unpack = packed_type, unpack
+    spec: PosetSpec | None
+    yvars: tuple[tuple[int, ...], ...]
+    packed: PackedNumerator
+    chain_count: int
 
-    def __set_name__(self, owner, name: str) -> None:
-        self.name, self.stored, self.view = name, "_" + name, f"_{name}_view"
+    @property
+    def table(self) -> VarTable:
+        return self.packed.table
 
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.stored]
-        if not isinstance(value, self.packed_type):
-            return value
-        view = obj.__dict__.get(self.view)
-        if view is None:
-            view = obj.__dict__[self.view] = self.unpack(value)
-        return view
+    @property
+    def denominator_vars(self) -> tuple[int, ...]:
+        return self.packed.x_vids
 
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.stored] = value
-        obj.__dict__.pop(self.view, None)
+    @property
+    def denominator_names(self) -> tuple[str, ...]:
+        """The element of each denominator factor: its ``X{...}`` name without the braces."""
+        names = self.table.names
+        return tuple(names[v][2:-1] for v in self.denominator_vars)
 
-
-class _Fields:
-    """Equality field by field, over ``_fields`` read as attributes."""
-
-    _fields: tuple[str, ...]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = attrgetter(*self._fields)
-        return fields(self) == fields(other)
-
-
-class HlsRational(_Fields):
-    """A series value: exact numerator over an implicit product of (1 - X_c).
-
-    A series built here keeps its numerator packed until ``numerator`` is
-    read; ``term_count`` and ``numerator_text`` do not unpack it.  Fields
-    may be assigned; assigning ``numerator`` drops its unpacked view.
-    """
-
-    _fields = (
-        "spec", "table", "yvars", "numerator",
-        "denominator_vars", "denominator_names", "chain_count",
-    )
-    # A lambda, so that rebinding ``unpack`` here (a test double) takes effect.
-    numerator = _Unpacked(PackedNumerator, lambda packed: unpack(packed))
-
-    def __init__(
-        self,
-        spec: PosetSpec | None,
-        table: VarTable,
-        yvars: tuple[tuple[int, ...], ...],
-        numerator: LaurentPoly | PackedNumerator,
-        denominator_vars: tuple[int, ...],
-        denominator_names: tuple[str, ...],
-        chain_count: int,
-    ):
-        self.spec, self.table, self.yvars, self.numerator = spec, table, yvars, numerator
-        self.denominator_vars, self.denominator_names = denominator_vars, denominator_names
-        self.chain_count = chain_count
+    @property
+    def numerator(self) -> LaurentPoly:
+        return unpack(self.packed)
 
     @property
     def term_count(self) -> int:
-        return len(self._numerator.terms)
-
-    def packed_numerator(self) -> PackedNumerator:
-        """The numerator of a series built here, still packed, however it was read."""
-        if not isinstance(self._numerator, PackedNumerator):
-            raise ValueError("this needs a series whose numerator is still packed, not assigned")
-        return self._numerator
+        return len(self.packed.terms)
 
     def numerator_text(self) -> str:
-        """``numerator.text()``, from the packed keys while there are any."""
-        return self._numerator.text()
+        """``numerator.text()``, rendered from the packed keys."""
+        return self.packed.text()
 
     def denominator_text(self) -> str:
         if not self.denominator_vars:
@@ -264,8 +221,7 @@ def _series(
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     numerator, chain_count = _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
-    names = tuple(render_element(e) for e in elements)
-    return HlsRational(spec, ctx.table, ctx.yvars, numerator, numerator.x_vids, names, chain_count)
+    return HlsRational(spec, ctx.yvars, numerator, chain_count)
 
 
 def hls(
@@ -304,43 +260,38 @@ def relation_check(
         raise DegenerateSpecError("bottom equals top; the relation presupposes otherwise")
     h = hls(spec, max_chains, max_elements, max_terms)
     hm = hls_modified(spec, max_chains, max_elements, max_terms)
-    return h.packed_numerator().equals_open(hm.packed_numerator())
+    return h.packed.equals_open(hm.packed)
 
 
 # -- truncated expansions ----------------------------------------------------------
 
 
-class TruncatedSeries(_Fields):
-    """Coefficients of X multidegrees up to a total-degree bound.
+class TruncatedSeries(NamedTuple):
+    """Coefficients of X multidegrees up to a total-degree bound, packed.
 
-    A series built here keeps its coefficients packed until
-    ``coefficients`` is read; ``texts`` renders them from the keys.
+    ``x_vars`` are the X variables of the multidegrees' positions.
+    ``coefficients`` unpacks ``packed`` on each read; ``texts`` renders
+    them from the keys.
     """
 
-    _fields = ("bound", "table", "x_vars", "coefficients")
-    # A lambda, so that a test double of ``PackedCoefficients.unpack`` takes effect.
-    coefficients = _Unpacked(PackedCoefficients, lambda packed: packed.unpack())
+    bound: int
+    x_vars: tuple[int, ...]
+    packed: PackedCoefficients
 
-    def __init__(
-        self,
-        bound: int,
-        table: VarTable,
-        x_vars: tuple[int, ...],
-        coefficients: dict[tuple[int, ...], LaurentPoly] | PackedCoefficients,
-    ):
-        self.bound, self.table, self.x_vars, self.coefficients = bound, table, x_vars, coefficients
+    @property
+    def table(self) -> VarTable:
+        return self.packed.table
+
+    @property
+    def coefficients(self) -> dict[tuple[int, ...], LaurentPoly]:
+        return self.packed.unpack()
 
     def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
         return self.coefficients.get(key, LaurentPoly.zero(self.table))
 
     def texts(self) -> list[tuple[tuple[int, ...], str]]:
         """Each X multidegree and its coefficient's text, by total degree, then multidegree."""
-        stored = self._coefficients
-        if isinstance(stored, PackedCoefficients):
-            texts = stored.texts()
-        else:
-            texts = {key: c.text() for key, c in stored.items()}
-        return sorted(texts.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.packed.texts().items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
 def expand_multichain(
@@ -371,19 +322,18 @@ def expand_multichain(
             acc[y] = acc.get(y, 0) + c
     coeffs = {k: t for k, acc in coeffs.items() if (t := {y: c for y, c in acc.items() if c})}
     x_vars = tuple(ctx.x_ids[e] for e in ctx.x_elements)
-    packed = PackedCoefficients(ctx.table, weights.codec, coeffs)
-    return TruncatedSeries(bound, ctx.table, x_vars, packed)
+    return TruncatedSeries(bound, x_vars, PackedCoefficients(ctx.table, weights.codec, coeffs))
 
 
 def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
     """Geometric expansion of the stored numerator/denominator, truncated.
 
-    The numerator must be the packed one of a series built here: each
-    term's X degrees are the bits of its mask, and its Y key is kept.
+    Each term's X degrees are the bits of its packed key's mask, and its Y
+    key is kept.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    numerator = h.packed_numerator()
+    numerator = h.packed
     m = len(numerator.x_vids)
     low = (1 << m) - 1
     coeffs: dict[tuple[int, ...], Terms] = {}
@@ -407,58 +357,8 @@ def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
                         del target[y]
         coeffs = update
     coeffs = {key: bucket for key, bucket in coeffs.items() if bucket}
-    packed = PackedCoefficients(h.table, numerator.codec, coeffs)
-    return TruncatedSeries(bound, h.table, h.denominator_vars, packed)
-
-
-# -- substitution ------------------------------------------------------------------
-
-
-class ZeroDenominatorError(ValueError):
-    """A substitution sent some denominator factor to the zero polynomial."""
-
-
-class SubstitutedRational(NamedTuple):
-    table: VarTable
-    numerator: LaurentPoly
-    denominator_factors: tuple[LaurentPoly, ...]
-
-
-def substitute(
-    h: HlsRational,
-    x_map: Mapping[Element, LaurentPoly | int] | None = None,
-    y_map: Mapping[int, LaurentPoly | int] | None = None,
-    table: VarTable | None = None,
-) -> SubstitutedRational:
-    """Substitute into numerator and denominator factors, no cancellation.
-
-    ``x_map`` is keyed by interval elements (resolved through the spec's
-    context); ``y_map`` directly by variable id.  Unmapped variables keep
-    their names in the target table.
-    """
-    images: dict[int, LaurentPoly | int] = {}
-    if x_map:
-        if h.spec is None:
-            raise ValueError("this value has no poset spec; map variables by id instead")
-        ctx = make_context(h.spec)
-        for element, image in x_map.items():
-            images[ctx.x_ids[element]] = image
-    if y_map:
-        images.update(y_map)
-    target = table if table is not None else h.table
-    numerator = h.numerator.subs(images, target)
-    factors = []
-    for v in h.denominator_vars:
-        image = images.get(v)
-        if image is None:
-            image = LaurentPoly.variable(target, target.id(h.table.name(v)))
-        factor = 1 - (LaurentPoly.const(target, image) if isinstance(image, int) else image)
-        if factor.is_zero():
-            raise ZeroDenominatorError(
-                f"denominator factor for {h.table.name(v)} vanished under substitution"
-            )
-        factors.append(factor)
-    return SubstitutedRational(target, numerator, tuple(factors))
+    packed = PackedCoefficients(numerator.table, numerator.codec, coeffs)
+    return TruncatedSeries(bound, numerator.x_vids, packed)
 
 
 # -- specializations ----------------------------------------------------------------
@@ -543,6 +443,4 @@ def weak_order_igusa(
     spec = PosetSpec((g,), (0,))
     # Inclusion of subsets is componentwise <= of their indicator vectors.
     value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
-    # Set in place, which leaves the numerator packed.
-    value.spec = None
-    return value
+    return value._replace(spec=None)

@@ -325,10 +325,15 @@ def check_reciprocity(
 ) -> ReciprocityCertificate:
     """Reciprocity on the packed numerator of a half-open series value (``kind`` ``"hls"``,
     its last factor the top's) or of an open one (``"hls_modified"``).
+
+    A half-open value without denominator factors, whose bottom is its top,
+    raises ``DegenerateSpecError``.
     """
     if kind not in _SERIES:
         raise ValueError(f"unknown series kind {kind!r}")
-    failure = value.packed_numerator().reciprocity_failure(k, n_value, kind == "hls")
+    if kind == "hls" and not value.denominator_vars:
+        raise DegenerateSpecError("bottom equals top; the reciprocity statement is vacuous here")
+    failure = value.packed.reciprocity_failure(k, n_value, kind == "hls")
     return ReciprocityCertificate(value.spec, kind, n_value, failure is None, *failure or ())
 
 

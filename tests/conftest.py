@@ -18,7 +18,7 @@ from hlskit.poset import (
     lt_t,
     render_element,
 )
-from hlskit.series import HlsRational, TruncatedSeries, make_context
+from hlskit.series import HlsRational, make_context
 from hlskit.weight import chain_weight
 
 SEED = 20260809
@@ -174,7 +174,11 @@ def reference_order_complex(
 
 
 def reference_reciprocity(
-    value: HlsRational, kind: str, k: LaurentPoly | None = None, n_value: int | None = None
+    value: HlsRational,
+    kind: str,
+    k: LaurentPoly | None = None,
+    n_value: int | None = None,
+    numerator: LaurentPoly | None = None,
 ) -> bool:
     """The functional equation of a series value, on ``LaurentPoly`` arithmetic.
 
@@ -183,23 +187,26 @@ def reference_reciprocity(
     denominator factor is the top's) and against ``(-1)^(N-1) * Num`` for
     the open one, with ``m`` denominator factors.  K and N default to
     ``K_and_N`` of the value's spec, looked up on the ``verify`` module, so
-    a test that patches it there reaches both routes.
+    a test that patches it there reaches both routes.  ``numerator``, by
+    default the value's own, is checked over the value's denominator.
     """
     if k is None:
         k, n_value = verify.K_and_N(value.spec, value.table, value.yvars)
+    if numerator is None:
+        numerator = value.numerator
     table = value.table
     m = len(value.denominator_vars)
-    inverted = value.numerator.invert_vars(range(len(table)))
+    inverted = numerator.invert_vars(range(len(table)))
     x_product = LaurentPoly.monomial(table, {v: 1 for v in value.denominator_vars}, 1)
     lhs = k * x_product * inverted
     if m % 2:
         lhs = -lhs
     if kind == "hls":
-        rhs = LaurentPoly.variable(table, value.denominator_vars[-1]) * value.numerator
+        rhs = LaurentPoly.variable(table, value.denominator_vars[-1]) * numerator
         if n_value % 2:
             rhs = -rhs
     else:
-        rhs = value.numerator
+        rhs = numerator
         if (n_value - 1) % 2:
             rhs = -rhs
     return lhs == rhs
@@ -276,8 +283,12 @@ def reference_expand_multichain(
     bound: int,
     max_chains: int | None = None,
     max_elements: int | None = None,
-) -> TruncatedSeries:
-    """Multichain expansion with every weight multiplied out by ``chain_weight``."""
+) -> dict[tuple[int, ...], LaurentPoly]:
+    """The coefficients of the multichain expansion, each weight multiplied out by ``chain_weight``.
+
+    They are keyed by X multidegree, over the X variables of
+    ``make_context(spec)`` in order.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     ctx = make_context(spec, max_elements)
@@ -292,8 +303,7 @@ def reference_expand_multichain(
         k = tuple(key)
         prev = coeffs.get(k)
         coeffs[k] = weight if prev is None else prev + weight
-    coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-    return TruncatedSeries(bound, ctx.table, tuple(ctx.x_ids[e] for e in ctx.x_elements), coeffs)
+    return {k: v for k, v in coeffs.items() if not v.is_zero()}
 
 
 def brute_force_covers(spec: PosetSpec) -> list[tuple[Element, Element]]:

@@ -309,17 +309,28 @@ def test_term_cap_at_the_exact_peak_exits_0(capsys):
     assert out == run(capsys, *argv)[1]
 
 
-def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "error, cause",
+    [
+        (MemoryError(), ""),
+        # CPython may raise this in place of MemoryError near an address-space limit.
+        (
+            SystemError("error return without exception set"),
+            " (SystemError('error return without exception set'))",
+        ),
+    ],
+)
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, error, cause):
     import hlskit.cli as cli
 
     def exhausted(*args):
-        raise MemoryError
+        raise error
 
     monkeypatch.setattr(cli, "hls", exhausted)
     code, out, err = run(capsys, "compute", "--n", "1", "--r", "1", "--no-timing")
     assert code == 2
     assert out == ""
-    assert err == "error: out of memory; lower a resource cap or use a smaller spec\n"
+    assert err == f"error: out of memory{cause}; lower a resource cap or use a smaller spec\n"
 
 
 def test_expand_dual_method_identical(capsys):

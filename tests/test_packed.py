@@ -1,7 +1,5 @@
 """The packed-monomial codec, and both of its users against their oracles."""
 
-import copy
-
 import pytest
 
 from hlskit import series
@@ -69,6 +67,16 @@ def test_bound_zero_gets_no_field():
     assert Codec([0, 0]).fields == [] and Codec([0, 0]).pack(()) == 0
 
 
+def test_codecs_of_the_same_fields_are_equal():
+    # Bounds 3, 7, 1 and 2, 4, 1 give fields of 2, 3 and 1 bits alike.
+    assert Codec([3, 7, 1]) == Codec([2, 4, 1])
+    assert Codec([2, 0, 5]) == Codec([3, 0, 4])
+    assert Codec([3, 7, 1]) != Codec([3, 8, 1])
+    assert Codec([2, 0, 5]) != Codec([2, 5, 0])
+    assert Codec([0, 0]) == Codec([])
+    assert Codec([3]) != Codec([3]).fields
+
+
 def test_exponent_bounds():
     table = VarTable(["x", "y", "z"])
     x, y = (LaurentPoly.variable(table, v) for v in range(2))
@@ -128,7 +136,9 @@ def test_packed_routes_match_unpacked_ones(spec, bound):
         assert texts == [(key, c.text()) for key, c in sorted_coefficients(expansion)]
     assert expansions[0] == expansions[1]
     if spec.element_count() <= ORACLE_ELEMENTS:
-        assert expansions[1] == reference_expand_multichain(spec, bound)
+        assert expansions[1].coefficients == reference_expand_multichain(spec, bound)
+        x_vars = tuple(make_context(spec).x_ids.values())
+        assert (expansions[1].bound, expansions[1].x_vars) == (bound, x_vars)
     zeta, mobius = zeta_matrix(spec), mobius_matrix(spec)
     assert mobius.entries == reference_mobius_matrix(spec, zeta).entries
     product = matmul(zeta, mobius)
@@ -148,7 +158,7 @@ def test_packed_routes_match_unpacked_ones(spec, bound):
 
 def packed_and_unpacked_text(value):
     """The text of a series rendered from its keys, and its numerator's text."""
-    assert isinstance(value._numerator, PackedNumerator)
+    assert isinstance(value.packed, PackedNumerator)
     return value.numerator_text(), value.numerator.text()
 
 
@@ -181,7 +191,7 @@ def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
     # of 4 - 3*w, within δ as the weight w is, gives larger ones, of both
     # signs, on Y monomials.
     value = weak_order_igusa(3)
-    assert max(map(abs, value._numerator.terms.values())) == 2
+    assert max(map(abs, value.packed.terms.values())) == 2
     rendered, unpacked = packed_and_unpacked_text(value)
     assert rendered == unpacked and "+ 2*X{1}" in rendered
 
@@ -193,33 +203,6 @@ def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
         "1 - 3*Y[1,0]*X{0^2} - 3*Y[1,0]*X{0} - 3*Y[1,0]^2*X{0^2} - 3*Y[1,0]^2*X{0}"
         " + 12*Y[1,0]^2*X{0}*X{0^2} + 9*Y[1,0]^3*X{0}*X{0^2}"
     )
-
-
-def with_numerator(value, numerator):
-    """A shallow copy of ``value`` with ``numerator`` assigned."""
-    copied = copy.copy(value)
-    copied.numerator = numerator
-    return copied
-
-
-def test_an_explicit_numerator_renders_as_given():
-    value = hls(PosetSpec((1,), (1,)))
-    table = value.table
-    numerator = 2 - 3 * LaurentPoly.variable(table, table.id("X{0}"))
-    for given in (
-        with_numerator(value, numerator),
-        series.HlsRational(
-            value.spec,
-            table,
-            value.yvars,
-            numerator,
-            value.denominator_vars,
-            value.denominator_names,
-            value.chain_count,
-        ),
-    ):
-        assert given.numerator is numerator
-        assert (given.term_count, given.numerator_text()) == (2, "2 - 3*X{0}")
 
 
 # -- truncated expansions, rendered from packed keys --------------------------------
@@ -247,10 +230,12 @@ def test_expand_output_never_unpacks_the_coefficients(capsys, monkeypatch, metho
 def test_expansions_hold_their_coefficients_packed():
     spec = PosetSpec((2,), (1,))
     for expansion in (expand_multichain(spec, 3), expand_rational(hls(spec), 3)):
-        assert isinstance(expansion._coefficients, PackedCoefficients)
+        packed = expansion.packed
+        assert isinstance(packed, PackedCoefficients)
         view = expansion.coefficients
-        assert expansion.coefficients is view
-        assert isinstance(expansion._coefficients, PackedCoefficients)
+        # Each read unpacks anew and leaves the packed form as it was.
+        assert expansion.coefficients is not view and expansion.coefficients == view
+        assert expansion.packed is packed
 
 
 def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
@@ -259,29 +244,34 @@ def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
     expected = expand_rational(value, 3)
     assert value.numerator.term_count == 12
     assert expand_rational(value, 3) == expected
-    explicit = with_numerator(value, value.numerator)
-    with pytest.raises(ValueError, match="still packed"):
-        expand_rational(explicit, 3)
 
 
-def test_series_values_compare_field_by_field_and_drop_the_view_on_assignment():
+def one_term_mutant(value):
+    """A copy of ``value`` whose packed form has one coefficient negated."""
+    terms = dict(value.packed.terms)
+    key = next(iter(terms))
+    if isinstance(terms[key], dict):  # an expansion: a coefficient is a dict of its own
+        y, c = next(iter(terms[key].items()))
+        terms[key] = {**terms[key], y: -c}
+    else:
+        terms[key] = -terms[key]
+    return value._replace(packed=value.packed._replace(terms=terms))
+
+
+def test_series_values_are_immutable_and_compare_by_value():
     spec = PosetSpec((1,), (2,))
-    value = hls(spec)
-    assert value == hls(spec) and value != hls_modified(spec)
-    with pytest.raises(TypeError):
-        hash(value)
-    view = value.numerator
-    assert value.numerator is view
-    value.numerator = value._numerator
-    assert value.numerator is not view and value.numerator == view
-    value.numerator = 2 * view
-    assert value.numerator == 2 * view and value != hls(spec)
-
-    expansion = expand_multichain(spec, 3)
+    value, expansion = hls(spec), expand_multichain(spec, 3)
+    assert value != hls_modified(spec)
     assert expansion == expand_rational(hls(spec), 3) != expand_multichain(spec, 2)
-    view = expansion.coefficients
-    assert expansion.coefficients is view
-    expansion.coefficients = expansion._coefficients
-    assert expansion.coefficients is not view and expansion.coefficients == view
-    expansion.coefficients = {}
-    assert expansion.coefficients == {} and expansion != expand_multichain(spec, 3)
+    cases = (
+        (value, lambda: hls(spec), ("table", "numerator", "denominator_vars")),
+        (expansion, lambda: expand_multichain(spec, 3), ("table", "coefficients")),
+    )
+    for item, build, views in cases:
+        for field in (*item._fields, *views):
+            with pytest.raises(AttributeError):
+                setattr(item, field, None)
+        with pytest.raises(TypeError):
+            hash(item)
+        mutant = one_term_mutant(item)
+        assert item == build() and mutant != item and mutant != build()

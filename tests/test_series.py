@@ -16,7 +16,6 @@ from hlskit.poset import (
     render_element,
 )
 from hlskit.series import (
-    ZeroDenominatorError,
     _hls_pair,
     _leg_pair,
     _unit_pair,
@@ -30,7 +29,6 @@ from hlskit.series import (
     make_context,
     mv_hls,
     relation_check,
-    substitute,
     weak_order_igusa,
 )
 from hlskit.weight import chain_weight, pair_weight, phi_tableau, project, theta_tableau
@@ -182,8 +180,11 @@ def test_expand_full_table_1_1_by_brute_force():
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=spec_id)
 def test_expand_multichain_matches_per_chain_oracle(spec):
+    x_vars = tuple(make_context(spec).x_ids.values())
     for bound in range(6):
-        assert expand_multichain(spec, bound) == reference_expand_multichain(spec, bound)
+        expansion = expand_multichain(spec, bound)
+        assert expansion.coefficients == reference_expand_multichain(spec, bound)
+        assert (expansion.bound, expansion.x_vars) == (bound, x_vars)
 
 
 def test_dual_path_expansion():
@@ -209,29 +210,13 @@ def test_rational_expansion_degree_zero_is_one():
 # -- substitution ---------------------------------------------------------------
 
 
-def test_identity_substitution():
-    h = hls(SPEC12)
-    sub = substitute(h)
-    assert sub.numerator == h.numerator
-    assert len(sub.denominator_factors) == 5
-    for v, factor in zip(h.denominator_vars, sub.denominator_factors):
-        assert factor == 1 - LaurentPoly.variable(h.table, v)
-
-
-def test_substitution_rejects_vanishing_denominator():
-    h = hls(SPEC12)
-    first = make_context(SPEC12).x_elements[0]
-    with pytest.raises(ZeroDenominatorError):
-        substitute(h, x_map={first: 1})
-
-
 def test_indicator_substitution_matches_direct_chain_sum():
     # Sending the positive-position variables to 1 must agree with the
     # indicator-weighted chain sum computed directly.
     spec = PosetSpec((2,), (0,))
     ctx = make_context(spec)
     h = hls(spec)
-    sub = substitute(h, y_map={v: 1 for v in ctx.yvars[0][1:]})
+    substituted = h.numerator.subs({v: 1 for v in ctx.yvars[0][1:]})
 
     def contributions():
         for chain in enumerate_chains(spec):
@@ -245,7 +230,7 @@ def test_indicator_substitution_matches_direct_chain_sum():
             ]
 
     expected, _ = reference_numerator_sum(ctx.table, h.denominator_vars, contributions())
-    assert sub.numerator == expected
+    assert substituted == expected
 
 
 def test_monomial_substitution_counts_tableau_weights():
@@ -262,10 +247,6 @@ def test_monomial_substitution_counts_tableau_weights():
     def image(element):
         comp = element[0]
         return x0**comp[0] * (x1 if comp[1] else 1)
-
-    x_map = {e: image(e) for e in ctx.x_elements}
-    sub = substitute(h, x_map=x_map, table=big)
-    assert sub.denominator_factors == tuple(1 - image(e) for e in ctx.x_elements)
 
     # Every element above the bottom has a cell, so X-degree <= cell degree
     # and the X-truncation at the bound loses no term of cell degree <= bound.
@@ -340,6 +321,16 @@ def test_weak_order_igusa_is_mv_hls_at_one():
         assert wo.numerator == mv.numerator.eval_at_one(y_ids)
         assert wo.denominator_vars == mv.denominator_vars
         assert wo.denominator_names == mv.denominator_names
+
+
+def test_weak_order_igusa_returns_a_value_without_a_spec():
+    wo = weak_order_igusa(2)
+    assert wo.spec is None
+    assert wo == weak_order_igusa(2)
+    assert wo._replace(spec=PosetSpec((2,), (0,))) != wo
+    with pytest.raises(AttributeError):
+        wo.spec = PosetSpec((2,), (0,))
+    assert wo.spec is None
 
 
 def pair_product(pair, ctx, chain):
@@ -510,7 +501,7 @@ def test_every_builder_packs_by_the_delta_codec(name, interval):
     for spec, value in built(name, interval):
         ctx = make_context(spec)
         delta_codec = PairWeights(spec, ctx.table, ctx.yvars, pair_weight).codec
-        assert value._numerator.codec.fields == delta_codec.fields
+        assert value.packed.codec.fields == delta_codec.fields
 
 
 def strict_pair(weight):
@@ -529,7 +520,7 @@ def test_full_width_y_field_does_not_wrap():
     y = make_context(spec).table.id("Y[1,0]")
     for build, interval in ((hls, "half_open"), (hls_modified, "open")):
         h = build(spec)
-        assert h._numerator.codec.fields == [(y, 0, 3)]
+        assert h.packed.codec.fields == [(y, 0, 3)]
         numerator, count = kernel_oracle(spec, _hls_pair, interval)
         assert h.numerator == numerator and h.chain_count == count
         assert max(e for mono in h.numerator.terms for v, e in mono if v == y) == 3

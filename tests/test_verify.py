@@ -56,7 +56,6 @@ from conftest import (
     reference_reciprocity,
     reference_relation,
 )
-from test_packed import with_numerator
 from test_series import SMALL_SPECS, spec_id
 
 Q_PASCAL_SPEC = PosetSpec((0,), (2,))
@@ -537,7 +536,7 @@ def test_reciprocity_degenerate_is_vacuous():
 
 def with_terms(value, terms):
     """A copy of ``value`` whose packed numerator has ``terms``."""
-    return with_numerator(value, value.packed_numerator()._replace(terms=terms))
+    return value._replace(packed=value.packed._replace(terms=terms))
 
 
 def reciprocity_mutants(value):
@@ -545,7 +544,7 @@ def reciprocity_mutants(value):
     k, n = K_and_N(value.spec, value.table, value.yvars)
     ys = value.yvars[0]
     y = LaurentPoly.variable(value.table, ys[1] if len(ys) > 1 else ys[0])
-    terms = value.packed_numerator().terms
+    terms = value.packed.terms
     first, c = next(iter(terms.items()))
     flipped = {**terms, first: -c}
     dropped = {key: c for key, c in terms.items() if key != first}
@@ -580,14 +579,14 @@ def test_packed_relation_matches_the_oracle_and_fails_every_mutant(spec_parts):
     spec = PosetSpec(*spec_parts)
     h, hm = hls(spec), hls_modified(spec)
     assert relation_check(spec) and reference_relation(h, hm)
-    packed, open_packed = h.packed_numerator(), hm.packed_numerator()
+    packed, open_packed = h.packed, hm.packed
     top = 1 << len(packed.x_vids) - 1
     first, c = next((key, c) for key, c in packed.terms.items() if not key & top)
     dropped = {key: c for key, c in packed.terms.items() if key != first}
     moved = {**dropped, first | top: c}
     for terms in (dropped, moved):
         mutant = with_terms(h, terms)
-        assert not mutant.packed_numerator().equals_open(open_packed)
+        assert not mutant.packed.equals_open(open_packed)
         assert not reference_relation(mutant, hm)
 
 
@@ -607,7 +606,7 @@ def test_certificate_names_a_term_and_its_expected_partner():
     assert check_reciprocity(value, k * y0**2, n, "hls")[4:] == ("1", "none: no term can carry Y[1,0]^3")
     # Past K: a term of Y[1,0] has no partner once K lacks Y[1,0].
     y1_squared = LaurentPoly.monomial(value.table, {value.table.id("Y[1,1]"): 2}, 1)
-    terms = value.packed_numerator().terms
+    terms = value.packed.terms
     with_y0 = with_terms(value, {key: c for key, c in terms.items() if "Y[1,0]" in text_of(value, key)})
     cert = check_reciprocity(with_y0, y1_squared, n, "hls")
     assert cert.expected == "none: no term can carry Y[1,0]^-1"
@@ -618,18 +617,28 @@ def test_certificate_names_a_term_and_its_expected_partner():
     assert not reference_reciprocity(moved, "hls")
 
 
-def test_check_reciprocity_reads_only_a_packed_numerator():
+def test_check_reciprocity_rejects_an_unknown_series_kind():
     value = hls(PosetSpec((1,), (1,)))
     k, n = K_and_N(value.spec, value.table, value.yvars)
     with pytest.raises(ValueError, match="unknown series kind"):
         check_reciprocity(value, k, n, "open")
-    with pytest.raises(ValueError, match="still packed"):
-        check_reciprocity(with_numerator(value, value.numerator), k, n, "hls")
+
+
+def test_check_reciprocity_of_a_degenerate_value_is_vacuous():
+    # A half-open value of bottom = top has no denominator factor; the
+    # open one of a spec with nothing strictly between bottom and top has
+    # none either, and is checked.
+    spec = PosetSpec((0,), (0,))
+    with pytest.raises(DegenerateSpecError):
+        check_reciprocity(hls(spec), *K_and_N(spec), "hls")
+    spec = PosetSpec((0,), (1,))
+    assert hls_modified(spec).denominator_vars == ()
+    assert check_reciprocity(hls_modified(spec), *K_and_N(spec), "hls_modified").equal
 
 
 def text_of(value, key):
     """The text of the one term of ``value``'s packed numerator at ``key``."""
-    packed = value.packed_numerator()
+    packed = value.packed
     return packed._replace(terms={key: packed.terms[key]}).text()
 
 
@@ -654,9 +663,9 @@ def test_mv_hls_reciprocity_corollary():
         value = mv_hls(n)
         ys = ctx.yvars[0][1:]
         collapse = {v: LaurentPoly.variable(ctx.table, ys[0]) for v in ys[1:]}
-        collapsed = with_numerator(value, value.numerator.subs(collapse))
+        collapsed = value.numerator.subs(collapse)
         k = LaurentPoly.monomial(ctx.table, {ys[0]: n * (n - 1) // 2}, 1)
-        assert reference_reciprocity(collapsed, "hls", k, n)
+        assert reference_reciprocity(value, "hls", k, n, collapsed)
 
 
 def test_generalized_igusa_reciprocity_corollary():
