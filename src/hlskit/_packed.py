@@ -7,8 +7,9 @@ packed route stays on its keys:
 
 - chain weights (``weight.chain_weights``) and the multichain expansion;
 - the zeta and Möbius rows of ``verify`` and their products
-  (``multiply_rows``, shared with ``verify.matmul``);
-- the chain-series sweep (``sweep``), whose numerator stays packed
+  (``multiply_rows``, under ``verify.PackedRows.times``);
+- the chain-series sweep of ``series._chain_series``, which adds products
+  on keys (``_add_product``) and leaves its numerator packed
   (``PackedNumerator``) to be rendered and checked, and so do the truncated
   expansions of either route (``PackedCoefficients``).
 
@@ -25,28 +26,13 @@ from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable, _power_text, _terms_text
-from .poset import CapExceededError, Element, render_element, s_vector
+from .poset import Element, render_element, s_vector
 
 # A partial numerator: packed key -> nonzero coefficient.
 Terms = dict[int, int]
 # A packed polynomial: [(packed key, coefficient), ...].
 Packed = list[tuple[int, int]]
 ONE: Packed = [(0, 1)]
-
-
-def exponent_bounds(polys: Iterable[LaurentPoly], nvars: int) -> list[int]:
-    """The largest exponent of each of ``nvars`` variables in ``polys``, or 0.
-
-    A negative exponent raises ``ValueError``: only polynomials pack.
-    """
-    top = [0] * nvars
-    for p in polys:
-        for mono in p.terms:
-            for v, e in mono:
-                if e < 0:
-                    raise ValueError("packed monomials take polynomials, not negative exponents")
-                top[v] = max(top[v], e)
-    return top
 
 
 class Codec:
@@ -68,9 +54,6 @@ class Codec:
 
     def __eq__(self, other):
         return self.fields == other.fields if isinstance(other, Codec) else NotImplemented
-
-    def pack(self, mono: Monomial) -> int:
-        return sum(e << self.shifts[v] for v, e in mono)
 
     def unpack(self, key: int) -> Monomial:
         return tuple((v, e) for v, shift, mask in self.fields if (e := key >> shift & mask))
@@ -168,6 +151,19 @@ def multiply(p: Packed, q: Packed) -> Packed:
     return [(k, c) for k, c in acc.items() if c]
 
 
+def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:
+    """acc += terms * weight, on packed keys."""
+    get = acc.get
+    for wk, wc in weight:
+        for key, a in terms.items():
+            k = key + wk
+            c = get(k, 0) + a * wc
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+
+
 # A sparse matrix of packed polynomials: one {column: nonzero entry} per row.
 Rows = list[dict[int, Packed]]
 
@@ -203,80 +199,12 @@ def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:
     return out
 
 
-def sweep(
-    bottom: Element,
-    top: Element,
-    above: list[list[int]],
-    preds: dict[Element, list[Element]],
-    swept: Sequence[Element],
-    bit: dict[Element, int],
-    weights: PairWeights,
-    term_cap: int,
-) -> Terms:
-    """The folded transfer-matrix sweep, as described at ``_chain_series``.
-
-    ``bit`` maps the elements, in X variable order, to their mask bits, and
-    ``above`` lists, by index in that order, the elements above each one.
-    A term ``c * Y^e * prod_{i in S} X_i`` has the key ``y << m | mask(S)``,
-    ``y`` the key of ``Y^e`` by ``weights.codec`` and bit ``i`` of the mask
-    for element ``i`` of the ``m`` in ``bit``.  A weight into a swept element
-    ``c`` carries ``X_c``, and the top's own weight enters its step as
-    ``weights(top, top) - 1``.
-    """
-    elements = list(bit)
-    m = len(elements)
-    # A state folds into ``total`` once no element but the top is left above
-    # it: in the step of the last one above it, before its ``1 - X_c``, or
-    # right after its own step if there is none (key None).
-    position = {c: k for k, c in enumerate(swept)}
-    fold_at = {}
-    for s, js in [(bottom, range(m)), *zip(elements, above)]:
-        after = [position[elements[j]] for j in js if elements[j] != top]
-        fold_at.setdefault(max(after, default=None), []).append(s)
-    maximal = set(fold_at.pop(None, ()))
-
-    states = {bottom: {0: 1}}
-    total: Terms = {}
-
-    def fold(s: Element) -> None:
-        _add_product(total, states.pop(s), [(y << m, a) for y, a in weights(s, top)])
-
-    def check(step: int) -> None:
-        if len(total) + sum(map(len, states.values())) > term_cap:
-            raise CapExceededError(f"term cap {term_cap} exceeded at element {step} of {m}")
-
-    if bottom in maximal:
-        fold(bottom)
-    check(0)
-    for k, c in enumerate(swept):
-        b = bit[c]
-        incoming: Terms = {}
-        for s in preds[c]:
-            _add_product(incoming, states[s], [(y << m | b, a) for y, a in weights(s, c)])
-        for s in fold_at.get(k, ()):
-            fold(s)
-        for terms in (*states.values(), total):
-            terms.update({key + b: -a for key, a in terms.items()})
-        states[c] = incoming
-        if c in maximal:
-            fold(c)
-        check(k + 1)
-    if top in preds:
-        b = bit[top]
-        state_top = {key + b: a for key, a in total.items()}
-        step = dict(weights(top, top))
-        step[0] = step.get(0, 0) - 1
-        _add_product(total, state_top, [(y << m, a) for y, a in step.items() if a])
-        check(m)
-    return total
-
-
 class PackedNumerator(NamedTuple):
     """A sweep's numerator, still packed.
 
-    ``terms`` are keyed as at ``sweep``: mask bit ``i`` stands
-    for the X variable ``x_vids[i]``, and the rest of the key is a Y part
-    packed by ``codec``.  Y variable ids must precede the X ones, and
+    ``terms`` are keyed as at ``series._chain_series``: mask bit ``i``
+    stands for the X variable ``x_vids[i]``, and the rest of the key is a Y
+    part packed by ``codec``.  Y variable ids must precede the X ones, and
     ``x_vids`` must increase.
     """
 
@@ -446,19 +374,6 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
     masks = {key & low for key in terms}
     xs = {x: tuple((v, 1) for i, v in enumerate(x_vids) if x >> i & 1) for x in masks}
     return LaurentPoly(table, {ys[key >> m] + xs[key & low]: a for key, a in terms.items()})
-
-
-def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:
-    """acc += terms * weight, on packed keys."""
-    get = acc.get
-    for wk, wc in weight:
-        for key, a in terms.items():
-            k = key + wk
-            c = get(k, 0) + a * wc
-            if c:
-                acc[k] = c
-            else:
-                del acc[k]
 
 
 def packer(bound: int) -> Callable[[LaurentPoly], int]:

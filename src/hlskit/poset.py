@@ -152,18 +152,6 @@ def complement(spec: PosetSpec, a: Element) -> Element:
     return tuple(tuple(t - x for t, x in zip(tc, ac)) for tc, ac in zip(top, a))
 
 
-def iso_n1_to_np1(a: Component, r: int) -> Component:
-    """Order isomorphism from a component with r = 1 into one with r = 0.
-
-    The multiset map sends 0 to 1 and i to i + 1.
-    """
-    if r != 1:
-        raise ValueError("the isomorphism is defined for r = 1 components only")
-    if a[0] not in (0, 1):
-        raise ValueError("component violates the r = 1 bound")
-    return (0,) + tuple(a)
-
-
 # -- enumeration ---------------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from ._packed import (
     PackedNumerator,
     PairWeights,
     Terms,
-    sweep,
+    _add_product,
     unpack,
 )
 from .exactalg import LaurentPoly, VarTable, y_binomial
@@ -147,9 +147,10 @@ def _chain_series(
     ``key`` vectors (``poset.OrderIndex``), each weighted by the product of
     ``pair_w`` over consecutive members once the spec's bottom is prepended
     and its top appended.  The bottom must lie below every element, the top
-    above every other element if it is one of them, ``elements`` must come
-    in X variable order, and ``pair_w`` must return polynomials in the Y
-    variables alone, whose exponents keep within δ (``_packed.PairWeights``).
+    above every other element and last if it is one of them, ``elements``
+    must come in X variable order, and ``pair_w`` must return polynomials
+    in the Y variables alone, whose exponents keep within δ
+    (``_packed.PairWeights``).
 
     The sweep follows a linear extension and keeps one partial numerator
     per last chain element, starting from the bottom.  At each element
@@ -165,11 +166,14 @@ def _chain_series(
     ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
     copy of ``total``.
 
-    Each pair weight is packed once, by the δ codec of ``PairWeights``, and
-    terms are keyed by packed ints (``_packed.sweep``), so a term times a
-    pair-weight monomial times ``X_c`` is one int addition; an exponent past
-    δ raises ``ValueError``.  The numerator is returned packed, its mask
-    bits the X variables of ``elements``.
+    The sweep runs on indices: node ``i < m`` is ``elements[i]`` and node
+    ``m`` the bottom.  Each pair weight is packed once, by the δ codec of
+    ``PairWeights``, and a term ``c * Y^e * prod_{i in S} X_i`` has the key
+    ``y << m | mask``, ``y`` the key of ``Y^e`` and bit ``i`` of the mask
+    for element ``i``.  So a term times a pair-weight monomial times
+    ``X_c`` is one int addition, and ``1 - X_c`` is ``key + (1 << c)``; an
+    exponent past δ raises ``ValueError``.  The numerator is returned
+    packed, its mask bits the X variables of ``elements``.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
@@ -177,29 +181,72 @@ def _chain_series(
     """
     bottom = ctx.spec.bottom()
     top = ctx.spec.top()
+    nodes = [*elements, bottom]
+    m = len(elements)
     above = above_lists(elements, key)
     # An element strictly below another has strictly fewer elements below it.
     below = Counter(j for js in above for j in js)
-    ranked = sorted(range(len(elements)), key=below.__getitem__)
-    order = [elements[i] for i in ranked]
-    preds = {c: [bottom] for c in elements}
-    for i in ranked:
+    order = sorted(range(m), key=below.__getitem__)
+    preds = [[m] for _ in elements]
+    for i in order:
         for j in above[i]:
-            preds[elements[j]].append(elements[i])
+            preds[j].append(i)
 
-    counts = {bottom: 1}
+    counts = [0] * m + [1]
     for c in order:
         counts[c] = sum(counts[s] for s in preds[c])
-    chain_count = sum(counts.values())
+    chain_count = sum(counts)
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     if chain_count > cap:
         raise CapExceededError(f"chain enumeration exceeds cap {cap}")
 
-    swept = order[:-1] if top in preds else order
-    bit = {c: 1 << k for k, c in enumerate(elements)}
+    has_top = m > 0 and elements[-1] == top
+    swept = order[:-1] if has_top else order
     weights = PairWeights(ctx.spec, ctx.table, ctx.yvars, lambda a, b, *_: pair_w(ctx, a, b))
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    total = sweep(bottom, top, above, preds, swept, bit, weights, term_cap)
+    # A state folds into ``total`` once no element but the top is left above
+    # it: in the step of the last one above it, before its ``1 - X_c``, or
+    # right after its own step if there is none (key None).
+    position = {c: k for k, c in enumerate(swept)}
+    fold_at = {}
+    for s, js in [(m, range(m)), *enumerate(above)]:
+        after = [position[j] for j in js if j in position]
+        fold_at.setdefault(max(after, default=None), []).append(s)
+    maximal = set(fold_at.pop(None, ()))
+
+    states = {m: {0: 1}}
+    total: Terms = {}
+
+    def fold(s: int) -> None:
+        _add_product(total, states.pop(s), [(y << m, a) for y, a in weights(nodes[s], top)])
+
+    def check(step: int) -> None:
+        if len(total) + sum(map(len, states.values())) > term_cap:
+            raise CapExceededError(f"term cap {term_cap} exceeded at element {step} of {m}")
+
+    if m in maximal:
+        fold(m)
+    check(0)
+    for k, c in enumerate(swept):
+        b = 1 << c
+        incoming: Terms = {}
+        for s in preds[c]:
+            w = weights(nodes[s], nodes[c])
+            _add_product(incoming, states[s], [(y << m | b, a) for y, a in w])
+        for s in fold_at.get(k, ()):
+            fold(s)
+        for terms in (*states.values(), total):
+            terms.update({key + b: -a for key, a in terms.items()})
+        states[c] = incoming
+        if c in maximal:
+            fold(c)
+        check(k + 1)
+    if has_top:
+        state_top = {key + (1 << m - 1): a for key, a in total.items()}
+        step = dict(weights(top, top))
+        step[0] = step.get(0, 0) - 1
+        _add_product(total, state_top, [(y << m, a) for y, a in step.items() if a])
+        check(m)
     x_vids = tuple(ctx.x_ids[e] for e in elements)
     return PackedNumerator(ctx.table, x_vids, weights.codec, total), chain_count
 

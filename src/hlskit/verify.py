@@ -21,7 +21,6 @@ from ._packed import (
     Codec,
     PairWeights,
     Rows,
-    exponent_bounds,
     multiply_rows,
     packer as _packer,
     polynomial,
@@ -171,30 +170,22 @@ def mobius_matrix(
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product, summed only over the nonzero products.
-
-    Entries must be polynomials: a negative exponent raises ``ValueError``.
-    Each monomial packs into one int (``_packed.Codec``), each variable
-    bounded by its largest exponent in ``a`` plus that in ``b``, so a product
-    of monomials is one int addition; ``_packed.multiply_rows`` visits only
-    the nonzero products ``a[i][k] * b[k][j]``.
-    """
+    """Matrix product on ``LaurentPoly`` arithmetic, summed only over the nonzero products."""
     if a.labels != b.labels:
         raise ValueError("matrix index mismatch")
     if a.table != b.table:
         raise ValueError("operands use different variable tables")
-    bounds = [exponent_bounds((e for row in m.entries for e in row), len(m.table)) for m in (a, b)]
-    codec = Codec(map(add, *bounds))
-
-    def rows(m: PolyMatrix) -> Rows:
-        pack = codec.pack
-        return [
-            {j: [(pack(mono), c) for mono, c in e.terms.items()] for j, e in enumerate(row) if e}
-            for row in m.entries
-        ]
-
-    product = multiply_rows(rows(a), rows(b), codec)
-    return PolyMatrix(a.labels, _unpacked(product, a.dim, a.table, codec), a.table)
+    zero = LaurentPoly.zero(a.table)
+    entries = []
+    for row_a in a.entries:
+        row = [zero] * a.dim
+        for x, row_b in zip(row_a, b.entries):
+            if x:
+                for j, y in enumerate(row_b):
+                    if y:
+                        row[j] = row[j] + x * y
+        entries.append(row)
+    return PolyMatrix(a.labels, entries, a.table)
 
 
 def count_products(
@@ -326,12 +317,13 @@ def check_reciprocity(
     """Reciprocity on the packed numerator of a half-open series value (``kind`` ``"hls"``,
     its last factor the top's) or of an open one (``"hls_modified"``).
 
-    A half-open value without denominator factors, whose bottom is its top,
-    raises ``DegenerateSpecError``.
+    A value of either kind whose spec has its bottom equal to its top, and a
+    half-open value without denominator factors, raise ``DegenerateSpecError``.
     """
     if kind not in _SERIES:
         raise ValueError(f"unknown series kind {kind!r}")
-    if kind == "hls" and not value.denominator_vars:
+    degenerate = value.spec is not None and value.spec.is_degenerate()
+    if degenerate or kind == "hls" and not value.denominator_vars:
         raise DegenerateSpecError("bottom equals top; the reciprocity statement is vacuous here")
     failure = value.packed.reciprocity_failure(k, n_value, kind == "hls")
     return ReciprocityCertificate(value.spec, kind, n_value, failure is None, *failure or ())

@@ -217,28 +217,6 @@ def reference_relation(h: HlsRational, hm: HlsRational) -> bool:
     return h.denominator_vars[:-1] == hm.denominator_vars and h.numerator == hm.numerator
 
 
-def reference_matmul(a: verify.PolyMatrix, b: verify.PolyMatrix) -> verify.PolyMatrix:
-    """Matrix product by the full triple loop over immutable polynomial sums."""
-    if a.labels != b.labels:
-        raise ValueError("matrix index mismatch")
-    n = a.dim
-    zero = LaurentPoly.zero(a.table)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                x = a.entries[i][k]
-                y = b.entries[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        entries.append(row)
-    return verify.PolyMatrix(a.labels, entries, a.table)
-
-
 def reference_mobius_matrix(
     spec: PosetSpec, zeta: verify.PolyMatrix, yvars=None
 ) -> verify.PolyMatrix:

@@ -17,7 +17,6 @@ from hlskit.poset import (
     enumerate_multichains,
     hasse_dot,
     interval_elements,
-    iso_n1_to_np1,
     leq_component,
     leq_t,
     lt_t,
@@ -416,26 +415,17 @@ def test_single_support_multichain_is_unique_per_length():
             assert found == [(e,) * k]
 
 
-def test_iso_n1_to_np1():
-    assert iso_n1_to_np1((0, 0, 0), 1) == (0, 0, 0, 0)
-    assert iso_n1_to_np1((1, 0, 0), 1) == (0, 1, 0, 0)
-    assert iso_n1_to_np1((1, 0, 1), 1) == (0, 1, 0, 1)
-    with pytest.raises(ValueError):
-        iso_n1_to_np1((2, 0), 2)
-
-
 def test_iso_is_order_isomorphism():
+    # Prepending a 0 maps the components with r = 1 onto those of n + 1 with r = 0.
     for n in range(4):
         src = enumerate_component_elements(n, 1)
-        images = [iso_n1_to_np1(a, 1) for a in src]
+        images = [(0,) + a for a in src]
         assert sorted(images) == sorted(set(images))
         tgt = set(enumerate_component_elements(n + 1, 0))
         assert set(images) <= tgt and len(images) == len(tgt)
         for a in src:
             for b in src:
-                assert leq_component(a, b) == leq_component(
-                    iso_n1_to_np1(a, 1), iso_n1_to_np1(b, 1)
-                )
+                assert leq_component(a, b) == leq_component((0,) + a, (0,) + b)
 
 
 def test_render_parse_roundtrip():
