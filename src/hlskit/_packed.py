@@ -14,8 +14,9 @@ packed route stays on its keys:
   expansions of either route (``PackedCoefficients``).
 
 Both packed values are rendered from their keys in ``LaurentPoly.text``'s
-order, on one ranking of their distinct Y keys (``y_orders``), or unpacked
-on demand.  ``packer`` packs whole polynomials for exact sums.
+order, on one ranking of their distinct Y keys (``y_orders``), an
+expansion's coefficients once per distinct value, or unpacked on demand.
+``packer`` packs whole polynomials for exact sums.
 """
 
 from __future__ import annotations
@@ -353,13 +354,19 @@ class PackedCoefficients(NamedTuple):
     terms: dict[tuple[int, ...], Terms]
 
     def texts(self) -> dict[tuple[int, ...], str]:
-        """Each coefficient's ``LaurentPoly.text``, rendered from the keys."""
-        orders = y_orders(self.codec, {y for t in self.terms.values() for y in t}, self.table.names)
-        out = {}
-        for degrees, t in self.terms.items():
+        """Each coefficient's ``LaurentPoly.text``, rendered from the keys once per distinct value.
+
+        Multidegrees may share one dict, whose content is then taken once.
+        """
+        shared = {id(t): t for t in self.terms.values()}
+        contents = {i: frozenset(t.items()) for i, t in shared.items()}
+        distinct = {content: shared[i] for i, content in contents.items()}
+        orders = y_orders(self.codec, {y for t in distinct.values() for y in t}, self.table.names)
+        texts = {}
+        for content, t in distinct.items():
             rows = sorted([orders[y] + (c,) for y, c in t.items()])
-            out[degrees] = _terms_text((factors, c) for _, factors, c in rows)
-        return out
+            texts[content] = _terms_text((factors, c) for _, factors, c in rows)
+        return {degrees: texts[contents[id(t)]] for degrees, t in self.terms.items()}
 
     def unpack(self) -> dict[tuple[int, ...], LaurentPoly]:
         return {d: polynomial(self.table, self.codec, t.items()) for d, t in self.terms.items()}

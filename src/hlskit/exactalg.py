@@ -19,6 +19,7 @@ coefficients of ``_packed`` alike.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 # A monomial: ((var id, exponent), ...), sorted by var id, exponents nonzero.
@@ -384,15 +385,22 @@ def y_integer(table: VarTable, n: int, v: int) -> LaurentPoly:
 
 
 def y_binomial(table: VarTable, n: int, k: int, v: int) -> LaurentPoly:
-    """Gaussian binomial [n choose k] in the variable ``v``.
+    """Gaussian binomial [n choose k] in the variable ``v``, its coefficients computed once."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"binomial parameters out of range: n={n}, k={k}")
+    c = _gaussian(n, k)
+    return LaurentPoly(table, {((v, e),) if e else (): x for e, x in enumerate(c) if x})
+
+
+@cache
+def _gaussian(n: int, k: int) -> tuple[int, ...]:
+    """The coefficients of [n choose k], indexed by the exponent, computed once per (n, k).
 
     The product formula prod_{i=1..k} (1 - Y^(n-k+i)) / (1 - Y^i), computed
     on a list of int coefficients indexed by the exponent of Y.  Each step
     multiplies by 1 - Y^(n-k+i) in place, then divides exactly by 1 - Y^i
     as a running sum with stride i; the i coefficients it drops must be zero.
     """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial parameters out of range: n={n}, k={k}")
     c = [1]
     for i in range(1, k + 1):
         s = n - k + i
@@ -403,7 +411,7 @@ def y_binomial(table: VarTable, n: int, k: int, v: int) -> LaurentPoly:
             c[j] += c[j - i]
         assert not any(c[-i:]), f"1 - Y^{i} does not divide exactly"
         del c[-i:]
-    return LaurentPoly(table, {((v, e),) if e else (): x for e, x in enumerate(c) if x})
+    return tuple(c)
 
 
 def y_multinomial(table: VarTable, n: int, thresholds: Iterable[int], v: int) -> LaurentPoly:

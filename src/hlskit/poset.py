@@ -400,14 +400,17 @@ def chains_in(
     elements: Sequence[Element],
     key: Callable[[Element], Sequence[int]] = order_key,
     max_chains: int | None = None,
+    max_length: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
     """Every strict chain of ``elements`` under ``key``, including the empty chain.
 
+    Only chains of at most ``max_length`` elements if it is given.
     Deterministic order: by length, then lexicographically by the index
     tuple of the chain relative to ``elements``.
     """
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    return _walk(elements, above_lists(elements, key), len(elements), cap, "chain")
+    length = len(elements) if max_length is None else max_length
+    return _walk(elements, above_lists(elements, key), length, cap, "chain")
 
 
 def enumerate_chains(

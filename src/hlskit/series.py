@@ -18,10 +18,14 @@ coefficients packed (``_packed.PackedCoefficients``) in the same way; the
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from functools import cache
+from itertools import combinations
+from math import comb
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple, Sequence
 
 from ._packed import (
+    ONE,
     PackedCoefficients,
     PackedNumerator,
     PairWeights,
@@ -37,7 +41,7 @@ from .poset import (
     Element,
     PosetSpec,
     above_lists,
-    enumerate_multichains,
+    chains_in,
     interval_elements,
     order_key,
     render_element,
@@ -347,28 +351,57 @@ def expand_multichain(
     max_chains: int | None = None,
     max_elements: int | None = None,
 ) -> TruncatedSeries:
-    """Direct multichain expansion: one weight per multiplicity vector.
+    """Direct multichain expansion: one weight per strict chain.
 
-    The weights come packed by the δ codec (``_packed.PairWeights``), and
-    each coefficient sums them on their keys.
+    A multichain's weight is the product of the pair weights along it, from
+    the bottom to the top, where a repeated element ``e`` adds ``w(e, e)``.
+    That is checked to be 1 for every element (a ``ValueError`` names one
+    where it is not), so the multichains on a strict chain of ``l``
+    elements, one per multiplicity vector of total at most ``bound``
+    (``C(bound, l)``, by stars and bars), share the chain's weight, packed
+    by the δ codec (``_packed.PairWeights``), and one coefficient dict.
+    The multichains are counted first, from the chains ending at each
+    element by length, and more than ``max_chains``, the empty one
+    included, raises ``CapExceededError`` before any weight work.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     ctx = make_context(spec, max_elements)
-    index = {e: k for k, e in enumerate(ctx.x_elements)}
-    m = len(ctx.x_elements)
+    elements = ctx.x_elements
+    m = len(elements)
+    above = above_lists(elements)
+    count, ends = 1, [1] * m
+    for length in range(1, min(bound, m) + 1):
+        count += comb(bound, length) * sum(ends)
+        longer = [0] * m
+        for i, c in enumerate(ends):
+            for j in above[i]:
+                longer[j] += c
+        ends = longer
+    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
+    if count > cap:
+        raise CapExceededError(
+            f"multichain enumeration exceeds cap {cap}: {count} multichains up to degree {bound}"
+        )
     weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
+    for e in elements:
+        if weights(e, e) != ONE:
+            raise ValueError(f"the weight of ({render_element(e)}, {render_element(e)}) is not 1")
+    index = {e: k for k, e in enumerate(elements)}
+    # combinations() copies its pool, and with no element only () needs one.
+    pool = range(1, bound + 1) if m else ()
+    # Multiplicity vectors on k elements, from partial sums, after a 0 for elements off the chain.
+    vectors = cache(lambda k: [(0, *map(sub, sums, (0, *sums))) for sums in combinations(pool, k)])
     coeffs: dict[tuple[int, ...], Terms] = {}
-    mchains = enumerate_multichains(spec, "half_open", bound, max_chains, max_elements)
-    for mchain, weight in chain_weights(mchains, spec.bottom(), spec.top(), weights):
-        key = [0] * m
-        for e in mchain:
-            key[index[e]] += 1
-        acc = coeffs.setdefault(tuple(key), {})
-        for y, c in weight:
-            acc[y] = acc.get(y, 0) + c
-    coeffs = {k: t for k, acc in coeffs.items() if (t := {y: c for y, c in acc.items() if c})}
-    x_vars = tuple(ctx.x_ids[e] for e in ctx.x_elements)
+    chains = chains_in(elements, max_chains=cap, max_length=bound)
+    for chain, weight in chain_weights(chains, spec.bottom(), spec.top(), weights):
+        if weight:
+            terms, slots = dict(weight), [0] * m
+            for j, e in enumerate(chain, 1):
+                slots[index[e]] = j
+            for vector in vectors(len(chain)):
+                coeffs[tuple(map(vector.__getitem__, slots))] = terms
+    x_vars = tuple(ctx.x_ids[e] for e in elements)
     return TruncatedSeries(bound, x_vars, PackedCoefficients(ctx.table, weights.codec, coeffs))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from ._packed import ONE, Packed, PairWeights, multiply
-from .exactalg import LaurentPoly, VarTable, y_binomial
+from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     Component,
     Element,
@@ -39,8 +39,9 @@ def refined_leg_pair(
 ) -> LaurentPoly:
     """Product of (1 - Y_i^delta_i) over positions held by a but not by b.
 
-    Zero when the pair is not ordered; ``ys`` supplies one variable per
-    positive position.
+    Zero when the pair is not ordered; ``ys`` supplies one distinct variable
+    per positive position.  The terms are built directly, one factor at a
+    time in variable order, so each new monomial is an old one extended.
     """
     n = len(a) - 1
     if len(b) != n + 1:
@@ -49,30 +50,37 @@ def refined_leg_pair(
         raise ValueError("not enough leg variables")
     if not leq_component(a, b):
         return LaurentPoly.zero(table)
-    result = LaurentPoly.const(table, 1)
-    for i in range(1, n + 1):
-        if a[i] == 1 and b[i] == 0:
-            d = delta(a, b, i)
-            assert d > 0, "ordered pairs have positive deltas on leg positions"
-            result = result * (1 - LaurentPoly.variable(table, ys[i - 1], d))
-    return result
+    terms: dict[Monomial, int] = {(): 1}
+    for v, d in sorted((ys[i - 1], delta(a, b, i)) for i in range(1, n + 1) if a[i] > b[i]):
+        assert d > 0, "ordered pairs have positive deltas on leg positions"
+        terms.update([(m + ((v, d),), -c) for m, c in terms.items()])
+    return LaurentPoly(table, terms)
 
 
 def pair_weight(
     a: Element, b: Element, yvars: Sequence[Sequence[int]], table: VarTable
 ) -> LaurentPoly:
-    """Product over components of theta times the refined leg polynomial."""
+    """Product over components of theta times the refined leg polynomial.
+
+    The product's terms are built directly.  The ids of ``yvars`` increase,
+    as ``series.make_context`` numbers them, so a product monomial is one
+    monomial of each factor, concatenated.
+    """
     if len(a) != len(b):
         raise ValueError("elements have different numbers of components")
-    result = LaurentPoly.const(table, 1)
+    terms: dict[Monomial, int] = {(): 1}
     for i in range(len(a)):
-        result = result * theta(a[i], b[i], yvars[i][0], table)
-        if result.is_zero():
-            return result
-        result = result * refined_leg_pair(a[i], b[i], yvars[i][1:], table)
-        if result.is_zero():
-            return result
-    return result
+        binomial = theta(a[i], b[i], yvars[i][0], table).terms
+        legs = refined_leg_pair(a[i], b[i], yvars[i][1:], table).terms if binomial else {}
+        if not legs:
+            return LaurentPoly.zero(table)
+        terms = {
+            m + mb + ml: c * cb * cl
+            for m, c in terms.items()
+            for mb, cb in binomial.items()
+            for ml, cl in legs.items()
+        }
+    return LaurentPoly(table, terms)
 
 
 def chain_weight(

@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import io
 import json
 import os
@@ -202,6 +203,17 @@ def test_perfbench_items_parse_and_read_every_flag(monkeypatch, item):
         main(argv)
 
 
+PERFBENCH_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("item", _perfbench_items())
+def test_perfbench_item_matches_its_golden_hash(capsys, item):
+    # The benchmark checks the same hash on every run; a byte change fails here first.
+    code, out, _ = run(capsys, *item.split(), "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PERFBENCH_GOLDEN[item]
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run(
         capsys, "compute", "--n", "3,3", "--r", "3,3", "--max-elements", "100"
@@ -217,7 +229,7 @@ def test_cap_exceeded_exits_2(capsys):
         (("verify", "order-complex", "--n", "1,1", "--r", "1,1"), "2^14 subsets exceed the cap 4096"),
         (
             ("expand", "--n", "1", "--r", "1", "--max-degree", "0", "--max-chains", "0"),
-            "multichain enumeration exceeds cap 0",
+            "multichain enumeration exceeds cap 0: 1 multichains up to degree 0",
         ),
         (
             ("specialize", "--kind", "classical-igusa", "--r", "3", "--max-chains", "7"),
@@ -343,17 +355,24 @@ def test_expand_dual_method_identical(capsys):
     assert direct.splitlines()[0] == "1 : 1"
 
 
-def test_expand_multichain_cap_at_the_count(capsys):
-    # The walk counts the empty multichain too, so the cap at the count
-    # passes and one below it stops with the walker's message.
+def test_expand_multichain_cap_at_the_count(capsys, monkeypatch):
+    # The count includes the empty multichain, so the cap at the count
+    # passes, and one below it stops with the count, before any pair weight.
+    import hlskit.series as series
+
     count = sum(1 for _ in enumerate_multichains(PosetSpec((2,), (1,)), "half_open", 4))
     argv = ("expand", "--n", "2", "--r", "1", "--max-degree", "4", "--no-timing")
     _, full, _ = run(capsys, *argv)
     assert run(capsys, *argv, "--max-chains", str(count)) == (0, full, "")
+
+    def unreachable(*args):
+        raise AssertionError("a pair weight was computed past the cap")
+
+    monkeypatch.setattr(series, "pair_weight", unreachable)
     assert run(capsys, *argv, "--max-chains", str(count - 1)) == (
         2,
         "",
-        f"error: multichain enumeration exceeds cap {count - 1}\n",
+        f"error: multichain enumeration exceeds cap {count - 1}: {count} multichains up to degree 4\n",
     )
 
 

@@ -187,6 +187,28 @@ def test_expand_multichain_matches_per_chain_oracle(spec):
         assert (expansion.bound, expansion.x_vars) == (bound, x_vars)
 
 
+@pytest.mark.parametrize(
+    "spec, bound", [(PosetSpec((2,), (2,)), 5), (PosetSpec((3,), (1,)), 4)], ids=["n2-r2", "n3-r1"]
+)
+def test_expand_multichain_matches_per_chain_oracle_on_larger_specs(spec, bound):
+    assert expand_multichain(spec, bound).coefficients == reference_expand_multichain(spec, bound)
+
+
+def test_expand_multichain_requires_unit_weights_on_repeats(monkeypatch):
+    # Every multichain on one strict chain takes that chain's weight only
+    # because w(e, e) = 1; a pair weight where it fails is refused, by name.
+    spec = PosetSpec((1,), (1,))
+    e = parse_element("0 1", spec)
+
+    def doubled(a, b, yvars, table):
+        w = pair_weight(a, b, yvars, table)
+        return w + w if a == b == e else w
+
+    monkeypatch.setattr(series, "pair_weight", doubled)
+    with pytest.raises(ValueError, match=r"^the weight of \(0 1, 0 1\) is not 1$"):
+        expand_multichain(spec, 2)
+
+
 def test_dual_path_expansion():
     for spec, bound in [(SPEC12, 4), (PosetSpec((2,), (1,)), 4), (PosetSpec((1, 1), (1, 0)), 3)]:
         assert expand_multichain(spec, bound) == expand_rational(hls(spec), bound)

@@ -28,6 +28,7 @@ from hlskit.weight import (
 )
 
 from conftest import SEED
+from test_series import SMALL_SPECS, spec_id
 
 N7 = VarTable(["Y0", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6", "Y7"])
 YS7 = list(range(1, 8))
@@ -109,6 +110,29 @@ def test_pair_weight_vanishes_off_order():
         for b in els:
             w = pair_weight(a, b, ctx.yvars, ctx.table)
             assert w.is_zero() == (not leq_t(a, b))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=spec_id)
+def test_pair_weight_is_the_product_of_its_factors(spec):
+    # Each factor is computed on its own and multiplied out as polynomials;
+    # the terms dict that pair_weight builds directly must be that product,
+    # with the variables of every monomial strictly increasing.
+    ctx = make_context(spec)
+    els = enumerate_elements(spec)
+    for a in els:
+        for b in els:
+            expected = LaurentPoly.const(ctx.table, 1)
+            for x, y, ys in zip(a, b, ctx.yvars):
+                expected = expected * theta(x, y, ys[0], ctx.table)
+                expected = expected * refined_leg_pair(x, y, ys[1:], ctx.table)
+            w = pair_weight(a, b, ctx.yvars, ctx.table)
+            assert w == expected
+            assert all(v < u for mono in w.terms for (v, _), (u, _) in zip(mono, mono[1:]))
+    a = els[0]
+    with pytest.raises(ValueError, match="elements have different numbers of components"):
+        pair_weight(a, a + a, ctx.yvars, ctx.table)
+    with pytest.raises(ValueError, match="components have different arities"):
+        pair_weight(a, ((0,) + a[0],) + a[1:], ctx.yvars, ctx.table)
 
 
 def test_chain_weight_empty_chain():
