@@ -7,7 +7,9 @@ packed route stays on its keys:
 
 - chain weights (``weight.chain_weights``) and the multichain expansion;
 - the zeta and Möbius rows of ``verify`` and their products
-  (``multiply_rows``, under ``verify.PackedRows.times``);
+  (``multiply_rows``, under ``verify.PackedRows.times``), and the chain
+  and gap products of each face in ``verify.verify_order_complex``
+  (``multiply``);
 - the chain-series sweep of ``series._chain_series``, which adds products
   on keys (``_add_product``) and leaves its numerator packed
   (``PackedNumerator``) to be rendered and checked, and so do the truncated
@@ -16,7 +18,6 @@ packed route stays on its keys:
 Both packed values are rendered from their keys in ``LaurentPoly.text``'s
 order, on one ranking of their distinct Y keys (``y_orders``), an
 expansion's coefficients once per distinct value, or unpacked on demand.
-``packer`` packs whole polynomials for exact sums.
 """
 
 from __future__ import annotations
@@ -356,17 +357,21 @@ class PackedCoefficients(NamedTuple):
     def texts(self) -> dict[tuple[int, ...], str]:
         """Each coefficient's ``LaurentPoly.text``, rendered from the keys once per distinct value.
 
-        Multidegrees may share one dict, whose content is then taken once.
+        Multidegrees may share one dict, whose content is then taken once; a
+        content key is kept only for the first dict of each distinct content.
         """
         shared = {id(t): t for t in self.terms.values()}
-        contents = {i: frozenset(t.items()) for i, t in shared.items()}
-        distinct = {content: shared[i] for i, content in contents.items()}
-        orders = y_orders(self.codec, {y for t in distinct.values() for y in t}, self.table.names)
-        texts = {}
-        for content, t in distinct.items():
-            rows = sorted([orders[y] + (c,) for y, c in t.items()])
-            texts[content] = _terms_text((factors, c) for _, factors, c in rows)
-        return {degrees: texts[contents[id(t)]] for degrees, t in self.terms.items()}
+        orders = y_orders(self.codec, {y for t in shared.values() for y in t}, self.table.names)
+        texts: dict[frozenset, str] = {}
+        by_id = {}
+        for i, t in shared.items():
+            content = frozenset(t.items())
+            text = texts.get(content)
+            if text is None:
+                rows = sorted([orders[y] + (c,) for y, c in t.items()])
+                text = texts[content] = _terms_text((factors, c) for _, factors, c in rows)
+            by_id[i] = text
+        return {degrees: by_id[id(t)] for degrees, t in self.terms.items()}
 
     def unpack(self) -> dict[tuple[int, ...], LaurentPoly]:
         return {d: polynomial(self.table, self.codec, t.items()) for d, t in self.terms.items()}
@@ -382,26 +387,3 @@ def unpack(numerator: PackedNumerator) -> LaurentPoly:
     xs = {x: tuple((v, 1) for i, v in enumerate(x_vids) if x >> i & 1) for x in masks}
     return LaurentPoly(table, {ys[key >> m] + xs[key & low]: a for key, a in terms.items()})
 
-
-def packer(bound: int) -> Callable[[LaurentPoly], int]:
-    """Pack polynomials into ints, exactly for sums of |coefficient| <= ``bound``.
-
-    Each monomial gets a slot of ``width = bound.bit_length() + 2`` bits in
-    order of first sight, and a term packs as ``sum(c << width * slot)``.
-    While every slot of a sum stays within ``[-bound, bound]``, so inside
-    ``|c| < 2^(width-1)``, its balanced-radix digits are unique: two such
-    sums are equal ints exactly when they are equal polynomials.
-    """
-    width = bound.bit_length() + 2
-    slots: dict = {}
-
-    def pack(p: LaurentPoly) -> int:
-        total = 0
-        for mono, c in p.terms.items():
-            slot = slots.get(mono)
-            if slot is None:
-                slot = slots[mono] = len(slots)
-            total += c << width * slot
-        return total
-
-    return pack

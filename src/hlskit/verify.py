@@ -6,32 +6,35 @@ numerator over m denominator factors multiplies the value by (-1)^m * prod X.
 Times K, that is an involution on the sweep's packed keys: c * Y^e * X^S goes
 to ±c * Y^(K - e) * X^(full - S), of key (key(K) - key(e)) << m | (full ^ mask),
 with no borrow while e <= K in every field (``PackedNumerator.reciprocity_failure``).
-The Möbius rows invert on keys under δ alike; ``verify_order_complex``
-inverts chain weights as polynomials, a route independent of both.
+The Möbius rows invert on keys under δ alike.  ``verify_order_complex``
+checks each face of the order complex on its own, through sums over its
+gaps computed by their own recursion, a route independent of both.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from operator import add
+from collections import Counter, defaultdict
 from typing import NamedTuple, Sequence
 
 from ._packed import (
     ONE,
     Codec,
+    Packed,
     PairWeights,
     Rows,
+    multiply,
     multiply_rows,
-    packer as _packer,
     polynomial,
 )
 from .exactalg import LaurentPoly, VarTable
 from .poset import (
+    DEFAULT_MAX_CHAINS,
     CapExceededError,
     DegenerateSpecError,
     Element,
     OrderIndex,
     PosetSpec,
+    above_lists,
     chains_in,
     enumerate_elements,
     leq_t,
@@ -358,50 +361,48 @@ class OrderComplexReport(NamedTuple):
         return not self.failures
 
 
-def _subset_sums(values: list[int], m: int) -> None:
-    """Yates' zeta transform in place: ``values[s]`` becomes the sum over t within s."""
-    for i in range(m):
-        bit = 1 << i
-        for lo in range(0, len(values), bit << 1):
-            hi = lo + bit
-            values[hi : hi + bit] = map(add, values[hi : hi + bit], values[lo:hi])
-
-
-def _superset_sums(values: dict[int, int], m: int) -> None:
-    """Sparse Yates in place: ``values[s]`` becomes the sum over its keys t containing s.
-
-    A missing key holds 0; a subset of a key gains a key of its own.
-    """
-    for i in range(m):
-        bit = 1 << i
-        for s in [s for s in values if s & bit]:
-            values[s ^ bit] = values.get(s ^ bit, 0) + values[s]
-
-
 def verify_order_complex(
     spec: PosetSpec,
     max_subsets: int | None = None,
     max_chains: int | None = None,
     max_elements: int | None = None,
 ) -> OrderComplexReport:
-    """Check the alternating chain-sum identity for every subset of (0,1).
+    """Check the alternating chain-sum identity for every subset of (0,1), face by face.
 
     For each subset S of the open interval, the signed chain weights of the
-    order complex of S must equal (-1)^(N-1) K times the signed inverted
-    chain weights over the complement of S.
+    order complex of S must equal σK, ``σ = (-1)^(N-1)``, times the signed
+    inverted chain weights over the complement of S.  With ``L[t] =
+    (-1)^|t| W_t`` and ``R[t] = σK (-1)^|t| W_t(1/Y)`` for chain t, that
+    is ``sum(L[t], t within S) == sum(R[t], t within full - S)``.  Its
+    Moebius inversion is ``D[s] = L[s] - (-1)^|s| * sum(R[t], t ⊇ s) ==
+    0`` for every s, and only the chains (the faces of the order complex)
+    can fail it: a superset of a non-chain is none.  So the identity holds
+    on every subset exactly when it holds on every face, and the failures
+    are the faces, in ascending mask order.
 
-    With ``L[t]`` and ``R[t]`` the signed left and right weights of chain
-    t, that is ``sum(L[t], t within s) == sum(R[t], t within full - s)``.
-    Its Moebius inversion is ``D[s] = L[s] - (-1)^|s| * sum(R[t], t
-    containing s) == 0`` for every s, and only the chains (the faces of the
-    order complex) can fail it: a superset of a non-chain is none.  So
-    ``_superset_sums`` on the faces makes a passing run, and a failing one
-    lists its subsets from the zeta transform of D, one list of 2^m ints.
-    The ints pack each polynomial exactly (``_packer``) for a ``bound`` of
-    the larger side's sum of |coefficient| over all chains (the right
-    side's times the 1-norm of K, monomial or not).  A slot of D or of its
-    transform then lies within ``2 * bound < 2^(width - 1)``, so it is zero
-    exactly when its polynomial is.
+    The chains t ⊇ s are s plus one chain in each gap (a, b) of ``bottom,
+    s, top``, so the superset sum is ``σK (-1)^|s| prod h(a, b)``, with
+    ``h(a, b)`` the sum over the chains u of (a, b) of ``(-1)^|u|`` times
+    the product of the inverted pair weights along ``a, u, b``; ``-h`` is
+    their weighted Moebius function (Philip Hall's theorem, EC1 §3.8).  Let
+    ``ŵ(a, b) = Y^δ(a,b) * w(a, b)(1/Y)`` and ``g(a, b) = -Y^δ(a,b) *
+    h(a, b)``; splitting u at its first element gives ``g(a, b) = -ŵ(a, b)
+    - sum over a < x < b of ŵ(a, x) * g(x, b)``.  δ adds up along s, so
+    face s passes exactly when ``W_s = -σ * c * prod g(a, b)``, with ``c =
+    K * Y^-δ(bottom, top)``.
+
+    No exponent of ``w(a, b)`` exceeds ``δ(a, b)`` (``PairWeights``), so
+    ŵ and g keep within δ and pack by its codec: ŵ has the keys
+    ``key(δ(a, b)) - key`` of w, with no borrow.  ``-σ`` is folded into
+    the gaps at the top, whose recursion then starts from ``σ * ŵ``.  A
+    depth-first walk over the chains keeps the two prefix products at each
+    level and checks each face as it reaches it, on keys when c is 1, as
+    ``K_and_N``'s K gives, and on polynomials otherwise; only the masks of
+    failing faces are kept.
+
+    ``subsets_checked`` is ``2^m`` for the m elements of the open interval;
+    more than ``max_subsets`` raise ``CapExceededError`` first, and more
+    than ``max_chains`` chains, the empty one included, before any weight.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError(
@@ -413,56 +414,64 @@ def verify_order_complex(
     m = len(open_interval)
     if 1 << m > cap:
         raise CapExceededError(f"2^{m} subsets exceed the cap {cap}")
+
+    # Node i < m is open_interval[i], node m the bottom and node m + 1 the top.
+    top = m + 1
+    above = [*above_lists(open_interval), list(range(m))]
+    # An element strictly below another has strictly fewer elements below it.
+    below = Counter(j for js in above[:m] for j in js)
+    downward = [*sorted(range(m), key=below.__getitem__, reverse=True), m]
+    # The chains that start at each element; the bottom's are all of them,
+    # the empty one included.
+    starting = [1] * (m + 1)
+    for a in downward:
+        starting[a] += sum(starting[b] for b in above[a])
+    chain_cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
+    if starting[m] > chain_cap:
+        raise CapExceededError(f"chain enumeration exceeds cap {chain_cap}")
+
     k, n_value = K_and_N(spec, ctx.table, ctx.yvars)
-    all_y = ctx.all_y_ids()
-    rhs_scale = k if (n_value - 1) % 2 == 0 else -k
-
-    # One packed weight per chain of the open interval, with its bitmask.
-    index = {e: pos for pos, e in enumerate(open_interval)}
+    sigma = 1 if n_value % 2 else -1
     weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
-    chains = []
-    norm = 0
-    walk = chains_in(open_interval, max_chains=max_chains)
-    for chain, w in chain_weights(walk, spec.bottom(), spec.top(), weights):
-        mask = 0
-        for e in chain:
-            mask |= 1 << index[e]
-        norm += sum(abs(c) for _, c in w)
-        chains.append((mask, w))
+    nodes = [*open_interval, spec.bottom(), spec.top()]
+    keys = [weights.stats(e)[1] for e in nodes]
+    delta = weights.codec.unpack(keys[top])
+    c = k * LaurentPoly.monomial(ctx.table, {v: -e for v, e in delta}, 1)
 
-    # Each Y key packs as its monomial on the left and as that monomial,
-    # inverted and scaled, on the right, once.
-    pack = _packer(norm * max(1, sum(map(abs, k.terms.values()))))
-    unpack = weights.codec.unpack
-    sides = {}
-    lhs = {}
-    rhs = {}
-    while chains:
-        mask, w = chains.pop()
-        left = right = 0
-        for key, c in w:
-            packed = sides.get(key)
-            if packed is None:
-                y = LaurentPoly(ctx.table, {unpack(key): 1})
-                packed = sides[key] = pack(y), pack(rhs_scale * y.invert_vars(all_y))
-            left += c * packed[0]
-            right += c * packed[1]
-        sign = -1 if mask.bit_count() % 2 else 1
-        lhs[mask] = sign * left
-        rhs[mask] = sign * right
-    _superset_sums(rhs, m)
-    # D at each key of rhs: each chain and each subset of one.
-    faces = {s: lhs.get(s, 0) + (-r if s.bit_count() % 2 == 0 else r) for s, r in rhs.items()}
-    if not any(faces.values()):
-        return OrderComplexReport(spec, 1 << m, ())
+    # w and g on every comparable pair, g from the top down.
+    w = [{b: weights(nodes[a], nodes[b]) for b in [*above[a], top]} for a in range(m + 1)]
+    g: list[dict[int, Packed]] = [{} for _ in nodes]
+    for a in downward:
+        hat = {b: [(keys[b] - keys[a] - key, co) for key, co in wb] for b, wb in w[a].items()}
+        for b in hat:
+            acc = {key: (sigma if b == top else -1) * co for key, co in hat[b]}
+            for mid, hat_mid in hat.items():
+                tail = g[mid].get(b)  # None unless mid < b
+                if tail:
+                    for key_h, co_h in hat_mid:
+                        for key_g, co_g in tail:
+                            acc[key_h + key_g] = acc.get(key_h + key_g, 0) - co_h * co_g
+            g[a][b] = [(key, co) for key, co in acc.items() if co]
 
-    diff = [0] * (1 << m)
-    for s, d in faces.items():
-        diff[s] = d
-    _subset_sums(diff, m)
+    table, codec = ctx.table, weights.codec
+    if c.is_one():
+        def holds(fw: Packed, fg: Packed) -> bool:
+            return dict(fw) == dict(fg)
+    else:
+        def holds(fw: Packed, fg: Packed) -> bool:
+            return polynomial(table, codec, fw) == c * polynomial(table, codec, fg)
+
+    failing = []
+
+    def visit(a: int, mask: int, w_prefix: Packed, g_prefix: Packed) -> None:
+        if not holds(multiply(w_prefix, w[a][top]), multiply(g_prefix, g[a][top])):
+            failing.append(mask)
+        for b in above[a]:
+            visit(b, mask | 1 << b, multiply(w_prefix, w[a][b]), multiply(g_prefix, g[a][b]))
+
+    visit(m, 0, ONE, ONE)
     failures = []
-    for s, d in enumerate(diff):
-        if d:
-            members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
-            failures.append("{" + ", ".join(members) + "}")
+    for s in sorted(failing):
+        members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
+        failures.append("{" + ", ".join(members) + "}")
     return OrderComplexReport(spec, 1 << m, tuple(failures))

@@ -118,13 +118,15 @@ def reference_numerator_sum(
 def reference_order_complex(
     spec: PosetSpec, max_subsets: int | None = None
 ) -> verify.OrderComplexReport:
-    """The order-complex identity, checked one subset at a time.
+    """The order-complex identity, checked one subset at a time, and its failing faces.
 
     For each subset S of the open interval, sums every chain weight whose
     mask lies inside S and every inverted, scaled one inside the
-    complement: ``2^m x #chains`` mask tests.  ``K_and_N`` is looked up on
-    the ``verify`` module, so a test that patches it there reaches both
-    routes.
+    complement: ``2^m x #chains`` mask tests.  The failures are the faces
+    s at which the Moebius inversion of the per-subset differences,
+    ``D[s] = sum over S within s of (-1)^|s - S| * (lhs(S) - rhs(S))``, is
+    not zero, in ascending mask order.  ``K_and_N`` is looked up on the
+    ``verify`` module, so a test that patches it there reaches both routes.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError(
@@ -155,7 +157,7 @@ def reference_order_complex(
             rhs_term = -rhs_term
         prepared.append((mask, lhs_term, rhs_term))
 
-    failures = []
+    differences = []
     full = (1 << m) - 1
     zero = LaurentPoly.zero(ctx.table)
     for s in range(1 << m):
@@ -167,7 +169,16 @@ def reference_order_complex(
                 lhs = lhs + lhs_term
             if mask & ~comp == 0:
                 rhs = rhs + rhs_term
-        if lhs != rhs:
+        differences.append(lhs - rhs)
+
+    # Moebius inversion over the subset lattice, one element at a time.
+    for i in range(m):
+        for s in range(1 << m):
+            if s >> i & 1 and differences[s ^ 1 << i]:
+                differences[s] = differences[s] - differences[s ^ 1 << i]
+    failures = []
+    for s, d in enumerate(differences):
+        if d:
             members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
             failures.append("{" + ", ".join(members) + "}")
     return verify.OrderComplexReport(spec, 1 << m, tuple(failures))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hlskit import verify
+from hlskit import verify, weight
 from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
@@ -13,7 +13,6 @@ from hlskit.poset import (
     enumerate_elements,
     leq_t,
     lt_t,
-    render_element,
     s_vector,
 )
 from hlskit.series import (
@@ -29,9 +28,6 @@ from hlskit.series import (
 from hlskit.verify import (
     K_and_N,
     PolyMatrix,
-    _packer,
-    _subset_sums,
-    _superset_sums,
     check_reciprocity,
     count_products,
     identity_mismatch,
@@ -47,9 +43,10 @@ from hlskit.verify import (
     zeta_matrix,
     zeta_rows,
 )
-from hlskit.weight import chain_weights, pair_weight
+from hlskit.weight import pair_weight
 
 from conftest import (
+    brute_force_chains,
     reference_mobius_matrix,
     reference_order_complex,
     reference_reciprocity,
@@ -522,6 +519,17 @@ def test_k_exponents_are_bottom_top_deltas():
                     assert d == spec.r[i] + j - 1
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=spec_id)
+def test_k_is_y_to_the_delta_of_bottom_and_top(spec):
+    # verify_order_complex compares packed keys alone when K * Y^-δ(bottom, top) is 1.
+    ctx = make_context(spec)
+    k, _ = K_and_N(spec, ctx.table, ctx.yvars)
+    exps = {}
+    for ys, low, high in zip(ctx.yvars, spec.bottom(), spec.top()):
+        exps.update(zip(ys, map(int.__sub__, s_vector(high), s_vector(low))))
+    assert k == LaurentPoly.monomial(ctx.table, exps, 1)
+
+
 GRID_G1 = [(n, r) for n in range(4) for r in range(4) if 0 < n + r <= 3]
 GRID_G2 = [((1, 1), (1, 0)), ((1, 0), (0, 2)), ((0, 0), (2, 1))]
 GRID = [((n,), (r,)) for n, r in GRID_G1] + GRID_G2
@@ -718,6 +726,24 @@ def test_order_complex_respects_cap():
         verify_order_complex(PosetSpec((2,), (2,)), max_subsets=16)
 
 
+@pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((1, 1), (1, 1))], ids=str)
+def test_order_complex_counts_chains_before_any_weight(monkeypatch, spec_parts):
+    spec = PosetSpec(*spec_parts)
+    open_interval = make_context(spec).x_elements[:-1]
+    count = len(brute_force_chains(open_interval, len(open_interval)))
+
+    def no_weight(*args):
+        raise AssertionError("a pair weight was computed")
+
+    monkeypatch.setattr(verify, "pair_weight", no_weight)
+    with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
+        verify_order_complex(spec, max_subsets=1 << 14, max_chains=count - 1)
+    with pytest.raises(AssertionError, match="a pair weight was computed"):
+        verify_order_complex(spec, max_subsets=1 << 14, max_chains=count)
+    monkeypatch.undo()
+    assert verify_order_complex(spec, max_subsets=1 << 14, max_chains=count).passed
+
+
 def test_order_complex_degenerate_is_vacuous():
     with pytest.raises(DegenerateSpecError):
         verify_order_complex(PosetSpec((0, 0), (0, 0)))
@@ -751,62 +777,32 @@ def test_order_complex_matches_per_subset_oracle(spec_parts):
     assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
 
 
-@pytest.mark.parametrize("spec_parts", ORACLE_SPECS, ids=str)
-def test_a_passing_order_complex_run_fills_no_subset_list(monkeypatch, spec_parts):
-    def no_subset_sums(values, m):
-        raise AssertionError("a passing run filled the list of 2^m subsets")
-
-    monkeypatch.setattr(verify, "_subset_sums", no_subset_sums)
-    spec = PosetSpec(*spec_parts)
-    report = verify_order_complex(spec, max_subsets=1 << 14)
-    assert report.passed
-    assert report.subsets_checked == 1 << len(make_context(spec).x_elements) - 1
-
-
-def _one_chain_changed(victim, change):
-    """``chain_weights`` with chain number ``victim`` passed to ``change``.
-
-    ``change`` returns the new weight, or None to drop the chain.  The
-    changed chain is kept in ``changed``.
-    """
-    changed = []
-
-    def changed_chain_weights(chains, bottom, top, weights):
-        every = list(chain_weights(chains, bottom, top, weights))
-        chain, w = every[victim]
-        changed.append(chain)
-        every[victim] = chain, change(w)
-        return [(c, w) for c, w in every if w is not None]
-
-    return changed_chain_weights, changed
-
-
-# The empty chain, a one-element chain and a longest chain.
-@pytest.mark.parametrize("victim", [0, 1, -1])
-@pytest.mark.parametrize(
-    "change",
-    [lambda w: None, lambda w: [(key, -c) for key, c in w]],
-    ids=["dropped", "negated"],
-)
+# The pair whose weight changes: the bottom and top, whose weight is the
+# empty chain's alone; the bottom and the first element of the open
+# interval; and that element and the next one above it.
+@pytest.mark.parametrize("victim", ["bottom-top", "bottom-first", "first-next"])
+@pytest.mark.parametrize("change", [lambda w: 0 * w, lambda w: -w], ids=["zeroed", "negated"])
 @pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((0, 1), (2, 1))], ids=str)
-def test_order_complex_fails_with_one_chain_changed(monkeypatch, spec_parts, change, victim):
-    # Changing chain c by w on both sides moves the left sum of every S
-    # containing c by w and the right sum of every S missing c by w's image,
-    # so exactly those subsets fail (all of them when c is empty: w differs
-    # from its image there).
-    patched, changed = _one_chain_changed(victim, change)
-    monkeypatch.setattr(verify, "chain_weights", patched)
+def test_order_complex_fails_with_one_pair_weight_changed(monkeypatch, spec_parts, change, victim):
     spec = PosetSpec(*spec_parts)
-    report = verify_order_complex(spec)
-    open_interval = make_context(spec).x_elements[:-1]
-    (chain,) = changed
-    failing = []
-    for s in itertools.product([False, True], repeat=len(open_interval)):
-        members = [e for e, inside in zip(open_interval, s[::-1]) if inside]
-        if set(chain) <= set(members) or not set(chain) & set(members):
-            failing.append("{" + ", ".join(map(render_element, members)) + "}")
-    assert not report.passed
-    assert report.failures == tuple(failing)
+    first, *rest = make_context(spec).x_elements[:-1]
+    pair = {
+        "bottom-top": (spec.bottom(), spec.top()),
+        "bottom-first": (spec.bottom(), first),
+        "first-next": (first, next(e for e in rest if lt_t(first, e))),
+    }[victim]
+
+    def changed(a, b, yvars, table):
+        w = pair_weight(a, b, yvars, table)
+        return change(w) if (a, b) == pair else w
+
+    # The chain weights of the oracle and the pair weights of the walk.
+    monkeypatch.setattr(weight, "pair_weight", changed)
+    monkeypatch.setattr(verify, "pair_weight", changed)
+    got = verify_order_complex(spec)
+    want = reference_order_complex(spec)
+    assert want.failures
+    assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
 
 
 def _negated_k(spec, table=None, yvars=None):
@@ -836,76 +832,6 @@ def test_order_complex_failures_match_oracle(monkeypatch, spec_parts, wrong_k):
     assert want.failures
     assert not got.passed
     assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
-
-
-def test_packing_is_exact_at_the_bound():
-    # Per-slot partial sums reach +4 and -4 at the constant monomial while
-    # the neighbouring slot of x holds 0 or 1: with a field of
-    # bound.bit_length() bits, 4 and -4 + x would pack to the same int.
-    table = VarTable(["x"])
-    one = LaurentPoly.const(table, 1)
-    x = LaurentPoly.variable(table, 0)
-    x_inv = LaurentPoly.variable(table, 0, -1)
-    sides = [
-        [0 * one, 2 * one, 2 * one, 0 * one, x, 0 * one, x_inv - x, 0 * one],
-        [0 * one, -2 * one, -2 * one, 0 * one, x, 0 * one, 0 * one, 0 * one],
-    ]
-    bound = max(sum(sum(map(abs, p.terms.values())) for p in side) for side in sides)
-    pack = _packer(bound)
-    polys = []
-    packed = []
-    for side in sides:
-        sums = [sum((side[t] for t in range(8) if t & ~s == 0), 0 * one) for s in range(8)]
-        values = [pack(p) for p in side]
-        _subset_sums(values, 3)
-        polys.extend(sums)
-        packed.extend(values)
-        assert values == [pack(p) for p in sums]
-    assert 4 * one in polys and -4 * one + x in polys
-    for (p, a), (q, b) in itertools.combinations(zip(polys, packed), 2):
-        assert (a == b) == (p == q)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_face_difference_is_exact_at_twice_the_bound(sign):
-    # Both sides put the whole bound on face {0}, at the constant monomial,
-    # so D there is L + R = ±2·bound = ±8.  A field of bound.bit_length() + 1
-    # bits would pack it as the probe ∓8 ± x, the slot of x next door; no
-    # one instance reaches both, so the probe is packed on its own.
-    table = VarTable(["x"])
-    one = LaurentPoly.const(table, 1)
-    x = LaurentPoly.variable(table, 0)
-    zero = 0 * one
-    bound = 4
-    left = [zero, sign * bound * one, zero, zero]
-    right = [zero, sign * bound * one, zero, zero]
-    pack = _packer(bound)
-
-    faces = {s: pack(p) for s, p in enumerate(right)}
-    _superset_sums(faces, 2)
-    packed = [pack(left[s]) - (-1) ** s.bit_count() * faces[s] for s in range(4)]
-    diff = [
-        left[s] - (-1) ** s.bit_count() * sum((right[t] for t in range(4) if s & ~t == 0), zero)
-        for s in range(4)
-    ]
-    assert packed == [pack(p) for p in diff]
-    assert diff[1] == 2 * sign * bound * one
-
-    # The per-subset differences, from D, are those of the two sides.
-    per_subset = list(packed)
-    _subset_sums(per_subset, 2)
-    sums = [
-        sum((left[t] for t in range(4) if t & ~s == 0), zero)
-        - sum((right[t] for t in range(4) if t & s == 0), zero)
-        for s in range(4)
-    ]
-    assert per_subset == [pack(p) for p in sums]
-
-    probe = sign * (x - 2 * bound * one)
-    polys = [*diff, *sums, probe]
-    ints = [*packed, *per_subset, pack(probe)]
-    for (p, a), (q, b) in itertools.combinations(zip(polys, ints), 2):
-        assert (a == b) == (p == q)
 
 
 def test_count_products_matches_matmul_operands():
