@@ -5,11 +5,11 @@ addition.  ``PairWeights`` packs each pair weight of a spec once, by the δ
 codec, whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide, and every
 packed route stays on its keys:
 
-- chain weights (``weight.chain_weights``) and the multichain expansion;
+- chain weights, one product (``multiply``) per step of the depth-first
+  walk ``weight.chain_weights``, under the multichain expansion, the
+  chain-sum Möbius function and the faces of ``verify.verify_order_complex``;
 - the zeta and Möbius rows of ``verify`` and their products
-  (``multiply_rows``, under ``verify.PackedRows.times``), and the chain
-  and gap products of each face in ``verify.verify_order_complex``
-  (``multiply``);
+  (``multiply_rows``, under ``verify.PackedRows.times``);
 - the chain-series sweep of ``series._chain_series``, which adds products
   on keys (``_add_product``) and leaves its numerator packed
   (``PackedNumerator``) to be rendered and checked, and so do the truncated

@@ -396,21 +396,35 @@ def _walk(
         frontier = nxt
 
 
+def count_chains(above: Sequence[Sequence[int]], start: int, max_chains: int | None = None) -> int:
+    """The strict chains up from node ``start``, the empty one included, counted.
+
+    ``above[a]`` lists the nodes strictly above node ``a``; a node above
+    another has fewer, so the chains are counted top down.  More than
+    ``max_chains``, by default ``DEFAULT_MAX_CHAINS``, raise ``CapExceededError``.
+    """
+    starting = [1] * len(above)
+    for a in sorted(range(len(above)), key=lambda a: len(above[a])):
+        starting[a] += sum(starting[b] for b in above[a])
+    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
+    if starting[start] > cap:
+        raise CapExceededError(f"chain enumeration exceeds cap {cap}")
+    return starting[start]
+
+
 def chains_in(
     elements: Sequence[Element],
     key: Callable[[Element], Sequence[int]] = order_key,
     max_chains: int | None = None,
-    max_length: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
     """Every strict chain of ``elements`` under ``key``, including the empty chain.
 
-    Only chains of at most ``max_length`` elements if it is given.
-    Deterministic order: by length, then lexicographically by the index
-    tuple of the chain relative to ``elements``.
+    Each chain lists its elements from the lowest up.  Deterministic order:
+    by length, then lexicographically by the index tuple of the chain
+    relative to ``elements``.
     """
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    length = len(elements) if max_length is None else max_length
-    return _walk(elements, above_lists(elements, key), length, cap, "chain")
+    return _walk(elements, above_lists(elements, key), len(elements), cap, "chain")
 
 
 def enumerate_chains(

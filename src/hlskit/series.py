@@ -40,8 +40,9 @@ from .poset import (
     DegenerateSpecError,
     Element,
     PosetSpec,
+    _members,
     above_lists,
-    chains_in,
+    count_chains,
     interval_elements,
     order_key,
     render_element,
@@ -196,13 +197,7 @@ def _chain_series(
         for j in above[i]:
             preds[j].append(i)
 
-    counts = [0] * m + [1]
-    for c in order:
-        counts[c] = sum(counts[s] for s in preds[c])
-    chain_count = sum(counts)
-    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    if chain_count > cap:
-        raise CapExceededError(f"chain enumeration exceeds cap {cap}")
+    chain_count = count_chains([*above, range(m)], m, max_chains)
 
     has_top = m > 0 and elements[-1] == top
     swept = order[:-1] if has_top else order
@@ -387,18 +382,21 @@ def expand_multichain(
     for e in elements:
         if weights(e, e) != ONE:
             raise ValueError(f"the weight of ({render_element(e)}, {render_element(e)}) is not 1")
-    index = {e: k for k, e in enumerate(elements)}
     # combinations() copies its pool, and with no element only () needs one.
     pool = range(1, bound + 1) if m else ()
     # Multiplicity vectors on k elements, from partial sums, after a 0 for elements off the chain.
     vectors = cache(lambda k: [(0, *map(sub, sums, (0, *sums))) for sums in combinations(pool, k)])
     coeffs: dict[tuple[int, ...], Terms] = {}
-    chains = chains_in(elements, max_chains=cap, max_length=bound)
-    for chain, weight in chain_weights(chains, spec.bottom(), spec.top(), weights):
+    # Node m is the bottom, node m + 1 the top.  A chain's members come in index
+    # order, not the chain's, and the vectors of one length are closed under permutation.
+    nodes = [*elements, spec.bottom(), spec.top()]
+    above.append(range(m))
+    walk = chain_weights(above, m, m + 1, lambda a, b: weights(nodes[a], nodes[b]), bound)
+    for mask, weight in walk:
         if weight:
-            terms, slots = dict(weight), [0] * m
-            for j, e in enumerate(chain, 1):
-                slots[index[e]] = j
+            terms, slots, chain = dict(weight), [0] * m, _members(mask)
+            for j, i in enumerate(chain, 1):
+                slots[i] = j
             for vector in vectors(len(chain)):
                 coeffs[tuple(map(vector.__getitem__, slots))] = terms
     x_vars = tuple(ctx.x_ids[e] for e in elements)

@@ -13,7 +13,7 @@ gaps computed by their own recursion, a route independent of both.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import NamedTuple, Sequence
 
 from ._packed import (
@@ -22,20 +22,18 @@ from ._packed import (
     Packed,
     PairWeights,
     Rows,
-    multiply,
     multiply_rows,
     polynomial,
 )
 from .exactalg import LaurentPoly, VarTable
 from .poset import (
-    DEFAULT_MAX_CHAINS,
     CapExceededError,
     DegenerateSpecError,
     Element,
     OrderIndex,
     PosetSpec,
     above_lists,
-    chains_in,
+    count_chains,
     enumerate_elements,
     leq_t,
     lt_t,
@@ -270,17 +268,25 @@ def mobius_via_chains(
     table: VarTable | None = None,
     yvars: Sequence[Sequence[int]] | None = None,
 ) -> LaurentPoly:
-    """Alternating chain sum over the open interval (a, b)."""
+    """Alternating chain sum over the open interval (a, b).
+
+    More than ``poset.DEFAULT_MAX_CHAINS`` chains, the empty one included,
+    raise ``CapExceededError`` before any weight.
+    """
     table, yvars = _context_vars(spec, table, yvars)
     if a == b:
         return LaurentPoly.const(table, 1)
     if not leq_t(a, b):
         raise ValueError("a must lie below b in the tableau order")
     between = [c for c in enumerate_elements(spec) if lt_t(a, c) and lt_t(c, b)]
+    m = len(between)  # node m is a, node m + 1 is b
+    above = [*above_lists(between), range(m)]
+    count_chains(above, m)
+    nodes = [*between, a, b]
     weights = PairWeights(spec, table, yvars, pair_weight)
     total: defaultdict[int, int] = defaultdict(int)
-    for chain, w in chain_weights(chains_in(between), a, b, weights):
-        sign = 1 if len(chain) % 2 else -1
+    for mask, w in chain_weights(above, m, m + 1, lambda x, y: weights(nodes[x], nodes[y])):
+        sign = 1 if mask.bit_count() % 2 else -1
         for key, c in w:
             total[key] += sign * c
     return polynomial(table, weights.codec, (kc for kc in total.items() if kc[1]))
@@ -394,9 +400,10 @@ def verify_order_complex(
     No exponent of ``w(a, b)`` exceeds ``δ(a, b)`` (``PairWeights``), so
     ŵ and g keep within δ and pack by its codec: ŵ has the keys
     ``key(δ(a, b)) - key`` of w, with no borrow.  ``-σ`` is folded into
-    the gaps at the top, whose recursion then starts from ``σ * ŵ``.  A
-    depth-first walk over the chains keeps the two prefix products at each
-    level and checks each face as it reaches it, on keys when c is 1, as
+    the gaps at the top, whose recursion then starts from ``σ * ŵ``.  Two
+    walks of ``weight.chain_weights`` over the same strict-above lists, one
+    through w and one through g, yield each face's two products in step,
+    and each face is checked as they reach it, on keys when c is 1, as
     ``K_and_N``'s K gives, and on polynomials otherwise; only the masks of
     failing faces are kept.
 
@@ -417,18 +424,10 @@ def verify_order_complex(
 
     # Node i < m is open_interval[i], node m the bottom and node m + 1 the top.
     top = m + 1
-    above = [*above_lists(open_interval), list(range(m))]
-    # An element strictly below another has strictly fewer elements below it.
-    below = Counter(j for js in above[:m] for j in js)
-    downward = [*sorted(range(m), key=below.__getitem__, reverse=True), m]
-    # The chains that start at each element; the bottom's are all of them,
-    # the empty one included.
-    starting = [1] * (m + 1)
-    for a in downward:
-        starting[a] += sum(starting[b] for b in above[a])
-    chain_cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    if starting[m] > chain_cap:
-        raise CapExceededError(f"chain enumeration exceeds cap {chain_cap}")
+    above = [*above_lists(open_interval), range(m)]
+    count_chains(above, m, max_chains)
+    # A node strictly below another has strictly more nodes above it.
+    downward = sorted(range(m + 1), key=lambda a: len(above[a]))
 
     k, n_value = K_and_N(spec, ctx.table, ctx.yvars)
     sigma = 1 if n_value % 2 else -1
@@ -461,15 +460,9 @@ def verify_order_complex(
         def holds(fw: Packed, fg: Packed) -> bool:
             return polynomial(table, codec, fw) == c * polynomial(table, codec, fg)
 
-    failing = []
-
-    def visit(a: int, mask: int, w_prefix: Packed, g_prefix: Packed) -> None:
-        if not holds(multiply(w_prefix, w[a][top]), multiply(g_prefix, g[a][top])):
-            failing.append(mask)
-        for b in above[a]:
-            visit(b, mask | 1 << b, multiply(w_prefix, w[a][b]), multiply(g_prefix, g[a][b]))
-
-    visit(m, 0, ONE, ONE)
+    walk_w = chain_weights(above, m, top, lambda a, b: w[a][b])
+    walk_g = chain_weights(above, m, top, lambda a, b: g[a][b])
+    failing = [mask for (mask, fw), (_, fg) in zip(walk_w, walk_g) if not holds(fw, fg)]
     failures = []
     for s in sorted(failing):
         members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]

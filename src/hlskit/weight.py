@@ -10,9 +10,9 @@ exploit the redundancy; the implementations must not share formulas.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ._packed import ONE, Packed, PairWeights, multiply
+from ._packed import ONE, Packed, multiply
 from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     Component,
@@ -21,7 +21,6 @@ from .poset import (
     delta,
     is_multichain,
     leq_component,
-    leq_t,
 )
 
 
@@ -107,41 +106,30 @@ def chain_weight(
 
 
 def chain_weights(
-    chains: Iterable[Sequence[Element]],
-    bottom: Element,
-    top: Element,
-    weights: PairWeights,
-) -> Iterator[tuple[Sequence[Element], Packed]]:
-    """Each chain with its weight from ``bottom`` through the chain to ``top``.
+    above: Sequence[Sequence[int]],
+    start: int,
+    end: int,
+    weight: Callable[[int, int], Packed],
+    max_length: int | None = None,
+) -> Iterator[tuple[int, Packed]]:
+    """Each strict chain up from node ``start``, as a mask, with its weight.
 
-    The weight comes packed by ``weights.codec``, as a product of the packed
-    pair weights of ``weights``.  The chains must come by length, each after
-    its prefix one element shorter, as the poset walkers yield them.  A
-    chain's product from the bottom is then its prefix's product times one
-    pair weight, so only the previous length's products are kept.  Each
-    chain is checked as it extends its prefix, as in ``chain_weight``: the
-    new element lies above the last, not at the bottom.
+    Node ``b`` may follow node ``a`` when it is in ``above[a]``, and bit
+    ``b`` of the mask stands for node ``b``; the chains have at most
+    ``max_length`` nodes besides ``start``, the empty one first.  The weight
+    is the product of the packed step weights ``weight(a, b)`` from
+    ``start`` through the chain to ``end``, their keys adding without
+    carries.  The walk is depth first, on an explicit stack: each chain's
+    product from ``start`` is computed once, as its prefix's times one step,
+    and kept for the chains that extend it.
     """
-    shorter: dict[Sequence[Element], Packed] = {}
-    level: dict[Sequence[Element], Packed] = {(): ONE}
-    length = 0
-    for chain in chains:
-        if not chain:
-            yield chain, weights(bottom, top)
-            continue
-        if len(chain) != length:
-            shorter, level, length = level, {}, len(chain)
-        last = chain[-1]
-        prev = chain[-2] if length > 1 else bottom
-        if last == bottom:
-            raise ValueError("chain elements must lie strictly above the bottom")
-        if not leq_t(prev, last):
-            raise ValueError("input is not a multichain in the tableau order")
-        prefix = shorter.get(chain[:-1])
-        if prefix is None:
-            raise ValueError("chains must come by length, each after its prefix")
-        w = level[chain] = multiply(prefix, weights(prev, last))
-        yield chain, multiply(w, weights(last, top))
+    stack = [(start, 0, ONE, len(above) if max_length is None else max_length)]
+    while stack:
+        a, mask, prefix, room = stack.pop()
+        yield mask, multiply(prefix, weight(a, end))
+        if room:
+            for b in above[a]:
+                stack.append((b, mask | 1 << b, multiply(prefix, weight(a, b)), room - 1))
 
 
 # -- skew tableaux ---------------------------------------------------------------

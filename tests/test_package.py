@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import types
@@ -31,3 +32,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
     sources = (SRC / "hlskit").glob("*.py")
     assert [path.name for path in sources if "dataclass" in path.read_text()] == []
+
+
+def test_modules_use_every_name_they_import():
+    # A CLI process without a bytecode cache compiles every module, so an
+    # unused import costs start-up time.  __init__ imports to re-export.
+    unused = {}
+    for path in sorted((SRC / "hlskit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -1,6 +1,6 @@
 import pytest
 
-from hlskit import series
+from hlskit import poset, series
 from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
 from hlskit.poset import (
@@ -207,6 +207,22 @@ def test_expand_multichain_requires_unit_weights_on_repeats(monkeypatch):
     monkeypatch.setattr(series, "pair_weight", doubled)
     with pytest.raises(ValueError, match=r"^the weight of \(0 1, 0 1\) is not 1$"):
         expand_multichain(spec, 2)
+
+
+def test_expand_multichain_builds_one_order_index(monkeypatch):
+    # The strict-above lists that count the multichains also guide the walk.
+    built = []
+
+    class Counted(OrderIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(poset, "OrderIndex", Counted)
+    for spec, bound in [(SPEC12, 3), (PosetSpec((2,), (2,)), 2), (PosetSpec((1, 1), (1, 0)), 0)]:
+        built.clear()
+        expand_multichain(spec, bound)
+        assert len(built) == 1
 
 
 def test_dual_path_expansion():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hlskit import verify, weight
+from hlskit import poset, verify, weight
 from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
@@ -742,6 +742,28 @@ def test_order_complex_counts_chains_before_any_weight(monkeypatch, spec_parts):
         verify_order_complex(spec, max_subsets=1 << 14, max_chains=count)
     monkeypatch.undo()
     assert verify_order_complex(spec, max_subsets=1 << 14, max_chains=count).passed
+
+
+@pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((1, 1), (1, 1))], ids=str)
+def test_mobius_via_chains_counts_chains_before_any_weight(monkeypatch, spec_parts):
+    spec = PosetSpec(*spec_parts)
+    a, b = spec.bottom(), spec.top()
+    between = [c for c in enumerate_elements(spec) if lt_t(a, c) and lt_t(c, b)]
+    count = len(brute_force_chains(between, len(between)))
+    want = mobius_via_chains(spec, a, b)
+
+    def no_weight(*args):
+        raise AssertionError("a pair weight was computed")
+
+    monkeypatch.setattr(verify, "pair_weight", no_weight)
+    monkeypatch.setattr(poset, "DEFAULT_MAX_CHAINS", count - 1)
+    with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
+        mobius_via_chains(spec, a, b)
+    monkeypatch.setattr(poset, "DEFAULT_MAX_CHAINS", count)
+    with pytest.raises(AssertionError, match="a pair weight was computed"):
+        mobius_via_chains(spec, a, b)
+    monkeypatch.setattr(verify, "pair_weight", pair_weight)
+    assert mobius_via_chains(spec, a, b) == want
 
 
 def test_order_complex_degenerate_is_vacuous():

@@ -6,6 +6,8 @@ from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable
 from hlskit.poset import (
     PosetSpec,
+    above_lists,
+    chains_in,
     enumerate_elements,
     enumerate_multichains,
     interval_elements,
@@ -152,36 +154,25 @@ def test_chain_weight_rejects_non_chains():
         chain_weight((spec.bottom(),), spec, ctx.yvars, ctx.table)
 
 
-def test_chain_weights_match_chain_weight():
-    for spec, length in ((PosetSpec((2,), (2,)), 3), (PosetSpec((1, 1), (1, 0)), 4)):
-        ctx = make_context(spec)
-        weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
-        chains = list(enumerate_multichains(spec, max_total_length=length))
-        got = list(chain_weights(chains, spec.bottom(), spec.top(), weights))
-        assert [c for c, _ in got] == chains
-        for chain, w in got:
-            unpacked = {weights.codec.unpack(key): c for key, c in w}
-            assert len(unpacked) == len(w) and all(c for _, c in w)
-            expected = chain_weight(chain, spec, ctx.yvars, ctx.table)
-            assert LaurentPoly(ctx.table, unpacked) == expected
-
-
-def test_chain_weights_reject_what_chain_weight_rejects():
-    spec = PosetSpec((2,), (2,))
+@pytest.mark.parametrize("max_length", [None, 0, 1, 3])
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=spec_id)
+def test_chain_weights_match_chain_weight(spec, max_length):
     ctx = make_context(spec)
-    a = parse_element("0", spec)
-    b = parse_element("1 2", spec)
-
-    def weigh(*chains):
-        weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
-        return list(chain_weights(chains, spec.bottom(), spec.top(), weights))
-
-    with pytest.raises(ValueError, match="not a multichain"):
-        weigh((), (a,), (b,), (a, b))
-    with pytest.raises(ValueError, match="strictly above the bottom"):
-        weigh((), (spec.bottom(),))
-    with pytest.raises(ValueError, match="after its prefix"):
-        weigh((), (b, b))
+    weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
+    elements = interval_elements(spec)
+    m = len(elements)
+    nodes = [*elements, spec.bottom(), spec.top()]
+    above = [*above_lists(elements), range(m)]
+    got = list(chain_weights(above, m, m + 1, lambda a, b: weights(nodes[a], nodes[b]), max_length))
+    longest = m if max_length is None else max_length
+    want = {frozenset(c): c for c in chains_in(elements) if len(c) <= longest}
+    walked = {frozenset(elements[i] for i in range(m) if mask >> i & 1): w for mask, w in got}
+    assert len(walked) == len(got) and walked.keys() == want.keys()
+    for members, w in walked.items():
+        unpacked = {weights.codec.unpack(key): c for key, c in w}
+        assert len(unpacked) == len(w) and all(c for _, c in w)
+        expected = chain_weight(want[members], spec, ctx.yvars, ctx.table)
+        assert LaurentPoly(ctx.table, unpacked) == expected
 
 
 def test_chain_weight_depends_only_on_support():
