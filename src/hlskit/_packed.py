@@ -1,19 +1,21 @@
 """Packed ints: monomials (``Codec``), chain-series terms and polynomials.
 
 Monomials are keyed by a ``Codec``, so a product of monomials is one int
-addition.  ``PairWeights`` packs each pair weight of a spec once, by the δ
-codec, whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide, and every
-packed route stays on its keys:
+addition.  ``PairWeights.rows`` packs the pair weights a call reads once, by
+the δ codec, whose field of ``Y[c,p]`` is ``δ_p(bottom, top)`` wide, into a
+transfer matrix (``Rows``; Stanley, EC1 section 4.7), and every packed route
+stays on its keys:
 
 - chain weights, one product (``multiply``) per step of the depth-first
-  walk ``weight.chain_weights``, under the multichain expansion, the
-  chain-sum Möbius function and the faces of ``verify.verify_order_complex``;
+  walk ``weight.chain_weights`` over the rows, under the multichain
+  expansion, the chain-sum Möbius function and the faces of
+  ``verify.verify_order_complex``;
 - the zeta and Möbius rows of ``verify`` and their products
   (``multiply_rows``, under ``verify.PackedRows.times``);
 - the chain-series sweep of ``series._chain_series``, which adds products
-  on keys (``_add_product``) and leaves its numerator packed
-  (``PackedNumerator``) to be rendered and checked, and so do the truncated
-  expansions of either route (``PackedCoefficients``).
+  of its states and row entries on keys (``_add_product``) and leaves its
+  numerator packed (``PackedNumerator``) to be rendered and checked, and so
+  do the truncated expansions of either route (``PackedCoefficients``).
 
 Both packed values are rendered from their keys in ``LaurentPoly.text``'s
 order, on one ranking of their distinct Y keys (``y_orders``), an
@@ -35,6 +37,9 @@ Terms = dict[int, int]
 # A packed polynomial: [(packed key, coefficient), ...].
 Packed = list[tuple[int, int]]
 ONE: Packed = [(0, 1)]
+# A sparse matrix of packed polynomials, such as a transfer matrix of pair
+# weights: one {column: entry} dict per row.
+Rows = list[dict[int, Packed]]
 
 
 class Codec:
@@ -62,11 +67,12 @@ class Codec:
 
 
 class PairWeights:
-    """The pair weights of one spec, each computed, checked and packed once.
+    """The pair weights of one spec, computed, checked and packed on each call.
 
-    ``weight(a, b, yvars, table)`` gives the weight of a pair.  The codec
-    gives ``Y[c,p]`` a field for exponents up to ``δ_p(bottom, top)``, with
-    ``δ_p(a, b) = s_p(b) - s_p(a)`` over ``poset.s_vector``.  The Möbius
+    ``weight(a, b, yvars, table)`` gives the weight of a pair; a caller builds
+    its ``rows`` once, so each pair weight it reads is computed once.  The
+    codec gives ``Y[c,p]`` a field for exponents up to ``δ_p(bottom, top)``,
+    with ``δ_p(a, b) = s_p(b) - s_p(a)`` over ``poset.s_vector``.  The Möbius
     entry of ``a <= b`` is ``±Y^δ(a,b) * w(a, b)(1/Y)``, so no exponent of
     ``w(a, b)`` exceeds ``δ(a, b)``, and packing checks that: an exponent
     past it, or of a variable other than the spec's Y variables, raises
@@ -79,7 +85,6 @@ class PairWeights:
         self.table, self.yvars, self.weight = table, yvars, weight
         self.ids = [v for comp in yvars for v in comp]
         self._stats: dict[Element, tuple[list[int], int, int]] = {}
-        self._pairs: dict[tuple[Element, Element], Packed] = {}
         lowest = self._s(spec.bottom())
         bounds = [0] * len(table)
         for v, lo, hi in zip(self.ids, lowest, self._s(spec.top())):
@@ -115,9 +120,6 @@ class PairWeights:
 
     def __call__(self, a: Element, b: Element) -> Packed:
         """The weight of ``(a, b)``, packed once its exponents are checked."""
-        w = self._pairs.get((a, b))
-        if w is not None:
-            return w
         delta = dict(zip(self.ids, map(sub, self.stats(b)[0], self.stats(a)[0])))
         shifts = self.codec.shifts
         w = []
@@ -131,8 +133,11 @@ class PairWeights:
                     )
                 key += e << shifts[v]
             w.append((key, c))
-        self._pairs[a, b] = w
         return w
+
+    def rows(self, nodes: Sequence[Element], above: Sequence[Iterable[int]]) -> Rows:
+        """Row ``a``: the packed weight of ``(nodes[a], nodes[b])``, each ``b`` in ``above[a]``."""
+        return [{b: self(a, nodes[b]) for b in bs} for a, bs in zip(nodes, above)]
 
 
 def polynomial(table: VarTable, codec: Codec, terms: Iterable[tuple[int, int]]) -> LaurentPoly:
@@ -164,10 +169,6 @@ def _add_product(acc: Terms, terms: Terms, weight: Packed) -> None:
                 acc[k] = c
             else:
                 del acc[k]
-
-
-# A sparse matrix of packed polynomials: one {column: nonzero entry} per row.
-Rows = list[dict[int, Packed]]
 
 
 def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:

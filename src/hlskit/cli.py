@@ -15,6 +15,7 @@ import json
 import sys
 import time
 
+from .exactalg import _power_text
 from .poset import (
     CapExceededError,
     DegenerateSpecError,
@@ -146,7 +147,7 @@ def cmd_compute(args) -> int:
 
 def _x_label(names: list[str], key: tuple[int, ...]) -> str:
     """The X monomial of a multidegree, over the names of its positions."""
-    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
+    parts = [_power_text(name, e) for name, e in zip(names, key) if e]
     return "*".join(parts) or "1"
 
 

@@ -13,8 +13,8 @@ Printing is deterministic: terms are ordered by total degree, ties broken by
 the dense exponent vector, with variables ordered as in the ``VarTable``.
 The text format is the one used by the CLI and the golden tests, e.g.
 ``1 - Y[1,1]^2*X{0^2}``.  ``_power_text`` and ``_terms_text`` state it, for
-``LaurentPoly.text`` and for the packed numerators and expansion
-coefficients of ``_packed`` alike.
+``LaurentPoly.text``, the packed numerators and expansion coefficients of
+``_packed`` and the X monomials of the CLI's ``expand`` lines alike.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ every matrix and variable list in this package is indexed by.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterator, Sequence
 
 Component = tuple[int, ...]
@@ -67,14 +68,8 @@ class PosetSpec:
     def g(self) -> int:
         return len(self.n)
 
-    def component_count(self, i: int) -> int:
-        return (self.r[i] + 1) << self.n[i]
-
     def element_count(self) -> int:
-        total = 1
-        for i in range(self.g):
-            total *= self.component_count(i)
-        return total
+        return math.prod(r + 1 for r in self.r) << sum(self.n)
 
     def bottom(self) -> Element:
         return tuple((0,) * (ni + 1) for ni in self.n)
@@ -83,7 +78,7 @@ class PosetSpec:
         return tuple((ri,) + (1,) * ni for ni, ri in zip(self.n, self.r))
 
     def is_degenerate(self) -> bool:
-        return self.bottom() == self.top()
+        return not any(self.n) and not any(self.r)
 
     def validate_element(self, e: Element) -> None:
         if len(e) != self.g:
@@ -163,8 +158,10 @@ def enumerate_component_elements(n: int, r: int) -> list[Component]:
 
 def enumerate_elements(spec: PosetSpec, max_elements: int | None = None) -> list[Element]:
     cap = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    count = spec.element_count()
-    if count > cap:
+    # The count c * 2^k is built only while 2^k is within the cap, and named so from k = 64.
+    c, k = math.prod(r + 1 for r in spec.r), sum(spec.n)
+    if k >= cap.bit_length() or c << k > cap:
+        count = c << k if k < 64 else f"{c} * 2^{k}".removeprefix("1 * ")
         raise CapExceededError(f"poset has {count} elements, cap is {cap}")
     streams = [enumerate_component_elements(n, r) for n, r in zip(spec.n, spec.r)]
     return [tuple(combo) for combo in itertools.product(*streams)]

@@ -68,6 +68,7 @@ class SeriesContext(NamedTuple):
 
 
 def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesContext:
+    x_elements = tuple(interval_elements(spec, "half_open", max_elements))
     names = []
     yvars = []
     next_id = 0
@@ -78,7 +79,6 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
             comp.append(next_id)
             next_id += 1
         yvars.append(tuple(comp))
-    x_elements = tuple(interval_elements(spec, "half_open", max_elements))
     x_ids = {}
     for e in x_elements:
         names.append("X{" + render_element(e) + "}")
@@ -171,11 +171,12 @@ def _chain_series(
     ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
     copy of ``total``.
 
-    The sweep runs on indices: node ``i < m`` is ``elements[i]`` and node
-    ``m`` the bottom.  Each pair weight is packed once, by the δ codec of
-    ``PairWeights``, and a term ``c * Y^e * prod_{i in S} X_i`` has the key
-    ``y << m | mask``, ``y`` the key of ``Y^e`` and bit ``i`` of the mask
-    for element ``i``.  So a term times a pair-weight monomial times
+    The sweep runs on indices: node ``i < m`` is ``elements[i]``, node ``m``
+    the bottom and node ``m + 1`` the top.  The pair weights it reads are
+    packed once, by the δ codec, into the rows of a transfer matrix
+    (``PairWeights.rows``), and a term ``c * Y^e * prod_{i in S} X_i`` has
+    the key ``y << m | mask``, ``y`` the key of ``Y^e`` and bit ``i`` of the
+    mask for element ``i``.  So a term times a pair-weight monomial times
     ``X_c`` is one int addition, and ``1 - X_c`` is ``key + (1 << c)``; an
     exponent past δ raises ``ValueError``.  The numerator is returned
     packed, its mask bits the X variables of ``elements``.
@@ -184,9 +185,6 @@ def _chain_series(
     After each element the live terms of all states and ``total`` are
     counted, and more than ``max_terms`` raises ``CapExceededError``.
     """
-    bottom = ctx.spec.bottom()
-    top = ctx.spec.top()
-    nodes = [*elements, bottom]
     m = len(elements)
     above = above_lists(elements, key)
     # An element strictly below another has strictly fewer elements below it.
@@ -199,25 +197,29 @@ def _chain_series(
 
     chain_count = count_chains([*above, range(m)], m, max_chains)
 
-    has_top = m > 0 and elements[-1] == top
+    has_top = m > 0 and elements[-1] == ctx.spec.top()
     swept = order[:-1] if has_top else order
-    weights = PairWeights(ctx.spec, ctx.table, ctx.yvars, lambda a, b, *_: pair_w(ctx, a, b))
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
+    position = {c: k for k, c in enumerate(swept)}
+    # Row s of the transfer matrix: the swept nodes above node s, then the top.
+    end = m + 1
+    successors = [[*(j for j in js if j in position), end] for js in [*above, range(m)]]
     # A state folds into ``total`` once no element but the top is left above
     # it: in the step of the last one above it, before its ``1 - X_c``, or
     # right after its own step if there is none (key None).
-    position = {c: k for k, c in enumerate(swept)}
     fold_at = {}
-    for s, js in [(m, range(m)), *enumerate(above)]:
-        after = [position[j] for j in js if j in position]
+    for s in (m, *range(m)):
+        after = [position[j] for j in successors[s][:-1]]
         fold_at.setdefault(max(after, default=None), []).append(s)
     maximal = set(fold_at.pop(None, ()))
+    weights = PairWeights(ctx.spec, ctx.table, ctx.yvars, lambda a, b, *_: pair_w(ctx, a, b))
+    rows = weights.rows([*elements, ctx.spec.bottom(), ctx.spec.top()], successors)
 
     states = {m: {0: 1}}
     total: Terms = {}
 
     def fold(s: int) -> None:
-        _add_product(total, states.pop(s), [(y << m, a) for y, a in weights(nodes[s], top)])
+        _add_product(total, states.pop(s), [(y << m, a) for y, a in rows[s][end]])
 
     def check(step: int) -> None:
         if len(total) + sum(map(len, states.values())) > term_cap:
@@ -230,8 +232,7 @@ def _chain_series(
         b = 1 << c
         incoming: Terms = {}
         for s in preds[c]:
-            w = weights(nodes[s], nodes[c])
-            _add_product(incoming, states[s], [(y << m | b, a) for y, a in w])
+            _add_product(incoming, states[s], [(y << m | b, a) for y, a in rows[s][c]])
         for s in fold_at.get(k, ()):
             fold(s)
         for terms in (*states.values(), total):
@@ -242,7 +243,7 @@ def _chain_series(
         check(k + 1)
     if has_top:
         state_top = {key + (1 << m - 1): a for key, a in total.items()}
-        step = dict(weights(top, top))
+        step = dict(rows[m - 1][end])
         step[0] = step.get(0, 0) - 1
         _add_product(total, state_top, [(y << m, a) for y, a in step.items() if a])
         check(m)
@@ -387,12 +388,16 @@ def expand_multichain(
     # Multiplicity vectors on k elements, from partial sums, after a 0 for elements off the chain.
     vectors = cache(lambda k: [(0, *map(sub, sums, (0, *sums))) for sums in combinations(pool, k)])
     coeffs: dict[tuple[int, ...], Terms] = {}
-    # Node m is the bottom, node m + 1 the top.  A chain's members come in index
-    # order, not the chain's, and the vectors of one length are closed under permutation.
-    nodes = [*elements, spec.bottom(), spec.top()]
-    above.append(range(m))
-    walk = chain_weights(above, m, m + 1, lambda a, b: weights(nodes[a], nodes[b]), bound)
-    for mask, weight in walk:
+    # Node m is the bottom; the end, node m + 1, is the top, the last column of every row
+    # (node m - 1, if m > 0), so its column is the top's, as w(top, top) is 1.  A chain's
+    # members come in index order, and the vectors of one length are closed under permutation.
+    steps = [*above, range(m)]
+    if bound < 2:  # no step joins two elements: their rows need only the top
+        steps = [*(js[-1:] for js in above), range(m) if bound else range(m)[-1:]]
+    rows = weights.rows([*elements, spec.bottom()], steps)
+    for row in rows:
+        row[m + 1] = row.get(m - 1, ONE)
+    for mask, weight in chain_weights(rows, m, m + 1, bound):
         if weight:
             terms, slots, chain = dict(weight), [0] * m, _members(mask)
             for j, i in enumerate(chain, 1):

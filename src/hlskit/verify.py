@@ -115,16 +115,13 @@ def zeta_rows(
     yvars: Sequence[Sequence[int]] | None = None,
     max_elements: int | None = None,
 ) -> PackedRows:
-    """The pair weights of the comparable pairs, found by ``OrderIndex``, packed."""
+    """The pair weights of the comparable pairs, found by ``OrderIndex``, packed as rows."""
     table, yvars = _context_vars(spec, table, yvars, max_elements)
     elements = tuple(enumerate_elements(spec, max_elements))
     index = OrderIndex(elements)
     weights = PairWeights(spec, table, yvars, pair_weight)
-    rows = []
-    for i, a in enumerate(elements):
-        pairs = ((j, weights(a, elements[j])) for j in (i, *index.above(i)))
-        rows.append({j: w for j, w in pairs if w})
-    return PackedRows(elements, weights, rows)
+    at_or_above = [(i, *index.above(i)) for i in range(len(elements))]
+    return PackedRows(elements, weights, weights.rows(elements, at_or_above))
 
 
 def mobius_rows(zeta: PackedRows) -> PackedRows:
@@ -282,10 +279,10 @@ def mobius_via_chains(
     m = len(between)  # node m is a, node m + 1 is b
     above = [*above_lists(between), range(m)]
     count_chains(above, m)
-    nodes = [*between, a, b]
     weights = PairWeights(spec, table, yvars, pair_weight)
+    rows = weights.rows([*between, a, b], [[*js, m + 1] for js in above])
     total: defaultdict[int, int] = defaultdict(int)
-    for mask, w in chain_weights(above, m, m + 1, lambda x, y: weights(nodes[x], nodes[y])):
+    for mask, w in chain_weights(rows, m, m + 1):
         sign = 1 if mask.bit_count() % 2 else -1
         for key, c in w:
             total[key] += sign * c
@@ -401,11 +398,11 @@ def verify_order_complex(
     ŵ and g keep within δ and pack by its codec: ŵ has the keys
     ``key(δ(a, b)) - key`` of w, with no borrow.  ``-σ`` is folded into
     the gaps at the top, whose recursion then starts from ``σ * ŵ``.  Two
-    walks of ``weight.chain_weights`` over the same strict-above lists, one
-    through w and one through g, yield each face's two products in step,
-    and each face is checked as they reach it, on keys when c is 1, as
-    ``K_and_N``'s K gives, and on polynomials otherwise; only the masks of
-    failing faces are kept.
+    walks of ``weight.chain_weights``, one over the rows of w and one over
+    those of g, which hold the same columns in the same order, yield each
+    face's two products in step, and each face is checked as they reach it,
+    on keys when c is 1, as ``K_and_N``'s K gives, and on polynomials
+    otherwise; only the masks of failing faces are kept.
 
     ``subsets_checked`` is ``2^m`` for the m elements of the open interval;
     more than ``max_subsets`` raise ``CapExceededError`` first, and more
@@ -438,7 +435,7 @@ def verify_order_complex(
     c = k * LaurentPoly.monomial(ctx.table, {v: -e for v, e in delta}, 1)
 
     # w and g on every comparable pair, g from the top down.
-    w = [{b: weights(nodes[a], nodes[b]) for b in [*above[a], top]} for a in range(m + 1)]
+    w = weights.rows(nodes, [[*js, top] for js in above])
     g: list[dict[int, Packed]] = [{} for _ in nodes]
     for a in downward:
         hat = {b: [(keys[b] - keys[a] - key, co) for key, co in wb] for b, wb in w[a].items()}
@@ -460,9 +457,8 @@ def verify_order_complex(
         def holds(fw: Packed, fg: Packed) -> bool:
             return polynomial(table, codec, fw) == c * polynomial(table, codec, fg)
 
-    walk_w = chain_weights(above, m, top, lambda a, b: w[a][b])
-    walk_g = chain_weights(above, m, top, lambda a, b: g[a][b])
-    failing = [mask for (mask, fw), (_, fg) in zip(walk_w, walk_g) if not holds(fw, fg)]
+    walks = zip(chain_weights(w, m, top), chain_weights(g, m, top))
+    failing = [mask for (mask, fw), (_, fg) in walks if not holds(fw, fg)]
     failures = []
     for s in sorted(failing):
         members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]

@@ -10,9 +10,9 @@ exploit the redundancy; the implementations must not share formulas.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from ._packed import ONE, Packed, multiply
+from ._packed import ONE, Packed, Rows, multiply
 from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     Component,
@@ -106,30 +106,29 @@ def chain_weight(
 
 
 def chain_weights(
-    above: Sequence[Sequence[int]],
-    start: int,
-    end: int,
-    weight: Callable[[int, int], Packed],
-    max_length: int | None = None,
+    rows: Rows, start: int, end: int, max_length: int | None = None
 ) -> Iterator[tuple[int, Packed]]:
     """Each strict chain up from node ``start``, as a mask, with its weight.
 
-    Node ``b`` may follow node ``a`` when it is in ``above[a]``, and bit
-    ``b`` of the mask stands for node ``b``; the chains have at most
-    ``max_length`` nodes besides ``start``, the empty one first.  The weight
-    is the product of the packed step weights ``weight(a, b)`` from
+    Row ``a`` of the transfer matrix ``rows`` (``_packed.PairWeights.rows``)
+    maps each node that may follow node ``a``, and ``end``, to the packed
+    weight of that step.  Bit ``b`` of the mask stands for node ``b``; the
+    chains have at most ``max_length`` nodes besides ``start``, the empty
+    one first.  The weight is the product of the step weights from
     ``start`` through the chain to ``end``, their keys adding without
     carries.  The walk is depth first, on an explicit stack: each chain's
     product from ``start`` is computed once, as its prefix's times one step,
     and kept for the chains that extend it.
     """
-    stack = [(start, 0, ONE, len(above) if max_length is None else max_length)]
+    stack = [(start, 0, ONE, len(rows) if max_length is None else max_length)]
     while stack:
         a, mask, prefix, room = stack.pop()
-        yield mask, multiply(prefix, weight(a, end))
+        row = rows[a]
+        yield mask, multiply(prefix, row[end])
         if room:
-            for b in above[a]:
-                stack.append((b, mask | 1 << b, multiply(prefix, weight(a, b)), room - 1))
+            for b, w in row.items():
+                if b != end:
+                    stack.append((b, mask | 1 << b, multiply(prefix, w), room - 1))
 
 
 # -- skew tableaux ---------------------------------------------------------------

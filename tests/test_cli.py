@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hlskit import series
+from hlskit import series, verify
 from hlskit.cli import CHECKS, SPECIALIZATIONS, UsageError, build_parser, main
 from hlskit.poset import PosetSpec, enumerate_elements, enumerate_multichains
 
@@ -313,6 +313,30 @@ def test_cap_hit_is_one_error_line(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _huge_shapes():
+    # Every command that reads --max-elements, at a shape of 2,000,000.
+    shape = ("--n", "2000000", "--r", "1")
+    yield "compute", *shape
+    yield "compute", "--modified", *shape
+    for method in ("multichain", "rational"):
+        yield "expand", "--max-degree", "2", "--method", method, *shape
+    for fmt in ("dot", "json"):
+        yield "hasse", "--format", fmt, *shape
+    for kind, (flag, _, _) in SPECIALIZATIONS.items():
+        yield "specialize", "--kind", kind, flag, "2000000"
+    for check in CHECKS:
+        yield "verify", check, *shape
+
+
+@pytest.mark.parametrize("argv", list(_huge_shapes()), ids=" ".join)
+def test_element_cap_on_a_huge_shape_is_one_short_line(capsys, argv):
+    # The cap is checked before any work that grows with the shape, and a
+    # count of 2^2000000 elements is not printed in decimal.
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: poset has ") and err.count("\n") == 1 and len(err) < 200
+
+
 def test_term_cap_at_the_exact_peak_exits_0(capsys):
     # 3,240 live terms after element 9 of 11 is the peak of (2),(2).
     argv = ("compute", "--n", "2", "--r", "2", "--no-timing")
@@ -519,23 +543,47 @@ def test_verify_zeta_mobius(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_verify_zeta_mobius_computes_each_pair_weight_once(capsys, monkeypatch):
-    import hlskit.verify as verify
+# Each command, the module whose pair function it reads, that function's
+# name, and where its arguments hold the pair.
+PAIR_FUNCTIONS = [
+    (("verify", "zeta-mobius", "--n", "2", "--r", "2"), verify, "pair_weight", slice(0, 2)),
+    (("compute", "--n", "2", "--r", "2"), series, "pair_weight", slice(0, 2)),
+    (("compute", "--n", "2", "--r", "2", "--modified"), series, "pair_weight", slice(0, 2)),
+    (("expand", "--n", "2", "--r", "2", "--max-degree", "3"), series, "pair_weight", slice(0, 2)),
+    (("expand", "--n", "2", "--r", "2", "--max-degree", "1"), series, "pair_weight", slice(0, 2)),
+    (("verify", "order-complex", "--n", "2", "--r", "2"), verify, "pair_weight", slice(0, 2)),
+    (
+        ("specialize", "--kind", "classical-igusa", "--r", "4"),
+        series,
+        "_zero_count_pair",
+        slice(1, 3),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, pair", PAIR_FUNCTIONS, ids=[" ".join(p[0]) for p in PAIR_FUNCTIONS]
+)
+def test_each_pair_weight_is_computed_once(capsys, monkeypatch, argv, module, name, pair):
     from hlskit.poset import leq_t
 
     calls = []
+    original = getattr(module, name)
 
-    def counted(a, b, yvars, table):
-        calls.append((a, b))
-        return pair_weight(a, b, yvars, table)
+    def counted(*args):
+        calls.append(args[pair])
+        return original(*args)
 
-    pair_weight = verify.pair_weight
-    monkeypatch.setattr(verify, "pair_weight", counted)
-    code, out, _ = run(capsys, "verify", "zeta-mobius", "--n", "2", "--r", "2", "--no-timing")
-    assert code == 0 and json.loads(out)["pass"] is True
-    elements = enumerate_elements(PosetSpec((2,), (2,)))
-    comparable = [(a, b) for a in elements for b in elements if leq_t(a, b)]
-    assert sorted(calls) == sorted(comparable)
+    monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0 and out
+    assert calls and len(set(calls)) == len(calls)
+    assert all(leq_t(a, b) for a, b in calls)
+    if argv[:2] == ("verify", "zeta-mobius"):
+        assert json.loads(out)["pass"] is True
+        elements = enumerate_elements(PosetSpec((2,), (2,)))
+        comparable = [(a, b) for a in elements for b in elements if leq_t(a, b)]
+        assert sorted(calls) == sorted(comparable)
 
 
 def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):

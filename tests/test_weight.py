@@ -162,8 +162,8 @@ def test_chain_weights_match_chain_weight(spec, max_length):
     elements = interval_elements(spec)
     m = len(elements)
     nodes = [*elements, spec.bottom(), spec.top()]
-    above = [*above_lists(elements), range(m)]
-    got = list(chain_weights(above, m, m + 1, lambda a, b: weights(nodes[a], nodes[b]), max_length))
+    rows = weights.rows(nodes, [[*js, m + 1] for js in [*above_lists(elements), range(m)]])
+    got = list(chain_weights(rows, m, m + 1, max_length))
     longest = m if max_length is None else max_length
     want = {frozenset(c): c for c in chains_in(elements) if len(c) <= longest}
     walked = {frozenset(elements[i] for i in range(m) if mask >> i & 1): w for mask, w in got}
