@@ -28,6 +28,17 @@ class CapExceededError(RuntimeError):
     """An enumeration would exceed its configured resource cap."""
 
 
+def count_text(c: int, k: int = 0) -> str:
+    """``c * 2^k`` in a cap message: decimal below 2^64; from there ``c * 2^k`` (``2^k`` if c
+    is 1) while c is below 2^64, else ``2^b``, or ``over 2^b`` if no power of 2, b its top bit."""
+    b = c.bit_length() - 1 + k
+    if b < 64:
+        return str(c << k)
+    if c >> 64 == 0:
+        return f"{c} * 2^{k}".removeprefix("1 * ")
+    return f"{'over ' if c & c - 1 else ''}2^{b}"
+
+
 class DegenerateSpecError(ValueError):
     """The operation presupposes a poset whose bottom and top differ."""
 
@@ -158,11 +169,10 @@ def enumerate_component_elements(n: int, r: int) -> list[Component]:
 
 def enumerate_elements(spec: PosetSpec, max_elements: int | None = None) -> list[Element]:
     cap = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    # The count c * 2^k is built only while 2^k is within the cap, and named so from k = 64.
+    # The count c * 2^k is built only while 2^k is within the cap.
     c, k = math.prod(r + 1 for r in spec.r), sum(spec.n)
     if k >= cap.bit_length() or c << k > cap:
-        count = c << k if k < 64 else f"{c} * 2^{k}".removeprefix("1 * ")
-        raise CapExceededError(f"poset has {count} elements, cap is {cap}")
+        raise CapExceededError(f"poset has {count_text(c, k)} elements, cap is {count_text(cap)}")
     streams = [enumerate_component_elements(n, r) for n, r in zip(spec.n, spec.r)]
     return [tuple(combo) for combo in itertools.product(*streams)]
 
@@ -405,7 +415,7 @@ def count_chains(above: Sequence[Sequence[int]], start: int, max_chains: int | N
         starting[a] += sum(starting[b] for b in above[a])
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     if starting[start] > cap:
-        raise CapExceededError(f"chain enumeration exceeds cap {cap}")
+        raise CapExceededError(f"chain enumeration exceeds cap {count_text(cap)}")
     return starting[start]
 
 

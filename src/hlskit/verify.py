@@ -13,15 +13,14 @@ gaps computed by their own recursion, a route independent of both.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple, Sequence
 
 from ._packed import (
     ONE,
-    Codec,
-    Packed,
     PairWeights,
     Rows,
+    Terms,
+    _add_product,
     multiply_rows,
     polynomial,
 )
@@ -34,6 +33,7 @@ from .poset import (
     PosetSpec,
     above_lists,
     count_chains,
+    count_text,
     enumerate_elements,
     leq_t,
     lt_t,
@@ -89,24 +89,16 @@ class PackedRows(NamedTuple):
         return self._replace(rows=multiply_rows(self.rows, other.rows, codec))
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return polynomial(self.weights.table, self.weights.codec, self.rows[i].get(j, []))
+        return polynomial(self.weights.table, self.weights.codec, self.rows[i].get(j, {}))
 
     def view(self) -> PolyMatrix:
-        """The ``PolyMatrix`` of these rows."""
-        weights = self.weights
-        entries = _unpacked(self.rows, len(self.labels), weights.table, weights.codec)
-        return PolyMatrix(self.labels, entries, weights.table)
-
-
-def _unpacked(rows: Rows, n: int, table: VarTable, codec: Codec) -> list[list[LaurentPoly]]:
-    """The ``n`` by ``n`` entries of packed rows; zero entries share one zero."""
-    zero = LaurentPoly.zero(table)
-    entries = []
-    for row in rows:
-        entries.append([zero] * n)
-        for j, terms in row.items():
-            entries[-1][j] = polynomial(table, codec, terms)
-    return entries
+        """The ``PolyMatrix`` of these rows; zero entries share one zero."""
+        zero = LaurentPoly.zero(self.weights.table)
+        entries = [[zero] * len(self.labels) for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in row:
+                entries[i][j] = self.entry(i, j)
+        return PolyMatrix(self.labels, entries, self.weights.table)
 
 
 def zeta_rows(
@@ -138,7 +130,7 @@ def mobius_rows(zeta: PackedRows) -> PackedRows:
         out = {}
         for j, terms in row.items():
             delta, sign = weights.mobius_factor(a, labels[j])
-            out[j] = [(delta - key, sign * c) for key, c in terms]
+            out[j] = {delta - key: sign * c for key, c in terms.items()}
         rows.append(out)
     return PackedRows(labels, weights, rows)
 
@@ -281,12 +273,10 @@ def mobius_via_chains(
     count_chains(above, m)
     weights = PairWeights(spec, table, yvars, pair_weight)
     rows = weights.rows([*between, a, b], [[*js, m + 1] for js in above])
-    total: defaultdict[int, int] = defaultdict(int)
+    total: Terms = {}
     for mask, w in chain_weights(rows, m, m + 1):
-        sign = 1 if mask.bit_count() % 2 else -1
-        for key, c in w:
-            total[key] += sign * c
-    return polynomial(table, weights.codec, (kc for kc in total.items() if kc[1]))
+        _add_product(total, w, ONE if mask.bit_count() % 2 else {0: -1})
+    return polynomial(table, weights.codec, total)
 
 
 def K_and_N(
@@ -417,7 +407,7 @@ def verify_order_complex(
     open_interval = ctx.x_elements[:-1]
     m = len(open_interval)
     if 1 << m > cap:
-        raise CapExceededError(f"2^{m} subsets exceed the cap {cap}")
+        raise CapExceededError(f"2^{m} subsets exceed the cap {count_text(cap)}")
 
     # Node i < m is open_interval[i], node m the bottom and node m + 1 the top.
     top = m + 1
@@ -436,29 +426,26 @@ def verify_order_complex(
 
     # w and g on every comparable pair, g from the top down.
     w = weights.rows(nodes, [[*js, top] for js in above])
-    g: list[dict[int, Packed]] = [{} for _ in nodes]
+    g: Rows = [{} for _ in nodes]
     for a in downward:
-        hat = {b: [(keys[b] - keys[a] - key, co) for key, co in wb] for b, wb in w[a].items()}
-        for b in hat:
-            acc = {key: (sigma if b == top else -1) * co for key, co in hat[b]}
-            for mid, hat_mid in hat.items():
-                tail = g[mid].get(b)  # None unless mid < b
-                if tail:
-                    for key_h, co_h in hat_mid:
-                        for key_g, co_g in tail:
-                            acc[key_h + key_g] = acc.get(key_h + key_g, 0) - co_h * co_g
-            g[a][b] = [(key, co) for key, co in acc.items() if co]
-
-    table, codec = ctx.table, weights.codec
-    if c.is_one():
-        def holds(fw: Packed, fg: Packed) -> bool:
-            return dict(fw) == dict(fg)
-    else:
-        def holds(fw: Packed, fg: Packed) -> bool:
-            return polynomial(table, codec, fw) == c * polynomial(table, codec, fg)
+        # -ŵ(a, b) for each b above a, so each gap sum adds g(mid, b) * -ŵ(a, mid)
+        neg = {b: {keys[b] - keys[a] - k: -co for k, co in wb.items()} for b, wb in w[a].items()}
+        for b, neg_b in neg.items():
+            acc = {key: (-sigma if b == top else 1) * co for key, co in neg_b.items()}
+            for mid, neg_mid in neg.items():
+                _add_product(acc, g[mid].get(b, {}), neg_mid)  # g(mid, b) is 0 unless mid < b
+            g[a][b] = acc
 
     walks = zip(chain_weights(w, m, top), chain_weights(g, m, top))
-    failing = [mask for (mask, fw), (_, fg) in walks if not holds(fw, fg)]
+    if c.is_one():
+        failing = [mask for (mask, fw), (_, fg) in walks if fw != fg]
+    else:
+        table, codec = ctx.table, weights.codec
+        failing = [
+            mask
+            for (mask, fw), (_, fg) in walks
+            if polynomial(table, codec, fw) != c * polynomial(table, codec, fg)
+        ]
     failures = []
     for s in sorted(failing):
         members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]

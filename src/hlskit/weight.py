@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ._packed import ONE, Packed, Rows, multiply
+from ._packed import ONE, Rows, Terms, multiply
 from .exactalg import LaurentPoly, Monomial, VarTable, y_binomial
 from .poset import (
     Component,
@@ -107,7 +107,7 @@ def chain_weight(
 
 def chain_weights(
     rows: Rows, start: int, end: int, max_length: int | None = None
-) -> Iterator[tuple[int, Packed]]:
+) -> Iterator[tuple[int, Terms]]:
     """Each strict chain up from node ``start``, as a mask, with its weight.
 
     Row ``a`` of the transfer matrix ``rows`` (``_packed.PairWeights.rows``)

@@ -313,28 +313,55 @@ def test_cap_hit_is_one_error_line(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# A part of 3,000 digits: 10^3000 elements a component, and no count of them in decimal.
+HUGE_R = "9" * 3000
+
+
 def _huge_shapes():
-    # Every command that reads --max-elements, at a shape of 2,000,000.
-    shape = ("--n", "2000000", "--r", "1")
-    yield "compute", *shape
-    yield "compute", "--modified", *shape
-    for method in ("multichain", "rational"):
-        yield "expand", "--max-degree", "2", "--method", method, *shape
-    for fmt in ("dot", "json"):
-        yield "hasse", "--format", fmt, *shape
-    for kind, (flag, _, _) in SPECIALIZATIONS.items():
+    # Every command that reads --max-elements, at a shape of 2,000,000 and at
+    # shapes of one and two parts HUGE_R.
+    for shape in (
+        ("--n", "2000000", "--r", "1"),
+        ("--n", "0", "--r", HUGE_R),
+        ("--n", "0,0", "--r", f"{HUGE_R},{HUGE_R}"),
+    ):
+        yield "compute", *shape
+        yield "compute", "--modified", *shape
+        for method in ("multichain", "rational"):
+            yield "expand", "--max-degree", "2", "--method", method, *shape
+        for fmt in ("dot", "json"):
+            yield "hasse", "--format", fmt, *shape
+        for check in CHECKS:
+            yield "verify", check, *shape
+    for kind, (flag, single, _) in SPECIALIZATIONS.items():
         yield "specialize", "--kind", kind, flag, "2000000"
-    for check in CHECKS:
-        yield "verify", check, *shape
+        if flag == "--r":
+            yield "specialize", "--kind", kind, flag, HUGE_R if single else f"{HUGE_R},{HUGE_R}"
 
 
-@pytest.mark.parametrize("argv", list(_huge_shapes()), ids=" ".join)
+def _one_short_line(err):
+    return err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv", list(_huge_shapes()), ids=lambda argv: " ".join(argv).replace(HUGE_R, "R")
+)
 def test_element_cap_on_a_huge_shape_is_one_short_line(capsys, argv):
     # The cap is checked before any work that grows with the shape, and a
-    # count of 2^2000000 elements is not printed in decimal.
+    # count of 2^2000000 or 10^6000 elements is not printed in decimal.
     code, out, err = run(capsys, *argv, "--no-timing")
     assert (code, out) == (2, "")
-    assert err.startswith("error: poset has ") and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: poset has ") and _one_short_line(err)
+
+
+def test_multichain_cap_on_a_huge_degree_is_one_short_line(capsys):
+    # A degree of 4,000 digits parses, and neither it nor the multichain count
+    # past it is printed in decimal.
+    argv = ("expand", "--n", "3", "--r", "3", "--max-degree", "9" * 4000, "--no-timing")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: multichain enumeration exceeds cap 10000000: over 2^")
+    assert err.endswith(" multichains up to degree over 2^13287\n") and _one_short_line(err)
 
 
 def test_term_cap_at_the_exact_peak_exits_0(capsys):
@@ -597,7 +624,7 @@ def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):
         m = mobius_rows(zeta)
         terms = dict(m.rows[0][1])
         terms[0] = terms.get(0, 0) + 1
-        m.rows[0][1] = [(key, c) for key, c in terms.items() if c]
+        m.rows[0][1] = {key: c for key, c in terms.items() if c}
         return m
 
     monkeypatch.setattr(cli, "mobius_rows", broken)

@@ -1,14 +1,20 @@
 """The packed-monomial codec, and both of its users against their oracles."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from hlskit import series
 from hlskit._packed import (
+    ONE,
     Codec,
     PackedCoefficients,
     PackedNumerator,
     _add_product,
+    multiply,
+    polynomial,
 )
+from hlskit.exactalg import VarTable
 from hlskit.poset import PosetSpec, enumerate_chains, interval_elements
 from hlskit.series import (
     classical_igusa,
@@ -76,13 +82,59 @@ def test_add_product_accumulates_and_drops_cancelled_keys():
     # Keys add as exponents: (t^3 + 2 t^5)(t - t^2) = t^4 + 2 t^6 - t^5 - 2 t^7,
     # added to -t^4 - 2 t^6 + t^9, cancels two keys.
     acc = {4: -1, 6: -2, 9: 1}
-    _add_product(acc, {3: 1, 5: 2}, [(1, 1), (2, -1)])
+    _add_product(acc, {3: 1, 5: 2}, {1: 1, 2: -1})
     assert acc == {5: -1, 7: -2, 9: 1}
     acc = {}
-    _add_product(acc, {0: 1, 1: 1}, [(0, 1), (1, -1)])
+    _add_product(acc, {0: 1, 1: 1}, {0: 1, 1: -1})
     assert acc == {0: 1, 2: -1}
-    _add_product(acc, {0: -1}, [(0, 1)])
+    _add_product(acc, {0: -1}, {0: 1})
     assert acc == {2: -1}
+
+
+def test_the_shared_unit_is_read_only():
+    # multiply returns ONE itself, and rows and expansions store it, so an
+    # update in place would change every later product.
+    assert ONE == {0: 1} and multiply(ONE, ONE) is ONE
+    with pytest.raises(TypeError):
+        ONE[0] = 2
+    with pytest.raises(TypeError):
+        ONE[1] = 1
+    with pytest.raises(TypeError):
+        del ONE[0]
+    assert ONE == {0: 1}
+
+
+# Three variables of 3-bit fields: exponents up to 3 in each factor add without carries.
+TABLE, CODEC = VarTable(["a", "b", "c"]), Codec([6, 6, 6])
+EXPONENTS = st.integers(min_value=0, max_value=3)
+PACKED = st.dictionaries(
+    st.builds(lambda a, b, c: a | b << 3 | c << 6, EXPONENTS, EXPONENTS, EXPONENTS),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    max_size=6,
+)
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(p=PACKED, q=PACKED)
+def test_multiply_matches_the_laurent_product_and_keeps_its_inputs(p, q):
+    before = dict(p), dict(q)
+    product = multiply(p, q)
+    assert all(product.values())
+    want = polynomial(TABLE, CODEC, p) * polynomial(TABLE, CODEC, q)
+    assert polynomial(TABLE, CODEC, product) == want
+    assert (p, q) == before
+
+
+def test_multiply_shortcuts_the_unit_and_drops_cancelled_keys():
+    p = {1: 2, 8: -1}
+    for one in (ONE, {0: 1}):
+        assert multiply(p, one) is p and multiply(one, p) is p
+    # (1 + a)(1 - a) = 1 - a^2: the two a terms cancel and leave no key.
+    assert multiply({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
+    # A product over the integers is zero only with a zero factor.
+    for zero, other in (({}, p), (p, {}), ({}, ONE), (ONE, {})):
+        assert multiply(zero, other) == {}
+    assert p == {1: 2, 8: -1}
 
 
 # -- both codec users against routes that do not pack -------------------------------
@@ -251,7 +303,7 @@ def one_term_mutant(value):
     """A copy of ``value`` whose packed form has one coefficient negated."""
     terms = dict(value.packed.terms)
     key = next(iter(terms))
-    if isinstance(terms[key], dict):  # an expansion: a coefficient is a dict of its own
+    if isinstance(terms[key], Mapping):  # an expansion: a coefficient is a dict of its own
         y, c = next(iter(terms[key].items()))
         terms[key] = {**terms[key], y: -c}
     else:

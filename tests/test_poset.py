@@ -9,6 +9,7 @@ from hlskit.poset import (
     PosetSpec,
     chains_in,
     complement,
+    count_text,
     cover_relations,
     delta,
     enumerate_chains,
@@ -93,6 +94,28 @@ def test_reverse_lex_component_order():
 def test_element_cap():
     with pytest.raises(CapExceededError):
         enumerate_elements(PosetSpec((3, 3), (3, 3)), max_elements=100)
+
+
+@pytest.mark.parametrize(
+    "c, k, text",
+    [
+        (0, 0, "0"),
+        (6, 0, "6"),
+        ((1 << 64) - 1, 0, "18446744073709551615"),
+        (3, 62, str(3 << 62)),
+        (1 << 64, 0, "2^64"),
+        ((1 << 64) + 1, 0, "over 2^64"),
+        (3, 63, "3 * 2^63"),
+        ((1 << 64) + 1, 1, "over 2^65"),
+        (1, 64, "2^64"),
+        (2, 2000000, "2 * 2^2000000"),
+        ((1 << 64) - 1, 64, "18446744073709551615 * 2^64"),
+        (1 << 64, 64, "2^128"),
+        (10**3000, 2000000, f"over 2^{(10**3000).bit_length() - 1 + 2000000}"),
+    ],
+)
+def test_count_text_is_decimal_below_2_to_the_64_only(c, k, text):
+    assert count_text(c, k) == text
 
 
 def test_known_incomparable_pairs():

@@ -332,7 +332,7 @@ def test_packed_rows_match_the_laurent_routes(spec):
 def test_packed_rows_multiply_only_over_the_same_elements_and_codec():
     spec = PosetSpec((1,), (2,))
     zeta = zeta_rows(spec)
-    identity = [{i: [(0, 1)]} for i in range(len(zeta.labels))]
+    identity = [{i: {0: 1}} for i in range(len(zeta.labels))]
     assert zeta.times(mobius_rows(zeta)).rows == identity
     ctx = make_context(PosetSpec((1, 1), (1, 2)))
     # Other elements; then the same elements, with the Y variables of a wider table.
@@ -342,13 +342,13 @@ def test_packed_rows_multiply_only_over_the_same_elements_and_codec():
 
 
 def test_rows_mismatch_finds_the_first_entry_out_of_place():
-    one = [(0, 1)]
+    one = {0: 1}
     assert rows_mismatch([{0: one}, {1: one}]) is None
     assert rows_mismatch([{0: one}, {}]) == (1, 1)
-    assert rows_mismatch([{0: one}, {0: [(3, 2)], 1: one}]) == (1, 0)
-    assert rows_mismatch([{0: one, 1: [(1, -1)]}, {1: one}]) == (0, 1)
+    assert rows_mismatch([{0: one}, {0: {3: 2}, 1: one}]) == (1, 0)
+    assert rows_mismatch([{0: one, 1: {1: -1}}, {1: one}]) == (0, 1)
     assert rows_mismatch([{1: one}, {1: one}]) == (0, 0)
-    assert rows_mismatch([{0: [(1, 1)]}]) == (0, 0)
+    assert rows_mismatch([{0: {1: 1}}]) == (0, 0)
 
 
 @pytest.mark.parametrize("spec", [PosetSpec((2,), (2,)), PosetSpec((1, 1), (1, 2))], ids=str)

@@ -169,8 +169,8 @@ def test_chain_weights_match_chain_weight(spec, max_length):
     walked = {frozenset(elements[i] for i in range(m) if mask >> i & 1): w for mask, w in got}
     assert len(walked) == len(got) and walked.keys() == want.keys()
     for members, w in walked.items():
-        unpacked = {weights.codec.unpack(key): c for key, c in w}
-        assert len(unpacked) == len(w) and all(c for _, c in w)
+        unpacked = {weights.codec.unpack(key): c for key, c in w.items()}
+        assert len(unpacked) == len(w) and all(w.values())
         expected = chain_weight(want[members], spec, ctx.yvars, ctx.table)
         assert LaurentPoly(ctx.table, unpacked) == expected
 
