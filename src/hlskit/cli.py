@@ -10,11 +10,11 @@ memory, 3 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 
+from ._argv import UsageError, int_list, integer, nonnegative_int, parse, usage
 from .exactalg import _power_text
 from .poset import (
     CapExceededError,
@@ -54,34 +54,10 @@ EXIT_CAP = 2
 EXIT_VERIFY = 3
 
 
-class UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the exit-code contract
-    # reserves 2 for resource caps, so reroute through UsageError.
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
-
-
-def _nonnegative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
-
-
 def _spec_from(args) -> PosetSpec:
     if args.n is None or args.r is None:
         raise UsageError("--n and --r are required")
-    return PosetSpec(_int_list(args.n), _int_list(args.r))
+    return PosetSpec(int_list(args.n), int_list(args.r))
 
 
 def _spec_json(spec: PosetSpec | None) -> dict | None:
@@ -145,10 +121,12 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _x_label(names: list[str], key: tuple[int, ...]) -> str:
-    """The X monomial of a multidegree, over the names of its positions."""
-    parts = [_power_text(name, e) for name, e in zip(names, key) if e]
-    return "*".join(parts) or "1"
+def _x_labels(names: list[str], keys: list[tuple[int, ...]]) -> list[str]:
+    """The X monomial of each multidegree, over the names of its positions."""
+    # Each position's power texts, built once, up to its largest exponent.
+    tops = map(max, zip(*keys))
+    powers = [[_power_text(name, e) for e in range(top + 1)] for name, top in zip(names, tops)]
+    return ["*".join([row[e] for row, e in zip(powers, key) if e]) or "1" for key in keys]
 
 
 def cmd_expand(args) -> int:
@@ -175,7 +153,9 @@ def cmd_expand(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        lines = [f"{_x_label(names, key)} : {text}" for key, text in series.texts()]
+        texts = series.texts()
+        labels = _x_labels(names, [key for key, _ in texts])
+        lines = [f"{label} : {text}" for label, (_, text) in zip(labels, texts)]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -250,10 +230,13 @@ def cmd_specialize(args) -> int:
     if getattr(args, name) is None:
         shape = name.upper() if single else f"{name.upper()}1,{name.upper()}2,..."
         raise UsageError(f"{args.kind} needs {flag} {shape}")
-    parts = _int_list(getattr(args, name))
+    parts = int_list(getattr(args, name))
     if single and len(parts) != 1:
         raise UsageError(f"{args.kind} takes a single {name}")
-    _reject_unread(args, args.kind, ("--n", "--r", "--g"), (flag,))
+    shapes = {shape for shape, _, _ in SPECIALIZATIONS.values()}
+    *_, flags = COMMANDS["specialize"]
+    unread = [f for f in flags if f in shapes]
+    _reject_unread(args, args.kind, unread, (flag,))
     caps = (args.max_elements, args.max_chains, args.max_terms)
     value = build(parts[0] if single else parts, *caps)
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
@@ -306,7 +289,8 @@ CHECKS = {
 def cmd_verify(args) -> int:
     spec = _spec_from(args)
     verdict, reads = CHECKS[args.check]
-    unread = ("--max-chains", "--max-terms", "--max-subsets", "--max-products", "--modified")
+    *_, flags = COMMANDS["verify"]
+    unread = [flag for flag in flags if flag not in _SHARED]
     _reject_unread(args, args.check, unread, reads)
     started = time.perf_counter()
     try:
@@ -322,65 +306,67 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed is True or passed == "vacuous" else EXIT_VERIFY
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with only the subparser of command ``only`` if it names one.
+# Flags of every command: the shape, and what is printed where.
+_SHARED = {"--n": str, "--r": str, "--no-timing": bool, "--output": str}
+_CAPS = ("--max-elements", "--max-chains", "--max-terms")
+_FORMATS = ("text", "json")
 
-    Any other ``only`` gets every subparser, which usage errors and help need.
-    """
-    parser = _Parser(prog="hlskit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, fn, caps=("--max-elements", "--max-chains", "--max-terms")):
-        """The subparser of ``name`` with the flags every command takes, if it is built."""
-        if only not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        p.add_argument("--n", help="comma-separated component bounds n_1,...,n_g")
-        p.add_argument("--r", help="comma-separated component bounds r_1,...,r_g")
-        for cap in caps:
-            p.add_argument(cap, type=_nonnegative_int, default=None)
-        p.add_argument("--no-timing", action="store_true")
-        p.add_argument("--output", default=None)
-        return p
+def _flags(caps, own: dict) -> dict:
+    return {**_SHARED, **dict.fromkeys(caps, nonnegative_int), **own}
 
-    if p := command("compute", "numerator and denominator of the series", cmd_compute):
-        p.add_argument("--modified", action="store_true", help="open-interval series")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--stats-only", action="store_true")
 
-    if p := command("expand", "truncated multichain expansion", cmd_expand):
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--method", choices=["multichain", "rational"], default="multichain")
-        p.add_argument("--format", choices=["text", "json"], default="text")
+# Every command and flag of the CLI.  Each command: its handler, its help
+# line, its required arguments and its flags, as ``_argv`` reads them.
+COMMANDS = {
+    "compute": (
+        cmd_compute, "numerator and denominator of the series", {},
+        _flags(_CAPS, {"--modified": bool, "--format": _FORMATS, "--stats-only": bool}),
+    ),
+    "expand": (
+        cmd_expand, "truncated multichain expansion", {},
+        _flags(_CAPS, {
+            "--max-degree": integer, "--method": ("multichain", "rational"), "--format": _FORMATS,
+        }),
+    ),
+    "project": (
+        cmd_project, "project a chain literal to skew tableaux", {},
+        _flags((), {"--chain": str, "--format": _FORMATS}),
+    ),
+    "hasse": (
+        cmd_hasse, "Hasse diagram export", {},
+        _flags(("--max-elements",), {"--format": ("dot", "json")}),
+    ),
+    "specialize": (
+        cmd_specialize, "classical and weak-order specializations",
+        {"--kind": tuple(SPECIALIZATIONS)},
+        _flags(_CAPS, {"--g": str, "--format": _FORMATS, "--stats-only": bool}),
+    ),
+    "verify": (
+        cmd_verify, "machine-checked identities, JSON verdicts", {"check": tuple(CHECKS)},
+        _flags(_CAPS, {
+            "--max-subsets": nonnegative_int, "--max-products": nonnegative_int,
+            "--modified": bool,
+        }),
+    ),
+}
 
-    if p := command("project", "project a chain literal to skew tableaux", cmd_project, caps=()):
-        p.add_argument("--chain", help="chain literal, e.g. '2|- < 2 5|2'")
-        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    if p := command("hasse", "Hasse diagram export", cmd_hasse, caps=("--max-elements",)):
-        p.add_argument("--format", choices=["dot", "json"], default="dot")
+def parse_args(argv):
+    """The namespace of one command line, read against ``COMMANDS`` by ``_argv.parse``."""
+    return parse(argv, COMMANDS, _help)
 
-    if p := command("specialize", "classical and weak-order specializations", cmd_specialize):
-        p.add_argument("--kind", required=True, choices=list(SPECIALIZATIONS))
-        p.add_argument("--g", help="rank for weak-order-igusa")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--stats-only", action="store_true")
 
-    if p := command("verify", "machine-checked identities, JSON verdicts", cmd_verify):
-        p.add_argument("check", choices=list(CHECKS))
-        p.add_argument("--modified", action="store_true")
-        p.add_argument("--max-subsets", type=_nonnegative_int, default=None)
-        p.add_argument("--max-products", type=_nonnegative_int, default=None)
-
-    return parser if sub.choices else build_parser()
+def _help(args) -> int:
+    """Print the usage of ``args.command``, or of every command if it is None."""
+    print(usage(COMMANDS, args.command, __doc__))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         # Library ValueErrors are bad parameters that passed the parser.

@@ -339,7 +339,10 @@ class TruncatedSeries(NamedTuple):
 
     def texts(self) -> list[tuple[tuple[int, ...], str]]:
         """Each X multidegree and its coefficient's text, by total degree, then multidegree."""
-        return sorted(self.packed.texts().items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        texts = self.packed.texts()
+        keys = sorted(texts)
+        keys.sort(key=sum)  # stable, so by multidegree within a total degree
+        return [(key, texts[key]) for key in keys]
 
 
 def expand_multichain(

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import random
 from typing import Callable, Iterable, Sequence
@@ -5,6 +6,7 @@ from typing import Callable, Iterable, Sequence
 import pytest
 
 from hlskit import verify
+from hlskit.cli import COMMANDS, UsageError
 from hlskit.exactalg import LaurentPoly, Monomial, VarTable, _mono_mul
 from hlskit.poset import (
     CapExceededError,
@@ -339,6 +341,34 @@ def brute_force_chains(
                 found.append(tuple(chain))
     found.sort(key=lambda c: (len(c), c))
     return [tuple(elements[i] for i in c) for c in found]
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``cli.COMMANDS``: the route ``cli.parse_args`` replaced.
+
+    Flags are not abbreviated, as ``parse_args`` does not abbreviate them;
+    a usage error raises ``UsageError``, and ``--help`` exits.
+    """
+    parser = _ReferenceParser(prog="hlskit", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_line, required, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        for arg, choices in required.items():
+            p.add_argument(arg, choices=choices, **({"required": True} if arg.startswith("-") else {}))
+        for flag, kind in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=kind[0])
+            else:
+                p.add_argument(flag, type=kind)
+    return parser
 
 
 @pytest.fixture

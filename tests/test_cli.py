@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from hlskit import series, verify
-from hlskit.cli import CHECKS, SPECIALIZATIONS, UsageError, build_parser, main
+from conftest import reference_parser
+from hlskit.cli import CHECKS, COMMANDS, SPECIALIZATIONS, main, parse_args
 from hlskit.poset import PosetSpec, enumerate_elements, enumerate_multichains
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,7 +190,8 @@ def _reached(*args):
 @pytest.mark.parametrize("item", _perfbench_items())
 def test_perfbench_items_parse_and_read_every_flag(monkeypatch, item):
     argv = item.split() + ["--no-timing"]
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
+    assert vars(args) == vars(reference_parser().parse_args(argv))
     # verify and specialize check their flags after parsing; stub out the
     # work behind the checks and require that it is reached.
     if args.command == "verify":
@@ -362,6 +364,29 @@ def test_multichain_cap_on_a_huge_degree_is_one_short_line(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: multichain enumeration exceeds cap 10000000: over 2^")
     assert err.endswith(" multichains up to degree over 2^13287\n") and _one_short_line(err)
+
+
+# Values of 5,000 characters: past Python's 4,300-digit limit for int(), and
+# no usage error quotes them whole.
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (("compute", "--n", "1", "--r", LONG), True),
+        (("compute", "--n", "1", "--r", "1", "--max-chains", LONG), True),
+        (("expand", "--n", "1", "--r", "1", "--max-degree", LONG), True),
+        (("compute", "--n", "1", "--r", "1", "--format", LONG), False),
+    ],
+    ids=["r", "max-chains", "max-degree", "format"],
+)
+def test_a_long_bad_value_is_one_short_line(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and _one_short_line(err)
+    # An integer int() refuses for its length is not called malformed.
+    assert (f"at most {sys.get_int_max_str_digits()} digits" in err) == digits
 
 
 def test_term_cap_at_the_exact_peak_exits_0(capsys):
@@ -814,12 +839,16 @@ EVERY_FLAG = [
 
 @pytest.mark.parametrize("argv", [item.split() for item in EVERY_FLAG], ids=lambda a: a[0])
 def test_the_one_command_parser_parses_as_the_full_parser(argv):
-    args = build_parser(argv[0]).parse_args(argv)
-    assert args == build_parser().parse_args(argv)
+    # The table parser gives the namespace of the argparse parser built from
+    # the same table, and EVERY_FLAG gives every flag of the table a value.
+    args = parse_args(argv)
+    assert vars(args) == vars(reference_parser().parse_args(argv))
     assert all(value is not None and value is not False for value in vars(args).values())
-    other = "verify" if argv[0] != "verify" else "compute"
-    with pytest.raises(UsageError, match="invalid choice"):
-        build_parser(argv[0]).parse_args([other])
+    _, _, _, flags = COMMANDS[argv[0]]
+    for flag, kind in flags.items():
+        assert flag in argv
+        if isinstance(kind, tuple):
+            assert getattr(args, flag[2:].replace("-", "_")) != kind[0]
 
 
 def _outcome(capsys, parse, argv):
@@ -839,7 +868,20 @@ def test_usage_errors_and_help_read_as_from_the_full_parser(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: argument command: invalid choice: ") and err.count("\n") == 1
     assert all(name in err for name in ("compute", "expand", "project", "hasse", "specialize", "verify"))
-    for argv in (["--help"], ["compute", "--help"]):
-        want = _outcome(capsys, build_parser().parse_args, argv)
-        assert want[0] == 0 and want[1].startswith("usage: hlskit")
-        assert _outcome(capsys, main, argv) == want
+    for argv in (["--help"], ["-h"]):
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, err) == (0, "") and out.startswith("usage: hlskit {")
+        assert all(f"  {name}  " in out for name in COMMANDS)
+        assert _outcome(capsys, reference_parser().parse_args, argv)[0] == 0
+    # Help after a command, wherever it stands and whatever follows it,
+    # lists the command's flags and choices from the table.
+    for name, (_, help_line, required, flags) in COMMANDS.items():
+        for argv in ([name, "--help"], [name, "--n", "1", "-h", "--bogus"]):
+            code, out, err = _outcome(capsys, main, argv)
+            assert (code, err) == (0, "") and out.startswith(f"usage: hlskit {name} ")
+            assert help_line in out
+            for arg, kind in {**required, **flags}.items():
+                assert arg in out or not arg.startswith("-")
+                if isinstance(kind, tuple):
+                    assert "{" + ",".join(kind) + "}" in out
+        assert _outcome(capsys, reference_parser().parse_args, [name, "--help"])[0] == 0

@@ -8,7 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from hlskit.cli import main  # noqa: E402
+from conftest import reference_parser  # noqa: E402
+from hlskit.cli import COMMANDS, UsageError, main, parse_args  # noqa: E402
 
 PARTS = st.integers(min_value=0, max_value=2)
 CAPS = st.integers(min_value=0, max_value=5000)
@@ -130,3 +131,64 @@ def test_verify_exits_0_or_2_with_one_error_line(spec, check, caps):
     check_exits_0_or_2_with_one_error_line([
         "verify", check, "--n", spec[0], "--r", spec[1], *flags, "--no-timing",
     ])
+
+
+# Values of the text flags (--n, --chain, ...), some of which argparse reads
+# as values though they start with a dash; and values that a converter or a
+# choice refuses, or that read as a flag.
+TEXTS = ["1", "1,2", "2 < 2 5", "", "-", "- < 0", "-1", "-2.5"]
+VALUES = ["-1,2", "x", "--n", "-x", "7 ", "bogus"]
+# Unknown flags, an abbreviation among them, and a switch given a value.
+UNKNOWN = ["--bogus", "--stats", "--max", "-x", "--no-timing=1"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command: shuffled groups of a flag and its value, or a positional.
+
+    Most groups are well formed; some miss their value, give a bad value or
+    choice, repeat a flag, or are unknown.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, required, flags = COMMANDS[command]
+    groups = []
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), max_size=6)):
+        kind = flags[name]
+        if kind is bool:
+            groups.append([name] if draw(st.integers(0, 7)) else [f"{name}=x"])
+            continue
+        good = list(kind) if isinstance(kind, tuple) else TEXTS if kind is str else ["0", "7", "12"]
+        value = draw(st.sampled_from(good if draw(st.integers(0, 7)) else TEXTS + VALUES))
+        form = draw(st.sampled_from(["space"] * 4 + ["equals"] * 3 + ["missing"]))
+        groups.append({"space": [name, value], "equals": [f"{name}={value}"], "missing": [name]}[form])
+    # Required arguments are most often given, at a random place, and rarely
+    # twice or with a bad choice; an unknown flag is rare too.
+    for name, choices in required.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+            value = draw(st.sampled_from([*choices, "bogus"]))
+            groups.append([value] if name == "check" else [name, value])
+    if not draw(st.integers(0, 5)):
+        groups.append([draw(st.sampled_from(UNKNOWN))])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(argv=command_lines())
+def test_the_table_parser_parses_as_argparse(argv):
+    # Both parsers give equal attributes, or both refuse; a refused argv
+    # exits 1 with one error line.
+    try:
+        want = vars(reference_parser().parse_args(argv))
+    except UsageError:
+        want = None
+    try:
+        got = vars(parse_args(argv))
+    except UsageError:
+        got = None
+    assert got == want
+    if got is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
