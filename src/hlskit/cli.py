@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from ._argv import UsageError, int_list, integer, nonnegative_int, parse, usage
+from ._argv import UsageError, int_list, integer, nonnegative_int, parse, quoted, usage
 from .exactalg import _power_text
 from .poset import (
     CapExceededError,
@@ -121,14 +121,6 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _x_labels(names: list[str], keys: list[tuple[int, ...]]) -> list[str]:
-    """The X monomial of each multidegree, over the names of its positions."""
-    # Each position's power texts, built once, up to its largest exponent.
-    tops = map(max, zip(*keys))
-    powers = [[_power_text(name, e) for e in range(top + 1)] for name, top in zip(names, tops)]
-    return ["*".join([row[e] for row, e in zip(powers, key) if e]) or "1" for key in keys]
-
-
 def cmd_expand(args) -> int:
     spec = _spec_from(args)
     if args.max_degree is None or args.max_degree < 0:
@@ -153,9 +145,12 @@ def cmd_expand(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        texts = series.texts()
-        labels = _x_labels(names, [key for key, _ in texts])
-        lines = [f"{label} : {text}" for label, (_, text) in zip(labels, texts)]
+        # Each position's power texts, built once; the lines hold no other list.
+        powers = [[_power_text(name, e) for e in range(series.bound + 1)] for name in names]
+        lines = [
+            f"{'*'.join([row[e] for row, e in zip(powers, key) if e]) or '1'} : {text}"
+            for key, text in series.texts()
+        ]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -167,7 +162,7 @@ def cmd_project(args) -> int:
     try:
         chain = parse_chain(args.chain, spec)
     except ValueError as exc:
-        raise UsageError(f"bad chain literal: {exc}")
+        raise UsageError(f"bad chain literal {quoted(args.chain)}: {exc}")
     bottom = spec.bottom()
     if any(e == bottom for e in chain):
         raise UsageError("chain elements must lie strictly above the bottom")
@@ -384,7 +379,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except OSError as exc:
-        target = "stdout" if exc.filename is None else exc.filename
+        target = "stdout" if exc.filename is None else quoted(exc.filename)
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 

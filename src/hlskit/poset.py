@@ -12,6 +12,7 @@ every matrix and variable list in this package is indexed by.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Callable, Iterator, Sequence
@@ -403,20 +404,33 @@ def _walk(
         frontier = nxt
 
 
-def count_chains(above: Sequence[Sequence[int]], start: int, max_chains: int | None = None) -> int:
-    """The strict chains up from node ``start``, the empty one included, counted.
+def chain_plan(
+    elements: Sequence[Element],
+    key: Callable[[Element], Sequence[int]] = order_key,
+    max_chains: int | None = None,
+) -> tuple[list[Sequence[int]], list[int], int]:
+    """The order bookkeeping of a chain route over ``elements`` under ``key``.
 
-    ``above[a]`` lists the nodes strictly above node ``a``; a node above
-    another has fewer, so the chains are counted top down.  More than
-    ``max_chains``, by default ``DEFAULT_MAX_CHAINS``, raise ``CapExceededError``.
+    The routes number their nodes alike: node ``i < m`` is ``elements[i]``,
+    node ``m`` a bottom below all of them and node ``m + 1`` a top above
+    all of them.  Returns the nodes strictly above each node but the top,
+    ascending, the bottom's row ``range(m)``; the elements in one linear
+    extension from the bottom up, by the number of elements below each,
+    ties by index; and the strict chains of ``elements``, the empty one
+    included, counted top down along it.  More than ``max_chains``, by
+    default ``DEFAULT_MAX_CHAINS``, raise ``CapExceededError``.
     """
-    starting = [1] * len(above)
-    for a in sorted(range(len(above)), key=lambda a: len(above[a])):
+    m = len(elements)
+    above = [*above_lists(elements, key), range(m)]
+    below = collections.Counter(itertools.chain.from_iterable(above[:m]))
+    order = sorted(range(m), key=below.__getitem__)
+    starting = [1] * (m + 1)
+    for a in (*reversed(order), m):
         starting[a] += sum(starting[b] for b in above[a])
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    if starting[start] > cap:
+    if starting[m] > cap:
         raise CapExceededError(f"chain enumeration exceeds cap {count_text(cap)}")
-    return starting[start]
+    return above, order, starting[m]
 
 
 def chains_in(
@@ -489,23 +503,25 @@ def parse_component(text: str, n: int, r: int) -> Component:
     vec = [0] * (n + 1)
     if text == "-":
         return tuple(vec)
+    # No message quotes a token or a number read from one, so each stays short.
     for token in text.split():
-        if token == "0":
-            vec[0] += 1
-        elif token.startswith("0^"):
-            k = int(token[2:])
-            if k < 1:
-                raise ValueError(f"bad zero multiplicity in token {token!r}")
-            vec[0] += k
+        zeros = token.startswith("0^")
+        try:
+            i = 1 if token == "0" else int(token[2:] if zeros else token)
+        except ValueError:
+            raise ValueError("a token is not '0', '0^k' or an integer") from None
+        if zeros or token == "0":
+            if i < 1:
+                raise ValueError("a zero multiplicity is below 1")
+            vec[0] += i
+        elif not 1 <= i <= n:
+            raise ValueError(f"an entry is out of range [1, {n}]")
+        elif vec[i]:
+            raise ValueError(f"repeated entry {i}")
         else:
-            i = int(token)
-            if not 1 <= i <= n:
-                raise ValueError(f"entry {i} out of range [1, {n}]")
-            if vec[i]:
-                raise ValueError(f"repeated entry {i}")
             vec[i] = 1
     if vec[0] > r:
-        raise ValueError(f"too many zeros: {vec[0]} > r = {r}")
+        raise ValueError(f"more than r = {r} zeros")
     return tuple(vec)
 
 

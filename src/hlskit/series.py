@@ -17,7 +17,6 @@ coefficients packed (``_packed.PackedCoefficients``) in the same way; the
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -42,7 +41,7 @@ from .poset import (
     PosetSpec,
     _members,
     above_lists,
-    count_chains,
+    chain_plan,
     count_text,
     interval_elements,
     order_key,
@@ -172,31 +171,26 @@ def _chain_series(
     ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
     copy of ``total``.
 
-    The sweep runs on indices: node ``i < m`` is ``elements[i]``, node ``m``
-    the bottom and node ``m + 1`` the top.  The pair weights it reads are
-    packed once, by the δ codec, into the rows of a transfer matrix
-    (``PairWeights.rows``), and a term ``c * Y^e * prod_{i in S} X_i`` has
-    the key ``y << m | mask``, ``y`` the key of ``Y^e`` and bit ``i`` of the
-    mask for element ``i``.  So a term times a pair-weight monomial times
-    ``X_c`` is one int addition, and ``1 - X_c`` is ``key + (1 << c)``; an
-    exponent past δ raises ``ValueError``.  The numerator is returned
-    packed, its mask bits the X variables of ``elements``.
+    The sweep runs on the nodes of ``poset.chain_plan``, along its linear
+    extension.  The pair weights it reads are packed once, by the δ codec,
+    into the rows of a transfer matrix (``PairWeights.rows``), and a term
+    ``c * Y^e * prod_{i in S} X_i`` has the key ``y << m | mask``, ``y``
+    the key of ``Y^e`` and bit ``i`` of the mask for element ``i``.  So a
+    term times a pair-weight monomial times ``X_c`` is one int addition,
+    and ``1 - X_c`` is ``key + (1 << c)``; an exponent past δ raises
+    ``ValueError``.  The numerator is returned packed, its mask bits the X
+    variables of ``elements``.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
     counted, and more than ``max_terms`` raises ``CapExceededError``.
     """
     m = len(elements)
-    above = above_lists(elements, key)
-    # An element strictly below another has strictly fewer elements below it.
-    below = Counter(j for js in above for j in js)
-    order = sorted(range(m), key=below.__getitem__)
+    above, order, chain_count = chain_plan(elements, key, max_chains)
     preds = [[m] for _ in elements]
     for i in order:
         for j in above[i]:
             preds[j].append(i)
-
-    chain_count = count_chains([*above, range(m)], m, max_chains)
 
     has_top = m > 0 and elements[-1] == ctx.spec.top()
     swept = order[:-1] if has_top else order
@@ -204,7 +198,7 @@ def _chain_series(
     position = {c: k for k, c in enumerate(swept)}
     # Row s of the transfer matrix: the swept nodes above node s, then the top.
     end = m + 1
-    successors = [[*(j for j in js if j in position), end] for js in [*above, range(m)]]
+    successors = [[*(j for j in js if j in position), end] for js in above]
     # A state folds into ``total`` once no element but the top is left above
     # it: in the step of the last one above it, before its ``1 - X_c``, or
     # right after its own step if there is none (key None).

@@ -31,8 +31,7 @@ from .poset import (
     Element,
     OrderIndex,
     PosetSpec,
-    above_lists,
-    count_chains,
+    chain_plan,
     count_text,
     enumerate_elements,
     leq_t,
@@ -268,9 +267,8 @@ def mobius_via_chains(
     if not leq_t(a, b):
         raise ValueError("a must lie below b in the tableau order")
     between = [c for c in enumerate_elements(spec) if lt_t(a, c) and lt_t(c, b)]
-    m = len(between)  # node m is a, node m + 1 is b
-    above = [*above_lists(between), range(m)]
-    count_chains(above, m)
+    m = len(between)  # chain_plan's nodes: a is the bottom, b the top
+    above, _, _ = chain_plan(between)
     weights = PairWeights(spec, table, yvars, pair_weight)
     rows = weights.rows([*between, a, b], [[*js, m + 1] for js in above])
     total: Terms = {}
@@ -409,12 +407,8 @@ def verify_order_complex(
     if 1 << m > cap:
         raise CapExceededError(f"2^{m} subsets exceed the cap {count_text(cap)}")
 
-    # Node i < m is open_interval[i], node m the bottom and node m + 1 the top.
-    top = m + 1
-    above = [*above_lists(open_interval), range(m)]
-    count_chains(above, m, max_chains)
-    # A node strictly below another has strictly more nodes above it.
-    downward = sorted(range(m + 1), key=lambda a: len(above[a]))
+    top = m + 1  # chain_plan's nodes
+    above, order, _ = chain_plan(open_interval, max_chains=max_chains)
 
     k, n_value = K_and_N(spec, ctx.table, ctx.yvars)
     sigma = 1 if n_value % 2 else -1
@@ -427,7 +421,7 @@ def verify_order_complex(
     # w and g on every comparable pair, g from the top down.
     w = weights.rows(nodes, [[*js, top] for js in above])
     g: Rows = [{} for _ in nodes]
-    for a in downward:
+    for a in (*reversed(order), m):
         # -ŵ(a, b) for each b above a, so each gap sum adds g(mid, b) * -ŵ(a, mid)
         neg = {b: {keys[b] - keys[a] - k: -co for k, co in wb.items()} for b, wb in w[a].items()}
         for b, neg_b in neg.items():

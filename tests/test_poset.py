@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -7,6 +8,7 @@ from hlskit.poset import (
     CapExceededError,
     OrderIndex,
     PosetSpec,
+    chain_plan,
     chains_in,
     complement,
     count_text,
@@ -373,6 +375,36 @@ def test_chain_enumeration_counts_by_brute_force():
 def test_chains_in_matches_brute_force(spec, interval):
     elements = interval_elements(spec, interval)
     assert list(chains_in(elements)) == brute_force_chains(elements, len(elements))
+
+
+def _product_leq(a, b):
+    return all(x <= y for x, y in zip(a[0], b[0]))
+
+
+@pytest.mark.parametrize(
+    "spec, interval, key, leq",
+    [(spec, kind, order_key, leq_t) for spec in SMALL_SPECS for kind in ("half_open", "open")]
+    # itemgetter(0) orders one component's vectors as weak_order_igusa's subsets.
+    + [(spec, "half_open", itemgetter(0), _product_leq) for spec in SMALL_SPECS if spec.g == 1],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_chain_plan_matches_brute_force(spec, interval, key, leq):
+    elements = interval_elements(spec, interval)
+    m = len(elements)
+    above, order, count = chain_plan(elements, key)
+    strictly_above = [
+        [j for j in range(m) if j != i and leq(elements[i], elements[j])] for i in range(m)
+    ]
+    assert [list(js) for js in above] == [*strictly_above, list(range(m))]
+    # A linear extension, by the number of elements below, ties by index.
+    below = [sum(j in js for js in strictly_above) for j in range(m)]
+    assert order == sorted(range(m), key=lambda j: (below[j], j))
+    rank = {j: k for k, j in enumerate(order)}
+    assert all(rank[i] < rank[j] for i in range(m) for j in above[i])
+    assert count == len(brute_force_chains(elements, m, leq=leq))
+    with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
+        chain_plan(elements, key, count - 1)
+    assert chain_plan(elements, key, count)[2] == count
 
 
 @pytest.mark.parametrize(

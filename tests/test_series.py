@@ -602,6 +602,12 @@ def test_term_cap_at_the_peak():
     hls(spec, max_terms=47868)
     with pytest.raises(CapExceededError, match="^term cap 47867 exceeded at element 13 of 15$"):
         hls(spec, max_terms=47867)
+    # The peak depends on the sweep's linear extension (poset.chain_plan's):
+    # ordered by the number of elements above, in place of below, it is 37,114.
+    spec = PosetSpec((2, 1), (1, 0))
+    hls(spec, max_terms=51968)
+    with pytest.raises(CapExceededError, match="^term cap 51967 exceeded at element 13 of 15$"):
+        hls(spec, max_terms=51967)
 
 
 # -- the series as rational functions, against sympy ----------------------------------
