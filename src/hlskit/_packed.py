@@ -12,7 +12,8 @@ section 4.7), and every packed route stays on its keys:
   expansion, the chain-sum Möbius function and the gap sums and faces of
   ``verify.verify_order_complex``;
 - the zeta and Möbius rows of ``verify`` and their products
-  (``multiply_rows``, under ``verify.PackedRows.times``);
+  (``multiply_rows``, one slot per row in each int, under
+  ``verify.PackedRows.times``);
 - the chain-series sweep of ``series._chain_series``, which adds products
   of its states and row entries (``_add_product``) and leaves its
   numerator packed (``PackedNumerator``) to be rendered and checked, and so
@@ -172,32 +173,46 @@ def _add_product(acc: Terms, terms: Terms, weight: Terms) -> None:
 def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:
     """The product of two matrices packed by ``codec``, over the nonzero products only.
 
-    The product's keys must add without carries.  Each row of ``b`` is
-    flattened once into one list, with its column ``j`` above the codec's
-    fields, in the key: ``key + (j << width)``.  Row ``i`` of the product
-    then accumulates ``a[i][k] * b[k]`` in one dict, for each nonzero
-    ``a[i][k]``, and is split by column; columns that sum to zero are
-    dropped.
+    The product's keys must add without carries.  Column ``k`` of ``a`` is
+    packed into one int per Y key, row ``i`` in the ``s``-bit slot at bit
+    ``s * i``, so one multiply-add per term of ``b[k][j]`` advances column
+    ``j`` of every row.  No coefficient exceeds ``bound = max_i L1(a[i]) *
+    max |b|``, and ``s = bound.bit_length() + 2`` keeps each within
+    ``±2^(s - 2)``, so the slots read back exactly as balanced digits: a
+    slot's value is its low ``s`` bits, less ``2^s`` if the top one is set.
+    The lowest set bit finds the next nonzero slot.
     """
-    width = codec.shifts[-1]
-    low = (1 << width) - 1
-    flat = [[(key + (j << width), c) for j, t in row.items() for key, c in t.items()] for row in b]
-    out = []
-    for row_a in a:
+    norm = max((sum(abs(c) for t in row.values() for c in t.values()) for row in a), default=0)
+    bound = norm * max((abs(c) for row in b for t in row.values() for c in t.values()), default=0)
+    s = bound.bit_length() + 2
+    mask, top = (1 << s) - 1, 1 << s - 1
+    cols: list[Terms] = [{} for _ in b]
+    for i, row in enumerate(a):
+        for k, terms in row.items():
+            col = cols[k]
+            for key, c in terms.items():
+                col[key] = col.get(key, 0) + (c << s * i)
+    by_column: dict[int, list[tuple[Terms, Terms]]] = {}
+    for col, row in zip(cols, b):
+        if col:
+            for j, terms in row.items():
+                by_column.setdefault(j, []).append((col, terms))
+    out: Rows = [{} for _ in a]
+    for j in sorted(by_column):
         acc: Terms = {}
         get = acc.get
-        # Branch-free: rows cancel to the identity; _add_product's deletes ran this 4-13% slower.
-        for k, terms_a in row_a.items():
-            terms_b = flat[k]
-            for key_a, c_a in terms_a.items():
-                for key_b, c_b in terms_b:
+        for col, terms in by_column[j]:
+            for key_b, c_b in terms.items():
+                for key_a, v in col.items():
                     key = key_a + key_b
-                    acc[key] = get(key, 0) + c_a * c_b
-        row: dict[int, Terms] = {}
-        for key, c in acc.items():
-            if c:
-                row.setdefault(key >> width, {})[key & low] = c
-        out.append(dict(sorted(row.items())))
+                    acc[key] = get(key, 0) + c_b * v
+        for key, v in acc.items():
+            while v:
+                i = ((v & -v).bit_length() - 1) // s
+                c = v >> s * i & mask
+                c -= (c & top) << 1
+                out[i].setdefault(j, {})[key] = c
+                v -= c << s * i
     return out
 
 

@@ -188,7 +188,10 @@ def count_products(
     before any polynomial work.  The partial sum only grows, so the count
     stops at the first row that takes it past the cap.  ``OrderIndex``
     builds a threshold mask only when a row first reads it, so the rows
-    counted bound the masks built as well as the products.
+    counted bound the masks built as well as the products.  The cap
+    (``--max-products``) also bounds ``multiply_rows``, which packs the
+    rows: it makes at most one multiply-add per pair of terms of
+    ``zeta[i][k]`` and ``mobius[k][j]`` over the triples.
     """
     cap = DEFAULT_MAX_PRODUCTS if max_products is None else max_products
     elements = enumerate_elements(spec, max_elements)

@@ -6,6 +6,7 @@ from typing import Callable, Iterable, Sequence
 import pytest
 
 from hlskit import verify
+from hlskit._packed import Rows
 from hlskit.cli import COMMANDS, UsageError
 from hlskit.exactalg import LaurentPoly, Monomial, VarTable, _mono_mul
 from hlskit.poset import (
@@ -295,6 +296,27 @@ def reference_expand_multichain(
         prev = coeffs.get(k)
         coeffs[k] = weight if prev is None else prev + weight
     return {k: v for k, v in coeffs.items() if not v.is_zero()}
+
+
+def reference_multiply_rows(a: Rows, b: Rows) -> Rows:
+    """The product of two packed matrices by a plain triple loop over dicts.
+
+    Entry ``(i, j)`` sums ``a[i][k][x] * b[k][j][y]`` at key ``x + y`` over
+    every ``k`` and both keys; coefficients and entries that sum to zero are
+    left out, and each row's columns ascend.
+    """
+    out = []
+    for row_a in a:
+        sums: dict[int, dict[int, int]] = {}
+        for k, terms_a in row_a.items():
+            for j, terms_b in b[k].items():
+                entry = sums.setdefault(j, {})
+                for x, c in terms_a.items():
+                    for y, d in terms_b.items():
+                        entry[x + y] = entry.get(x + y, 0) + c * d
+        kept = {j: {key: c for key, c in entry.items() if c} for j, entry in sorted(sums.items())}
+        out.append({j: entry for j, entry in kept.items() if entry})
+    return out
 
 
 def brute_force_covers(spec: PosetSpec) -> list[tuple[Element, Element]]:

@@ -12,6 +12,7 @@ from hlskit._packed import (
     PackedNumerator,
     _add_product,
     multiply,
+    multiply_rows,
     polynomial,
 )
 from hlskit.exactalg import VarTable
@@ -42,6 +43,7 @@ from hlskit.weight import chain_weight
 from conftest import (
     reference_expand_multichain,
     reference_mobius_matrix,
+    reference_multiply_rows,
     reference_numerator_sum,
 )
 
@@ -135,6 +137,79 @@ def test_multiply_shortcuts_the_unit_and_drops_cancelled_keys():
     for zero, other in (({}, p), (p, {}), ({}, ONE), (ONE, {})):
         assert multiply(zero, other) == {}
     assert p == {1: 2, 8: -1}
+
+
+def assert_clean_rows(rows):
+    """Columns ascend, and no entry is empty or holds a zero coefficient."""
+    for row in rows:
+        assert list(row) == sorted(row)
+        assert all(terms and all(terms.values()) for terms in row.values())
+
+
+# Entries of one to three terms with coefficients up to ±2^100; keys only add here.
+ENTRIES = st.dictionaries(
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=-(2**100), max_value=2**100).filter(bool),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def square_rows(draw):
+    """Two sparse square matrices, with empty rows and columns.
+
+    Optionally rows ``k1`` and ``k2`` of ``b`` cancel: ``b[k2] = -b[k1]``,
+    column ``k2`` of ``a`` equals column ``k1``, and column ``j`` of ``b`` is
+    nonzero only at those rows, so column ``j`` of the product sums to zero.
+    """
+    dim = draw(st.integers(min_value=0, max_value=6))
+    cells = st.lists(st.tuples(st.integers(0, max(dim - 1, 0)), ENTRIES), max_size=dim)
+    a = [dict(draw(cells)) for _ in range(dim)]
+    b = [dict(draw(cells)) for _ in range(dim)]
+    if dim >= 2 and draw(st.booleans()):
+        k1, k2 = draw(st.permutations(range(dim)))[:2]
+        j = draw(st.integers(0, dim - 1))
+        b[k1].setdefault(j, draw(ENTRIES))
+        for k, row in enumerate(b):
+            if k != k1:
+                row.pop(j, None)
+        b[k2] = {col: {key: -c for key, c in terms.items()} for col, terms in b[k1].items()}
+        for row in a:
+            row.pop(k2, None)
+            if k1 in row:
+                row[k2] = dict(row[k1])
+    return a, b
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(operands=square_rows())
+def test_multiply_rows_matches_the_triple_loop(operands):
+    a, b = operands
+    before = repr(operands)
+    product = multiply_rows(a, b, CODEC)
+    assert product == reference_multiply_rows(a, b)
+    assert_clean_rows(product)
+    assert repr(operands) == before
+
+
+@pytest.mark.parametrize("t", [2, 3, 7, 30, 31, 64, 100])
+def test_multiply_rows_decodes_coefficients_at_plus_and_minus_the_bound(t):
+    # Row 0 of a has L1 norm 2^t - 1 and every |b| is 1, so the slot bound is
+    # 2^t - 1, and row 0 of the product reaches it; row 2 is row 0 negated,
+    # and row 1, between them, is empty.
+    bound, half = 2**t - 1, 2 ** (t - 1)
+    a = [{0: {0: half}, 1: {0: half - 1}}, {}, {0: {0: -half}, 1: {0: 1 - half}}]
+    b = [{0: {0: 1}, 2: {5: -1}}, {0: {0: 1}}, {}]
+    product = multiply_rows(a, b, CODEC)
+    assert product == [{0: {0: bound}, 2: {5: -half}}, {}, {0: {0: -bound}, 2: {5: half}}]
+    assert product == reference_multiply_rows(a, b)
+    # One entry alone at the bound, and at minus the bound, in rows 0 and 2.
+    assert multiply_rows([{0: {3: bound}}, {}, {0: {3: -bound}}], b, CODEC) == [
+        {0: {3: bound}, 2: {8: -bound}},
+        {},
+        {0: {3: -bound}, 2: {8: bound}},
+    ]
 
 
 # -- both codec users against routes that do not pack -------------------------------
