@@ -170,8 +170,8 @@ def _add_product(acc: Terms, terms: Terms, weight: Terms) -> None:
                 del acc[k]
 
 
-def multiply_rows(a: Rows, b: Rows, codec: Codec) -> Rows:
-    """The product of two matrices packed by ``codec``, over the nonzero products only.
+def multiply_rows(a: Rows, b: Rows) -> Rows:
+    """The product of two matrices packed by one codec, over the nonzero products only.
 
     The product's keys must add without carries.  Column ``k`` of ``a`` is
     packed into one int per Y key, row ``i`` in the ``s``-bit slot at bit

@@ -66,35 +66,6 @@ def _spec_json(spec: PosetSpec | None) -> dict | None:
     return {"n": list(spec.n), "r": list(spec.r)}
 
 
-def _series_text(value: HlsRational, stats: dict, stats_only: bool) -> str:
-    lines = []
-    if not stats_only:
-        lines.append(f"numerator = {value.numerator_text()}")
-        lines.append(f"denominator = {value.denominator_text()}")
-    lines.extend(f"{key} = {val}" for key, val in stats.items())
-    return "\n".join(lines) + "\n"
-
-
-def _series_json(value: HlsRational, stats: dict, stats_only: bool) -> dict:
-    out: dict = {"spec": _spec_json(value.spec)}
-    if not stats_only:
-        out["numerator"] = value.numerator_text()
-        out["denominator"] = list(value.denominator_names)
-    out["stats"] = stats
-    return out
-
-
-def _series_stats(value: HlsRational, millis: int | None) -> dict:
-    stats = {
-        "terms": str(value.term_count),
-        "denominator_factors": str(len(value.denominator_vars)),
-        "chains": str(value.chain_count),
-    }
-    if millis is not None:
-        stats["millis"] = str(millis)
-    return stats
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -104,11 +75,27 @@ def _emit(args, text: str) -> None:
 
 
 def _render_series(args, value: HlsRational, millis: int | None) -> None:
-    stats = _series_stats(value, millis)
+    stats = {
+        "terms": str(value.term_count),
+        "denominator_factors": str(len(value.denominator_vars)),
+        "chains": str(value.chain_count),
+    }
+    if millis is not None:
+        stats["millis"] = str(millis)
     if args.format == "json":
-        _emit(args, json.dumps(_series_json(value, stats, args.stats_only), indent=2) + "\n")
+        out: dict = {"spec": _spec_json(value.spec)}
+        if not args.stats_only:
+            out["numerator"] = value.numerator_text()
+            out["denominator"] = list(value.denominator_names)
+        out["stats"] = stats
+        _emit(args, json.dumps(out, indent=2) + "\n")
     else:
-        _emit(args, _series_text(value, stats, args.stats_only))
+        lines = []
+        if not args.stats_only:
+            lines.append(f"numerator = {value.numerator_text()}")
+            lines.append(f"denominator = {value.denominator_text()}")
+        lines.extend(f"{key} = {val}" for key, val in stats.items())
+        _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_compute(args) -> int:

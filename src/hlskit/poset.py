@@ -175,24 +175,18 @@ def enumerate_elements(spec: PosetSpec, max_elements: int | None = None) -> list
     if k >= cap.bit_length() or c << k > cap:
         raise CapExceededError(f"poset has {count_text(c, k)} elements, cap is {count_text(cap)}")
     streams = [enumerate_component_elements(n, r) for n, r in zip(spec.n, spec.r)]
-    return [tuple(combo) for combo in itertools.product(*streams)]
+    return list(itertools.product(*streams))
 
 
 def interval_elements(
     spec: PosetSpec, interval: str = "half_open", max_elements: int | None = None
 ) -> list[Element]:
-    """Elements of (bottom, top] or (bottom, top), in enumeration order."""
+    """Elements of (bottom, top] or (bottom, top): slices of the enumeration order,
+    which lists the bottom first and the top last."""
     if interval not in ("half_open", "open"):
         raise ValueError(f"unknown interval kind {interval!r}")
     elements = enumerate_elements(spec, max_elements)
-    bottom = spec.bottom()
-    top = spec.top()
-    if bottom == top:
-        return []
-    out = [e for e in elements if e != bottom]
-    if interval == "open":
-        out = [e for e in out if e != top]
-    return out
+    return elements[1:] if interval == "half_open" else elements[1:-1]
 
 
 # -- relations -----------------------------------------------------------------
@@ -434,18 +428,16 @@ def chain_plan(
 
 
 def chains_in(
-    elements: Sequence[Element],
-    key: Callable[[Element], Sequence[int]] = order_key,
-    max_chains: int | None = None,
+    elements: Sequence[Element], max_chains: int | None = None
 ) -> Iterator[tuple[Element, ...]]:
-    """Every strict chain of ``elements`` under ``key``, including the empty chain.
+    """Every strict chain of ``elements``, including the empty chain.
 
     Each chain lists its elements from the lowest up.  Deterministic order:
     by length, then lexicographically by the index tuple of the chain
     relative to ``elements``.
     """
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    return _walk(elements, above_lists(elements, key), len(elements), cap, "chain")
+    return _walk(elements, above_lists(elements), len(elements), cap, "chain")
 
 
 def enumerate_chains(
@@ -456,7 +448,7 @@ def enumerate_chains(
 ) -> Iterator[tuple[Element, ...]]:
     """Strict chains of the tagged interval between bottom and top."""
     elements = interval_elements(spec, interval, max_elements)
-    return chains_in(elements, max_chains=max_chains)
+    return chains_in(elements, max_chains)
 
 
 def enumerate_multichains(

@@ -5,7 +5,8 @@ denominator.  By 1 - 1/X = -(1 - X)/X, inverting every variable of a
 numerator over m denominator factors multiplies the value by (-1)^m * prod X.
 Times K, that is an involution on the sweep's packed keys: c * Y^e * X^S goes
 to ±c * Y^(K - e) * X^(full - S), of key (key(K) - key(e)) << m | (full ^ mask),
-with no borrow while e <= K in every field (``PackedNumerator.reciprocity_failure``).
+with no borrow while e <= K in every field (``PackedNumerator.reciprocity_failure``);
+``check_reciprocity`` reads off the value whether its last factor is the top's.
 The Möbius rows invert on keys under δ alike.  ``verify_order_complex``
 checks each face of the order complex on its own, through sums over its
 gaps computed by their own recursion, a route independent of both.
@@ -82,10 +83,9 @@ class PackedRows(NamedTuple):
 
     def times(self, other: "PackedRows") -> "PackedRows":
         """The product, whose entries must keep within δ as those of zeta and Möbius do."""
-        codec = self.weights.codec
-        if (other.labels, other.weights.codec.fields) != (self.labels, codec.fields):
+        if (other.labels, other.weights.codec) != (self.labels, self.weights.codec):
             raise ValueError("the rows are not over the same elements and codec")
-        return self._replace(rows=multiply_rows(self.rows, other.rows, codec))
+        return self._replace(rows=multiply_rows(self.rows, other.rows))
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return polynomial(self.weights.table, self.weights.codec, self.rows[i].get(j, {}))
@@ -308,21 +308,21 @@ class ReciprocityCertificate(NamedTuple):
     expected: str | None = None
 
 
-def check_reciprocity(
-    value: HlsRational, k: LaurentPoly, n_value: int, kind: str
-) -> ReciprocityCertificate:
-    """Reciprocity on the packed numerator of a half-open series value (``kind`` ``"hls"``,
-    its last factor the top's) or of an open one (``"hls_modified"``).
+def check_reciprocity(value: HlsRational, k: LaurentPoly, n_value: int) -> ReciprocityCertificate:
+    """Reciprocity on the packed numerator of a series value, half-open or open.
 
-    A value of either kind whose spec has its bottom equal to its top, and a
-    half-open value without denominator factors, raise ``DegenerateSpecError``.
+    ``make_context`` numbers the X variables last, the top's last of all,
+    and only the open series drops it: so a value is half-open (``kind``
+    ``"hls"``, its last factor the top's) exactly when its last factor is
+    the table's last variable, and open (``"hls_modified"``) otherwise.  A
+    value whose spec has its bottom equal to its top raises
+    ``DegenerateSpecError``.
     """
-    if kind not in _SERIES:
-        raise ValueError(f"unknown series kind {kind!r}")
-    degenerate = value.spec is not None and value.spec.is_degenerate()
-    if degenerate or kind == "hls" and not value.denominator_vars:
+    if value.spec is not None and value.spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the reciprocity statement is vacuous here")
-    failure = value.packed.reciprocity_failure(k, n_value, kind == "hls")
+    half_open = value.denominator_vars[-1:] == (len(value.table) - 1,)
+    failure = value.packed.reciprocity_failure(k, n_value, half_open)
+    kind = "hls" if half_open else "hls_modified"
     return ReciprocityCertificate(value.spec, kind, n_value, failure is None, *failure or ())
 
 
@@ -334,15 +334,13 @@ def verify_reciprocity(
     max_terms: int | None = None,
 ) -> ReciprocityCertificate:
     """Check the functional equation exactly for one spec and series kind."""
+    # Before the build, whose caps would count the one element and chain first.
     if spec.is_degenerate():
-        raise DegenerateSpecError(
-            "bottom equals top; the reciprocity statement is vacuous here"
-        )
+        raise DegenerateSpecError("bottom equals top; the reciprocity statement is vacuous here")
     if kind not in _SERIES:
         raise ValueError(f"unknown series kind {kind!r}")
     value = _SERIES[kind](spec, max_chains, max_elements, max_terms)
-    k, n_value = K_and_N(spec, value.table, value.yvars)
-    return check_reciprocity(value, k, n_value, kind)
+    return check_reciprocity(value, *K_and_N(spec, value.table, value.yvars))
 
 
 class OrderComplexReport(NamedTuple):

@@ -584,9 +584,10 @@ def test_verify_reciprocity_passes(capsys):
     assert data == {"check": "reciprocity", "spec": {"n": [1], "r": [2]}, "pass": True}
 
 
-def test_verify_reciprocity_vacuous(capsys):
+@pytest.mark.parametrize("extra", [(), ("--max-elements", "0"), ("--modified", "--max-chains", "0")])
+def test_verify_reciprocity_vacuous(capsys, extra):
     code, out, _ = run(
-        capsys, "verify", "reciprocity", "--n", "0", "--r", "0", "--no-timing"
+        capsys, "verify", "reciprocity", "--n", "0", "--r", "0", "--no-timing", *extra
     )
     assert code == 0
     assert json.loads(out)["pass"] == "vacuous"

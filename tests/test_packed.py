@@ -187,7 +187,7 @@ def square_rows(draw):
 def test_multiply_rows_matches_the_triple_loop(operands):
     a, b = operands
     before = repr(operands)
-    product = multiply_rows(a, b, CODEC)
+    product = multiply_rows(a, b)
     assert product == reference_multiply_rows(a, b)
     assert_clean_rows(product)
     assert repr(operands) == before
@@ -201,11 +201,11 @@ def test_multiply_rows_decodes_coefficients_at_plus_and_minus_the_bound(t):
     bound, half = 2**t - 1, 2 ** (t - 1)
     a = [{0: {0: half}, 1: {0: half - 1}}, {}, {0: {0: -half}, 1: {0: 1 - half}}]
     b = [{0: {0: 1}, 2: {5: -1}}, {0: {0: 1}}, {}]
-    product = multiply_rows(a, b, CODEC)
+    product = multiply_rows(a, b)
     assert product == [{0: {0: bound}, 2: {5: -half}}, {}, {0: {0: -bound}, 2: {5: half}}]
     assert product == reference_multiply_rows(a, b)
     # One entry alone at the bound, and at minus the bound, in rows 0 and 2.
-    assert multiply_rows([{0: {3: bound}}, {}, {0: {3: -bound}}], b, CODEC) == [
+    assert multiply_rows([{0: {3: bound}}, {}, {0: {3: -bound}}], b) == [
         {0: {3: bound}, 2: {8: -bound}},
         {},
         {0: {3: -bound}, 2: {8: bound}},

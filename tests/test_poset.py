@@ -423,6 +423,24 @@ def test_multichain_cap_counts_the_empty_multichain():
         list(enumerate_multichains(P22, max_total_length=0, max_chains=0))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [*SMALL_SPECS, *(PosetSpec(*parts) for parts in [
+        ((0,), (0,)), ((0, 0), (0, 0)), ((0,), (1,)), ((1, 1), (0, 2)),
+    ])],
+    ids=str,
+)
+def test_intervals_are_slices_of_the_enumeration(spec):
+    # The enumeration lists the bottom first and the top last, so the
+    # intervals, defined by comparisons, are its slices.
+    elements = enumerate_elements(spec)
+    bottom, top = spec.bottom(), spec.top()
+    assert (elements[0], elements[-1]) == (bottom, top)
+    half_open = [e for e in elements if lt_t(bottom, e) and leq_t(e, top)]
+    assert interval_elements(spec, "half_open") == half_open
+    assert interval_elements(spec, "open") == [e for e in half_open if lt_t(e, top)]
+
+
 def test_degenerate_interval_has_only_the_empty_chain():
     spec = PosetSpec((0,), (0,))
     assert interval_elements(spec, "half_open") == []

@@ -584,13 +584,13 @@ def reciprocity_mutants(value):
 def test_packed_reciprocity_matches_the_oracle_and_fails_every_mutant(spec_parts, kind):
     value = BUILDERS[kind](PosetSpec(*spec_parts))
     k, n = K_and_N(value.spec, value.table, value.yvars)
-    assert check_reciprocity(value, k, n, kind).equal
+    assert check_reciprocity(value, k, n).equal
     assert reference_reciprocity(value, kind)
     # With no element strictly between bottom and top, a numerator term can
     # be its own partner: changing it alone keeps the equation.
     between = len(make_context(value.spec).x_elements) > 1
     for name, (mutant, k2, n2) in reciprocity_mutants(value).items():
-        cert = check_reciprocity(mutant, k2, n2, kind)
+        cert = check_reciprocity(mutant, k2, n2)
         assert cert.equal == reference_reciprocity(mutant, kind, k2, n2), name
         if between or name in ("K times Y[1,1]", "N + 1", "K + 1"):
             assert not cert.equal and cert.term and cert.expected, name
@@ -617,33 +617,26 @@ def test_certificate_names_a_term_and_its_expected_partner():
     k, n = K_and_N(value.spec, value.table, value.yvars)
     assert n == 3
     y = LaurentPoly.variable(value.table, value.table.id("Y[1,1]"))
-    cert = check_reciprocity(value, k * y, n, "hls")
+    cert = check_reciprocity(value, k * y, n)
     # The term 1 is first in print order; its partner carries K's extra Y[1,1].
     partner = "Y[1,0]*Y[1,1]^3*X{0}*X{0^2}*X{1}*X{0 1}"
     assert cert == (value.spec, "hls", 3, False, "1", partner)
-    assert check_reciprocity(value, k, n + 1, "hls").expected == "-" + partner.replace("^3", "^2")
+    assert check_reciprocity(value, k, n + 1).expected == "-" + partner.replace("^3", "^2")
     reason = "none: K = 1 + Y[1,0]*Y[1,1]^2 is not a monomial of coefficient 1"
-    assert check_reciprocity(value, k + 1, n, "hls").expected == reason
+    assert check_reciprocity(value, k + 1, n).expected == reason
     y0 = LaurentPoly.variable(value.table, value.table.id("Y[1,0]"))
-    assert check_reciprocity(value, k * y0**2, n, "hls")[4:] == ("1", "none: no term can carry Y[1,0]^3")
+    assert check_reciprocity(value, k * y0**2, n)[4:] == ("1", "none: no term can carry Y[1,0]^3")
     # Past K: a term of Y[1,0] has no partner once K lacks Y[1,0].
     y1_squared = LaurentPoly.monomial(value.table, {value.table.id("Y[1,1]"): 2}, 1)
     terms = value.packed.terms
     with_y0 = with_terms(value, {key: c for key, c in terms.items() if "Y[1,0]" in text_of(value, key)})
-    cert = check_reciprocity(with_y0, y1_squared, n, "hls")
+    cert = check_reciprocity(with_y0, y1_squared, n)
     assert cert.expected == "none: no term can carry Y[1,0]^-1"
     # A term with the top bit has no partner in X_top times the numerator.
     top = 1 << len(value.denominator_vars) - 1
     moved = with_terms(value, {key | top: c for key, c in terms.items()})
-    assert check_reciprocity(moved, k, n, "hls").expected == "none: the term has X{0^2 1}"
+    assert check_reciprocity(moved, k, n).expected == "none: the term has X{0^2 1}"
     assert not reference_reciprocity(moved, "hls")
-
-
-def test_check_reciprocity_rejects_an_unknown_series_kind():
-    value = hls(PosetSpec((1,), (1,)))
-    k, n = K_and_N(value.spec, value.table, value.yvars)
-    with pytest.raises(ValueError, match="unknown series kind"):
-        check_reciprocity(value, k, n, "open")
 
 
 def test_check_reciprocity_of_a_degenerate_value_is_vacuous():
@@ -651,13 +644,68 @@ def test_check_reciprocity_of_a_degenerate_value_is_vacuous():
     # spec with nothing strictly between bottom and top has no denominator
     # factor either, and is checked.
     spec = PosetSpec((0,), (0,))
-    with pytest.raises(DegenerateSpecError):
-        check_reciprocity(hls(spec), *K_and_N(spec), "hls")
-    with pytest.raises(DegenerateSpecError):
-        check_reciprocity(hls_modified(spec), *K_and_N(spec), "hls_modified")
+    for build in (hls, hls_modified):
+        with pytest.raises(DegenerateSpecError, match="reciprocity statement is vacuous"):
+            check_reciprocity(build(spec), *K_and_N(spec))
     spec = PosetSpec((0,), (1,))
     assert hls_modified(spec).denominator_vars == ()
-    assert check_reciprocity(hls_modified(spec), *K_and_N(spec), "hls_modified").equal
+    cert = check_reciprocity(hls_modified(spec), *K_and_N(spec))
+    assert (cert.kind, cert.equal) == ("hls_modified", True)
+    assert verify_reciprocity(spec, "hls_modified") == cert
+
+
+@pytest.mark.parametrize("kind", ["hls", "hls_modified"])
+@pytest.mark.parametrize("cap", ["max_elements", "max_chains", "max_terms"])
+def test_verify_reciprocity_of_a_degenerate_spec_is_vacuous_before_any_cap(kind, cap):
+    # Built, the one element and the one chain would pass a cap of 0 first.
+    with pytest.raises(DegenerateSpecError, match="reciprocity statement is vacuous"):
+        verify_reciprocity(PosetSpec((0,), (0,)), kind, **{cap: 0})
+
+
+def kinded_values():
+    """``(kind, value, K, N)`` for series values of a known kind, ``"hls"`` if half-open."""
+    for parts in GRID:
+        spec = PosetSpec(*parts)
+        for kind, build in BUILDERS.items():
+            value = build(spec)
+            yield kind, value, *K_and_N(spec, value.table, value.yvars)
+    for r in (1, 3):
+        value = classical_igusa(r)
+        k = LaurentPoly.monomial(value.table, {value.yvars[0][0]: r * (r - 1) // 2}, 1)
+        yield "hls", value, k, r
+    for rv in ((2,), (2, 1)):
+        value = generalized_igusa(rv)
+        yield "hls", value, *K_and_N(value.spec, value.table, value.yvars)
+    for n in (2, 3):
+        value = mv_hls(n)
+        yield "hls", value, *K_and_N(value.spec, value.table, value.yvars)
+    for g in (1, 3):
+        value = weak_order_igusa(g)
+        yield "hls", value, LaurentPoly.const(value.table, 1), g
+
+
+def test_check_reciprocity_reads_the_kind_off_the_value():
+    # The certificate is the one of the packed check at the value's own kind,
+    # passing or not: on each value, at N + 1 and with a term's sign flipped.
+    for kind, value, k, n in kinded_values():
+        first, c = next(iter(value.packed.terms.items()))
+        flipped = with_terms(value, {**value.packed.terms, first: -c})
+        for v, n2 in ((value, n), (value, n + 1), (flipped, n)):
+            failure = v.packed.reciprocity_failure(k, n2, kind == "hls")
+            want = (v.spec, kind, n2, failure is None, *(failure or (None, None)))
+            assert check_reciprocity(v, k, n2) == want, (kind, v.spec, n2)
+
+
+@pytest.mark.parametrize("spec_parts", [((1,), (2,)), ((2,), (1,)), ((1, 1), (1, 0))], ids=str)
+def test_the_other_kind_fails_where_the_value_s_own_passes(spec_parts):
+    # Why the kind is read off the value: a caller naming the wrong one got
+    # a false failure.
+    spec = PosetSpec(*spec_parts)
+    for kind, build in BUILDERS.items():
+        value = build(spec)
+        k, n = K_and_N(spec, value.table, value.yvars)
+        assert check_reciprocity(value, k, n)[1:4] == (kind, n, True)
+        assert value.packed.reciprocity_failure(k, n, kind != "hls") is not None
 
 
 def text_of(value, key):
@@ -673,7 +721,7 @@ def test_classical_igusa_reciprocity_corollary():
     for r in range(1, 7):
         value = classical_igusa(r)
         k = LaurentPoly.monomial(value.table, {value.yvars[0][0]: r * (r - 1) // 2}, 1)
-        assert check_reciprocity(value, k, r, "hls").equal
+        assert check_reciprocity(value, k, r).equal
         assert reference_reciprocity(value, "hls", k, r)
 
 
@@ -697,7 +745,7 @@ def test_generalized_igusa_reciprocity_corollary():
         spec = PosetSpec(tuple(0 for _ in rv), rv)
         value = generalized_igusa(rv)
         k, n = K_and_N(spec, value.table, value.yvars)
-        assert check_reciprocity(value, k, n, "hls").equal
+        assert check_reciprocity(value, k, n).equal
         assert reference_reciprocity(value, "hls", k, n)
 
 
@@ -707,7 +755,7 @@ def test_weak_order_igusa_reciprocity_corollary():
         value = weak_order_igusa(g)
         one = LaurentPoly.const(value.table, 1)
         for n in (g - 1, g, g + 1):
-            assert check_reciprocity(value, one, n, "hls").equal == (n == g)
+            assert check_reciprocity(value, one, n).equal == (n == g)
             assert reference_reciprocity(value, "hls", one, n) == (n == g)
 
 
