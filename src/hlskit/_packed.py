@@ -16,12 +16,14 @@ section 4.7), and every packed route stays on its keys:
   ``verify.PackedRows.times``);
 - the chain-series sweep of ``series._chain_series``, which adds products
   of its states and row entries (``_add_product``) and leaves its
-  numerator packed (``PackedNumerator``) to be rendered and checked, and so
-  do the truncated expansions of either route (``PackedCoefficients``).
+  numerator packed, as the series value (``HlsRational``) that renders and
+  checks it, and so do the truncated expansions of either route
+  (``TruncatedSeries``).
 
-Both packed values are rendered from their keys in ``LaurentPoly.text``'s
-order, on one ranking of their distinct Y keys (``y_orders``), an
-expansion's coefficients once per distinct value, or unpacked on demand.
+Both records are rendered from their keys in ``LaurentPoly.text``'s order,
+on one ranking of their distinct Y keys (``y_orders``), an expansion's
+coefficients once per distinct value, or unpacked on each read
+(``HlsRational.numerator``, ``TruncatedSeries.coefficients``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactalg import LaurentPoly, Monomial, VarTable, _power_text, _terms_text
-from .poset import Element, render_element, s_vector
+from .poset import Element, PosetSpec, render_element, s_vector
 
 # A packed polynomial: packed key -> nonzero coefficient.
 Terms = dict[int, int]
@@ -216,23 +218,53 @@ def multiply_rows(a: Rows, b: Rows) -> Rows:
     return out
 
 
-class PackedNumerator(NamedTuple):
-    """A sweep's numerator, still packed.
+class HlsRational(NamedTuple):
+    """A series value: a packed numerator over an implicit product of (1 - X_c).
 
     ``terms`` are keyed as at ``series._chain_series``: mask bit ``i``
-    stands for the X variable ``x_vids[i]``, and the rest of the key is a Y
-    part packed by ``codec``.  Y variable ids must precede the X ones, and
-    ``x_vids`` must increase.
+    stands for the X variable ``denominator_vars[i]``, that of the ``i``-th
+    denominator factor, and the rest of the key is a Y part packed by
+    ``codec``.  Y variable ids must precede the X ones, and
+    ``denominator_vars`` must increase.  ``numerator`` unpacks the terms on
+    each read; ``term_count``, the texts and the checks read the keys.
     """
 
+    spec: PosetSpec | None
+    yvars: tuple[tuple[int, ...], ...]
+    chain_count: int
     table: VarTable
-    x_vids: tuple[int, ...]
+    denominator_vars: tuple[int, ...]
     codec: Codec
     terms: Terms
 
-    def text(self) -> str:
-        """``unpack(self).text()``, rendered from the keys (``ordered_rows``)."""
+    @property
+    def denominator_names(self) -> tuple[str, ...]:
+        """The element of each denominator factor: its ``X{...}`` name without the braces."""
+        names = self.table.names
+        return tuple(names[v][2:-1] for v in self.denominator_vars)
+
+    @property
+    def numerator(self) -> LaurentPoly:
+        _, _, _, table, x_vars, codec, terms = self
+        m = len(x_vars)
+        low = (1 << m) - 1
+        ys = {y: codec.unpack(y) for y in {key >> m for key in terms}}
+        masks = {key & low for key in terms}
+        xs = {x: tuple((v, 1) for i, v in enumerate(x_vars) if x >> i & 1) for x in masks}
+        return LaurentPoly(table, {ys[key >> m] + xs[key & low]: a for key, a in terms.items()})
+
+    @property
+    def term_count(self) -> int:
+        return len(self.terms)
+
+    def numerator_text(self) -> str:
+        """``numerator.text()``, rendered from the keys (``ordered_rows``)."""
         return _terms_text((y + x, c) for _, y, x, c, _ in self.ordered_rows())
+
+    def denominator_text(self) -> str:
+        if not self.denominator_vars:
+            return "1"
+        return "*".join(f"(1 - {self.table.name(v)})" for v in self.denominator_vars)
 
     def ordered_rows(self) -> list[tuple[int, tuple[str, ...], tuple[str, ...], int, int]]:
         """Each term's print order, Y and X factor texts, coefficient and key, in print order.
@@ -240,11 +272,12 @@ class PackedNumerator(NamedTuple):
         ``LaurentPoly.text`` orders terms by total degree, then by the dense
         exponent vector in variable id order.  Every Y id precedes every X
         id, so that vector is the Y part's dense tuple followed by the X
-        exponents; those are 0 or 1 and in ``x_vids`` order, mask bit ``i``
-        first, so comparing them compares the masks with their ``m`` bits
-        reversed.  Packed exponents are never negative, so the total degree
-        is the Y part's plus the mask's bit count.  Each term thus sorts on
-        ``(degree, dense Y tuple, reversed mask)``, unique per term.
+        exponents; those are 0 or 1 and in ``denominator_vars`` order, mask
+        bit ``i`` first, so comparing them compares the masks with their
+        ``m`` bits reversed.  Packed exponents are never negative, so the
+        total degree is the Y part's plus the mask's bit count.  Each term
+        thus sorts on ``(degree, dense Y tuple, reversed mask)``, unique per
+        term.
 
         That tuple is folded into one int: with the ``ny`` distinct Y parts
         ranked as at ``y_orders``, ``(degree * ny + rank) << m | reversed
@@ -253,11 +286,11 @@ class PackedNumerator(NamedTuple):
         mask``, each computed once, with the factor texts of the part.
         """
         names = self.table.names
-        m = len(self.x_vids)
+        m = len(self.denominator_vars)
         low = (1 << m) - 1
         y_parts = y_orders(self.codec, {key >> m for key in self.terms}, names)
         ny = len(y_parts)
-        x_names = [names[v] for v in self.x_vids]
+        x_names = [names[v] for v in self.denominator_vars]
         x_parts = {}
         for mask in {key & low for key in self.terms}:
             bits = f"{mask:0{m}b}"[::-1]
@@ -285,7 +318,7 @@ class PackedNumerator(NamedTuple):
         rendered as one-term numerators, or the second says why there is none.
         """
         terms, names = self.terms, self.table.names
-        m = len(self.x_vids)
+        m = len(self.denominator_vars)
         low = (1 << m) - 1
         top_bit = 1 << m - 1 if top else 0
         flip = low ^ top_bit
@@ -312,25 +345,27 @@ class PackedNumerator(NamedTuple):
             if p is None:
                 p = partners[key >> m] = partner(key >> m)
             if key & top_bit:
-                p = f"none: the term has {names[self.x_vids[-1]]}"
+                p = f"none: the term has {names[self.denominator_vars[-1]]}"
             if isinstance(p, str) or terms.get(p := p | (key & low ^ flip)) != sign * c:
                 failing[key] = p
         if not failing:
             return None
         *_, c, key = self._replace(terms={key: terms[key] for key in failing}).ordered_rows()[0]
         p = failing[key]
-        expected = p if isinstance(p, str) else self._replace(terms={p: sign * c}).text()
-        return self._replace(terms={key: c}).text(), expected
+        if not isinstance(p, str):
+            p = self._replace(terms={p: sign * c}).numerator_text()
+        return self._replace(terms={key: c}).numerator_text(), p
 
-    def equals_open(self, other: "PackedNumerator") -> bool:
+    def equals_open(self, other: HlsRational) -> bool:
         """Whether this half-open numerator equals ``other``, the open one.
 
         ``other`` must have these fields and mask bits but the top's, the last;
         its key ``y << (m - 1) | mask`` is then ``y << m | mask`` here, one to
         one, so the two are equal if as many terms and each re-keyed one match.
         """
-        m = len(self.x_vids)
-        if not m or other.x_vids != self.x_vids[:-1] or other.codec != self.codec:
+        x_vars = self.denominator_vars
+        m = len(x_vars)
+        if not m or other.denominator_vars != x_vars[:-1] or other.codec != self.codec:
             return False
         low = (1 << m - 1) - 1
         get = self.terms.get
@@ -358,20 +393,32 @@ def y_orders(
     return out
 
 
-class PackedCoefficients(NamedTuple):
-    """Coefficients of a truncated expansion, still packed.
+class TruncatedSeries(NamedTuple):
+    """Coefficients of X multidegrees up to a total-degree bound, packed.
 
-    ``terms`` maps each X multidegree to its coefficient, a dict of nonzero
-    coefficients keyed by Y monomials packed by ``codec``.
+    ``x_vars`` are the X variables of the multidegrees' positions.
+    ``terms`` maps each multidegree to its coefficient, a dict of nonzero
+    coefficients keyed by Y monomials packed by ``codec``.  ``coefficients``
+    unpacks them on each read; ``texts`` renders them from the keys.
     """
 
+    bound: int
+    x_vars: tuple[int, ...]
     table: VarTable
     codec: Codec
     terms: dict[tuple[int, ...], Terms]
 
-    def texts(self) -> dict[tuple[int, ...], str]:
-        """Each coefficient's ``LaurentPoly.text``, rendered from the keys once per distinct value.
+    @property
+    def coefficients(self) -> dict[tuple[int, ...], LaurentPoly]:
+        return {d: polynomial(self.table, self.codec, t) for d, t in self.terms.items()}
 
+    def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
+        return polynomial(self.table, self.codec, self.terms.get(key, {}))
+
+    def texts(self) -> list[tuple[tuple[int, ...], str]]:
+        """Each X multidegree and its coefficient's text, by total degree, then multidegree.
+
+        The texts are rendered from the keys once per distinct value.
         Multidegrees may share one dict, whose content is then taken once; a
         content key is kept only for the first dict of each distinct content.
         """
@@ -386,19 +433,6 @@ class PackedCoefficients(NamedTuple):
                 rows = sorted([orders[y] + (c,) for y, c in t.items()])
                 text = texts[content] = _terms_text((factors, c) for _, factors, c in rows)
             by_id[i] = text
-        return {degrees: by_id[id(t)] for degrees, t in self.terms.items()}
-
-    def unpack(self) -> dict[tuple[int, ...], LaurentPoly]:
-        return {d: polynomial(self.table, self.codec, t) for d, t in self.terms.items()}
-
-
-def unpack(numerator: PackedNumerator) -> LaurentPoly:
-    """The ``LaurentPoly`` of a packed numerator."""
-    table, x_vids, codec, terms = numerator
-    m = len(x_vids)
-    low = (1 << m) - 1
-    ys = {y: codec.unpack(y) for y in {key >> m for key in terms}}
-    masks = {key & low for key in terms}
-    xs = {x: tuple((v, 1) for i, v in enumerate(x_vids) if x >> i & 1) for x in masks}
-    return LaurentPoly(table, {ys[key >> m] + xs[key & low]: a for key, a in terms.items()})
-
+        keys = sorted(self.terms)
+        keys.sort(key=sum)  # stable, so by multidegree within a total degree
+        return [(key, by_id[id(self.terms[key])]) for key in keys]

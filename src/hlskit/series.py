@@ -1,8 +1,8 @@
 """Chain generating series over the universal denominator, and specializations.
 
-A series value (``HlsRational``) is an immutable record around the exact
-numerator that the sweep leaves packed (``_packed.PackedNumerator``), over
-the ordered denominator factors ``(1 - X_c)``, one per X variable of the
+A series value (``HlsRational``, defined in ``_packed``) is an immutable
+record of the exact numerator, left packed as the sweep builds it, over the
+ordered denominator factors ``(1 - X_c)``, one per X variable of the
 numerator, i.e. per interval element; no rational-function normalization
 ever happens.  The numerator of the half-open series is
 
@@ -11,8 +11,8 @@ ever happens.  The numerator of the half-open series is
 which is the chain sum with denominators cleared.  Every series here is
 assembled by one transfer-matrix sweep, ``_chain_series``, from a pair weight
 of its own.  Truncated expansions (``TruncatedSeries``) hold their
-coefficients packed (``_packed.PackedCoefficients``) in the same way; the
-``LaurentPoly`` views, ``numerator`` and ``coefficients``, unpack on each read.
+coefficients packed in the same way; the ``LaurentPoly`` views,
+``numerator`` and ``coefficients``, unpack on each read.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from math import comb
 from operator import itemgetter, sub
 from typing import Callable, NamedTuple, Sequence
 
-from ._packed import (
-    ONE,
-    PackedCoefficients,
-    PackedNumerator,
-    PairWeights,
-    Terms,
-    _add_product,
-    unpack,
-)
+from ._packed import ONE, HlsRational, PairWeights, Terms, TruncatedSeries, _add_product
 from .exactalg import LaurentPoly, VarTable, y_binomial
 from .poset import (
     DEFAULT_MAX_CHAINS,
@@ -63,9 +55,6 @@ class SeriesContext(NamedTuple):
     x_elements: tuple[Element, ...]
     x_ids: dict[Element, int]
 
-    def all_y_ids(self) -> list[int]:
-        return [v for comp in self.yvars for v in comp]
-
 
 def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesContext:
     x_elements = tuple(interval_elements(spec, "half_open", max_elements))
@@ -87,51 +76,6 @@ def make_context(spec: PosetSpec, max_elements: int | None = None) -> SeriesCont
     return SeriesContext(spec, VarTable(names), tuple(yvars), x_elements, x_ids)
 
 
-class HlsRational(NamedTuple):
-    """A series value: the sweep's packed numerator over an implicit product of (1 - X_c).
-
-    The denominator has one factor per X variable of ``packed``, in its
-    mask bit order.  ``numerator`` unpacks ``packed`` on each read;
-    ``term_count`` and the texts read the keys.
-    """
-
-    spec: PosetSpec | None
-    yvars: tuple[tuple[int, ...], ...]
-    packed: PackedNumerator
-    chain_count: int
-
-    @property
-    def table(self) -> VarTable:
-        return self.packed.table
-
-    @property
-    def denominator_vars(self) -> tuple[int, ...]:
-        return self.packed.x_vids
-
-    @property
-    def denominator_names(self) -> tuple[str, ...]:
-        """The element of each denominator factor: its ``X{...}`` name without the braces."""
-        names = self.table.names
-        return tuple(names[v][2:-1] for v in self.denominator_vars)
-
-    @property
-    def numerator(self) -> LaurentPoly:
-        return unpack(self.packed)
-
-    @property
-    def term_count(self) -> int:
-        return len(self.packed.terms)
-
-    def numerator_text(self) -> str:
-        """``numerator.text()``, rendered from the packed keys."""
-        return self.packed.text()
-
-    def denominator_text(self) -> str:
-        if not self.denominator_vars:
-            return "1"
-        return "*".join(f"(1 - {self.table.name(v)})" for v in self.denominator_vars)
-
-
 # Live terms a chain-series sweep may hold after any element.  A live term
 # takes about 90 bytes, and one element multiplied the count by at most 3.4
 # on the specs measured, so a run this cap stops stays well under 2 GB.
@@ -145,8 +89,8 @@ def _chain_series(
     pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
     max_chains: int | None,
     max_terms: int | None = None,
-) -> tuple[PackedNumerator, int]:
-    """Numerator and chain count of a chain sum, by the transfer-matrix method.
+) -> HlsRational:
+    """The series value of a chain sum, by the transfer-matrix method.
 
     The chains are the strict chains of ``elements`` in the order of their
     ``key`` vectors (``poset.OrderIndex``), each weighted by the product of
@@ -179,7 +123,7 @@ def _chain_series(
     term times a pair-weight monomial times ``X_c`` is one int addition,
     and ``1 - X_c`` is ``key + (1 << c)``; an exponent past δ raises
     ``ValueError``.  The numerator is returned packed, its mask bits the X
-    variables of ``elements``.
+    variables of ``elements``, with the chain count.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
@@ -242,8 +186,8 @@ def _chain_series(
         step[0] = step.get(0, 0) - 1
         _add_product(total, state_top, {y << m: a for y, a in step.items() if a})
         check(m)
-    x_vids = tuple(ctx.x_ids[e] for e in elements)
-    return PackedNumerator(ctx.table, x_vids, weights.codec, total), chain_count
+    x_vars = tuple(ctx.x_ids[e] for e in elements)
+    return HlsRational(ctx.spec, ctx.yvars, chain_count, ctx.table, x_vars, weights.codec, total)
 
 
 def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
@@ -262,8 +206,7 @@ def _series(
     """The chain series of an interval of ``spec`` under ``key`` and ``pair_w``."""
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    numerator, chain_count = _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
-    return HlsRational(spec, ctx.yvars, numerator, chain_count)
+    return _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
 
 
 def hls(
@@ -295,48 +238,17 @@ def relation_check(
     """Exact check that the half-open series is the open one over 1 - X_top.
 
     With the shared universal denominator this reduces to equality of the
-    two packed numerators (``PackedNumerator.equals_open``), since the
+    two packed numerators (``HlsRational.equals_open``), since the
     denominators differ by exactly the top factor.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the relation presupposes otherwise")
     h = hls(spec, max_chains, max_elements, max_terms)
     hm = hls_modified(spec, max_chains, max_elements, max_terms)
-    return h.packed.equals_open(hm.packed)
+    return h.equals_open(hm)
 
 
 # -- truncated expansions ----------------------------------------------------------
-
-
-class TruncatedSeries(NamedTuple):
-    """Coefficients of X multidegrees up to a total-degree bound, packed.
-
-    ``x_vars`` are the X variables of the multidegrees' positions.
-    ``coefficients`` unpacks ``packed`` on each read; ``texts`` renders
-    them from the keys.
-    """
-
-    bound: int
-    x_vars: tuple[int, ...]
-    packed: PackedCoefficients
-
-    @property
-    def table(self) -> VarTable:
-        return self.packed.table
-
-    @property
-    def coefficients(self) -> dict[tuple[int, ...], LaurentPoly]:
-        return self.packed.unpack()
-
-    def coefficient(self, key: tuple[int, ...]) -> LaurentPoly:
-        return self.coefficients.get(key, LaurentPoly.zero(self.table))
-
-    def texts(self) -> list[tuple[tuple[int, ...], str]]:
-        """Each X multidegree and its coefficient's text, by total degree, then multidegree."""
-        texts = self.packed.texts()
-        keys = sorted(texts)
-        keys.sort(key=sum)  # stable, so by multidegree within a total degree
-        return [(key, texts[key]) for key in keys]
 
 
 def expand_multichain(
@@ -355,8 +267,9 @@ def expand_multichain(
     (``C(bound, l)``, by stars and bars), share the chain's weight, packed
     by the δ codec (``_packed.PairWeights``), as one coefficient dict.
     The multichains are counted first, from the chains ending at each
-    element by length, and more than ``max_chains``, the empty one
-    included, raises ``CapExceededError`` before any weight work.
+    element by length, up to the longest chain, and more than
+    ``max_chains``, the empty one included, raises ``CapExceededError``
+    before any weight work.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -365,7 +278,9 @@ def expand_multichain(
     m = len(elements)
     above = above_lists(elements)
     count, ends = 1, [1] * m
-    for length in range(1, min(bound, m) + 1):
+    for length in range(1, bound + 1):
+        if not any(ends):  # no strict chain this long, nor any longer one
+            break
         count += comb(bound, length) * sum(ends)
         longer = [0] * m
         for i, c in enumerate(ends):
@@ -404,7 +319,7 @@ def expand_multichain(
             for vector in vectors(len(chain)):
                 coeffs[tuple(map(vector.__getitem__, slots))] = weight
     x_vars = tuple(ctx.x_ids[e] for e in elements)
-    return TruncatedSeries(bound, x_vars, PackedCoefficients(ctx.table, weights.codec, coeffs))
+    return TruncatedSeries(bound, x_vars, ctx.table, weights.codec, coeffs)
 
 
 def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
@@ -415,11 +330,10 @@ def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    numerator = h.packed
-    m = len(numerator.x_vids)
+    m = len(h.denominator_vars)
     low = (1 << m) - 1
     coeffs: dict[tuple[int, ...], Terms] = {}
-    for key, c in numerator.terms.items():
+    for key, c in h.terms.items():
         mask = key & low
         if mask.bit_count() <= bound:
             degrees = tuple(mask >> i & 1 for i in range(m))
@@ -440,8 +354,7 @@ def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
                         del target[y]
         coeffs = update
     coeffs = {key: bucket for key, bucket in coeffs.items() if bucket}
-    packed = PackedCoefficients(numerator.table, numerator.codec, coeffs)
-    return TruncatedSeries(bound, numerator.x_vids, packed)
+    return TruncatedSeries(bound, h.denominator_vars, h.table, h.codec, coeffs)
 
 
 # -- specializations ----------------------------------------------------------------

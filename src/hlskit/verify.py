@@ -5,7 +5,7 @@ denominator.  By 1 - 1/X = -(1 - X)/X, inverting every variable of a
 numerator over m denominator factors multiplies the value by (-1)^m * prod X.
 Times K, that is an involution on the sweep's packed keys: c * Y^e * X^S goes
 to ±c * Y^(K - e) * X^(full - S), of key (key(K) - key(e)) << m | (full ^ mask),
-with no borrow while e <= K in every field (``PackedNumerator.reciprocity_failure``);
+with no borrow while e <= K in every field (``HlsRational.reciprocity_failure``);
 ``check_reciprocity`` reads off the value whether its last factor is the top's.
 The Möbius rows invert on keys under δ alike.  ``verify_order_complex``
 checks each face of the order complex on its own, through sums over its
@@ -321,7 +321,7 @@ def check_reciprocity(value: HlsRational, k: LaurentPoly, n_value: int) -> Recip
     if value.spec is not None and value.spec.is_degenerate():
         raise DegenerateSpecError("bottom equals top; the reciprocity statement is vacuous here")
     half_open = value.denominator_vars[-1:] == (len(value.table) - 1,)
-    failure = value.packed.reciprocity_failure(k, n_value, half_open)
+    failure = value.reciprocity_failure(k, n_value, half_open)
     kind = "hls" if half_open else "hls_modified"
     return ReciprocityCertificate(value.spec, kind, n_value, failure is None, *failure or ())
 

@@ -142,7 +142,7 @@ def reference_order_complex(
     if 1 << m > cap:
         raise CapExceededError(f"2^{m} subsets exceed the cap {cap}")
     k, n_value = verify.K_and_N(spec, ctx.table, ctx.yvars)
-    all_y = ctx.all_y_ids()
+    all_y = [v for comp in ctx.yvars for v in comp]
     rhs_scale = k if (n_value - 1) % 2 == 0 else -k
 
     # Precompute every chain of the full open interval with its bitmask.

@@ -8,8 +8,8 @@ from hlskit import series
 from hlskit._packed import (
     ONE,
     Codec,
-    PackedCoefficients,
-    PackedNumerator,
+    HlsRational,
+    TruncatedSeries,
     _add_product,
     multiply,
     multiply_rows,
@@ -286,7 +286,7 @@ def test_packed_routes_match_unpacked_ones(spec, bound):
 
 def packed_and_unpacked_text(value):
     """The text of a series rendered from its keys, and its numerator's text."""
-    assert isinstance(value.packed, PackedNumerator)
+    assert isinstance(value, HlsRational)
     return value.numerator_text(), value.numerator.text()
 
 
@@ -319,7 +319,7 @@ def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
     # of 4 - 3*w, within δ as the weight w is, gives larger ones, of both
     # signs, on Y monomials.
     value = weak_order_igusa(3)
-    assert max(map(abs, value.packed.terms.values())) == 2
+    assert max(map(abs, value.terms.values())) == 2
     rendered, unpacked = packed_and_unpacked_text(value)
     assert rendered == unpacked and "+ 2*X{1}" in rendered
 
@@ -346,11 +346,11 @@ def test_expand_output_never_unpacks_the_coefficients(capsys, monkeypatch, metho
     assert main(argv) == 0
     expected = capsys.readouterr().out
 
-    def unpack(coefficients):
+    def unpack(value):
         raise AssertionError("the coefficients were unpacked")
 
-    monkeypatch.setattr(PackedCoefficients, "unpack", unpack)
-    monkeypatch.setattr(series, "unpack", unpack)
+    monkeypatch.setattr(TruncatedSeries, "coefficients", property(unpack))
+    monkeypatch.setattr(HlsRational, "numerator", property(unpack))
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
@@ -358,12 +358,12 @@ def test_expand_output_never_unpacks_the_coefficients(capsys, monkeypatch, metho
 def test_expansions_hold_their_coefficients_packed():
     spec = PosetSpec((2,), (1,))
     for expansion in (expand_multichain(spec, 3), expand_rational(hls(spec), 3)):
-        packed = expansion.packed
-        assert isinstance(packed, PackedCoefficients)
+        terms = expansion.terms
+        assert all(isinstance(t, Mapping) for t in terms.values())
         view = expansion.coefficients
         # Each read unpacks anew and leaves the packed form as it was.
         assert expansion.coefficients is not view and expansion.coefficients == view
-        assert expansion.packed is packed
+        assert expansion.terms is terms
 
 
 def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
@@ -376,14 +376,14 @@ def test_expand_rational_reads_the_packed_numerator_after_an_unpack():
 
 def one_term_mutant(value):
     """A copy of ``value`` whose packed form has one coefficient negated."""
-    terms = dict(value.packed.terms)
+    terms = dict(value.terms)
     key = next(iter(terms))
     if isinstance(terms[key], Mapping):  # an expansion: a coefficient is a dict of its own
         y, c = next(iter(terms[key].items()))
         terms[key] = {**terms[key], y: -c}
     else:
         terms[key] = -terms[key]
-    return value._replace(packed=value.packed._replace(terms=terms))
+    return value._replace(terms=terms)
 
 
 def test_series_values_are_immutable_and_compare_by_value():
@@ -391,9 +391,12 @@ def test_series_values_are_immutable_and_compare_by_value():
     value, expansion = hls(spec), expand_multichain(spec, 3)
     assert value != hls_modified(spec)
     assert expansion == expand_rational(hls(spec), 3) != expand_multichain(spec, 2)
+    fields = ("spec", "yvars", "chain_count", "table", "denominator_vars", "codec", "terms")
+    assert value._fields == fields
+    assert expansion._fields == ("bound", "x_vars", "table", "codec", "terms")
     cases = (
-        (value, lambda: hls(spec), ("table", "numerator", "denominator_vars")),
-        (expansion, lambda: expand_multichain(spec, 3), ("table", "coefficients")),
+        (value, lambda: hls(spec), ("numerator", "term_count", "denominator_names")),
+        (expansion, lambda: expand_multichain(spec, 3), ("coefficients",)),
     )
     for item, build, views in cases:
         for field in (*item._fields, *views):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from hlskit import poset, series
@@ -150,6 +152,7 @@ def test_expand_multichain_bound_zero():
     key = (0,) * len(ts.x_vars)
     assert list(ts.coefficients) == [key]
     assert ts.coefficient(key).is_one()
+    assert ts.coefficient((1,) + key[1:]).is_zero()
 
 
 def test_expand_top_power_coefficients_are_one():
@@ -223,6 +226,25 @@ def test_expand_multichain_builds_one_order_index(monkeypatch):
         built.clear()
         expand_multichain(spec, bound)
         assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC12, PosetSpec((1, 1), (1, 0)), PosetSpec((3,), (1,))], ids=spec_id
+)
+def test_multichain_count_stops_past_the_longest_chain(monkeypatch, spec):
+    # No strict chain is longer than the longest, so the count stops there
+    # however far the bound lies past the element count, with the same total.
+    calls = []
+    monkeypatch.setattr(series, "comb", lambda n, k: calls.append(k) or comb(n, k))
+    chains = list(enumerate_chains(spec))
+    longest = max(map(len, chains))
+    bound = 4 * len(interval_elements(spec, "half_open"))
+    count = sum(comb(bound, len(chain)) for chain in chains)
+    message = f"^multichain enumeration exceeds cap {count - 1}: {count} multichains up to degree "
+    message += f"{bound}$"
+    with pytest.raises(CapExceededError, match=message):
+        expand_multichain(spec, bound, max_chains=count - 1)
+    assert len(calls) <= longest + 1
 
 
 def test_dual_path_expansion():
@@ -539,7 +561,7 @@ def test_every_builder_packs_by_the_delta_codec(name, interval):
     for spec, value in built(name, interval):
         ctx = make_context(spec)
         delta_codec = PairWeights(spec, ctx.table, ctx.yvars, pair_weight).codec
-        assert value.packed.codec.fields == delta_codec.fields
+        assert value.codec.fields == delta_codec.fields
 
 
 def strict_pair(weight):
@@ -558,7 +580,7 @@ def test_full_width_y_field_does_not_wrap():
     y = make_context(spec).table.id("Y[1,0]")
     for build, interval in ((hls, "half_open"), (hls_modified, "open")):
         h = build(spec)
-        assert h.packed.codec.fields == [(y, 0, 3)]
+        assert h.codec.fields == [(y, 0, 3)]
         numerator, count = kernel_oracle(spec, _hls_pair, interval)
         assert h.numerator == numerator and h.chain_count == count
         assert max(e for mono in h.numerator.terms for v, e in mono if v == y) == 3

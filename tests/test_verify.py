@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hlskit import poset, verify, weight
-from hlskit._packed import PairWeights
+from hlskit._packed import Codec, PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable, y_binomial
 from hlskit.poset import (
     CapExceededError,
@@ -452,7 +452,7 @@ def test_mobius_at_one_matches_textbook_recursion():
         spec = PosetSpec((n,), (0,))
         els = enumerate_elements(spec)
         ctx = make_context(spec)
-        all_y = ctx.all_y_ids()
+        all_y = [v for comp in ctx.yvars for v in comp]
 
         def contained(a, b):
             return all(x <= y for x, y in zip(a[0], b[0]))
@@ -558,7 +558,7 @@ def test_reciprocity_degenerate_is_vacuous():
 
 def with_terms(value, terms):
     """A copy of ``value`` whose packed numerator has ``terms``."""
-    return value._replace(packed=value.packed._replace(terms=terms))
+    return value._replace(terms=terms)
 
 
 def reciprocity_mutants(value):
@@ -566,7 +566,7 @@ def reciprocity_mutants(value):
     k, n = K_and_N(value.spec, value.table, value.yvars)
     ys = value.yvars[0]
     y = LaurentPoly.variable(value.table, ys[1] if len(ys) > 1 else ys[0])
-    terms = value.packed.terms
+    terms = value.terms
     first, c = next(iter(terms.items()))
     flipped = {**terms, first: -c}
     dropped = {key: c for key, c in terms.items() if key != first}
@@ -601,15 +601,16 @@ def test_packed_relation_matches_the_oracle_and_fails_every_mutant(spec_parts):
     spec = PosetSpec(*spec_parts)
     h, hm = hls(spec), hls_modified(spec)
     assert relation_check(spec) and reference_relation(h, hm)
-    packed, open_packed = h.packed, hm.packed
-    top = 1 << len(packed.x_vids) - 1
-    first, c = next((key, c) for key, c in packed.terms.items() if not key & top)
-    dropped = {key: c for key, c in packed.terms.items() if key != first}
+    top = 1 << len(h.denominator_vars) - 1
+    first, c = next((key, c) for key, c in h.terms.items() if not key & top)
+    dropped = {key: c for key, c in h.terms.items() if key != first}
     moved = {**dropped, first | top: c}
     for terms in (dropped, moved):
         mutant = with_terms(h, terms)
-        assert not mutant.packed.equals_open(open_packed)
+        assert not mutant.equals_open(hm)
         assert not reference_relation(mutant, hm)
+    # The same keys under other fields, here one per variable, are another numerator.
+    assert not h.equals_open(hm._replace(codec=Codec([1] * len(hm.table))))
 
 
 def test_certificate_names_a_term_and_its_expected_partner():
@@ -628,7 +629,7 @@ def test_certificate_names_a_term_and_its_expected_partner():
     assert check_reciprocity(value, k * y0**2, n)[4:] == ("1", "none: no term can carry Y[1,0]^3")
     # Past K: a term of Y[1,0] has no partner once K lacks Y[1,0].
     y1_squared = LaurentPoly.monomial(value.table, {value.table.id("Y[1,1]"): 2}, 1)
-    terms = value.packed.terms
+    terms = value.terms
     with_y0 = with_terms(value, {key: c for key, c in terms.items() if "Y[1,0]" in text_of(value, key)})
     cert = check_reciprocity(with_y0, y1_squared, n)
     assert cert.expected == "none: no term can carry Y[1,0]^-1"
@@ -688,10 +689,10 @@ def test_check_reciprocity_reads_the_kind_off_the_value():
     # The certificate is the one of the packed check at the value's own kind,
     # passing or not: on each value, at N + 1 and with a term's sign flipped.
     for kind, value, k, n in kinded_values():
-        first, c = next(iter(value.packed.terms.items()))
-        flipped = with_terms(value, {**value.packed.terms, first: -c})
+        first, c = next(iter(value.terms.items()))
+        flipped = with_terms(value, {**value.terms, first: -c})
         for v, n2 in ((value, n), (value, n + 1), (flipped, n)):
-            failure = v.packed.reciprocity_failure(k, n2, kind == "hls")
+            failure = v.reciprocity_failure(k, n2, kind == "hls")
             want = (v.spec, kind, n2, failure is None, *(failure or (None, None)))
             assert check_reciprocity(v, k, n2) == want, (kind, v.spec, n2)
 
@@ -705,13 +706,12 @@ def test_the_other_kind_fails_where_the_value_s_own_passes(spec_parts):
         value = build(spec)
         k, n = K_and_N(spec, value.table, value.yvars)
         assert check_reciprocity(value, k, n)[1:4] == (kind, n, True)
-        assert value.packed.reciprocity_failure(k, n, kind != "hls") is not None
+        assert value.reciprocity_failure(k, n, kind != "hls") is not None
 
 
 def text_of(value, key):
     """The text of the one term of ``value``'s packed numerator at ``key``."""
-    packed = value.packed
-    return packed._replace(terms={key: packed.terms[key]}).text()
+    return with_terms(value, {key: value.terms[key]}).numerator_text()
 
 
 def test_classical_igusa_reciprocity_corollary():
