@@ -2,10 +2,12 @@
 
 Monomials are keyed by a ``Codec``, so a product of monomials is one int
 addition, and a packed polynomial is one dict of them (``Terms``), whose
-products one kernel sums (``_add_product``).  ``PairWeights.rows`` packs the
-pair weights a call reads once, by the δ codec, whose field of ``Y[c,p]`` is
-``δ_p(bottom, top)`` wide, into a transfer matrix (``Rows``; Stanley, EC1
-section 4.7), and every packed route stays on its keys:
+products one kernel sums (``_add_product``).  ``PairWeights`` holds the
+contract of a pair weight: its shape, ``weight(a, b, yvars, table)``, its
+exponents, at most δ, and ``w(e, e) = 1``.  ``PairWeights.rows`` packs the
+pair weights a call reads once, checked, by the δ codec, whose field of
+``Y[c,p]`` is ``δ_p(bottom, top)`` wide, into a transfer matrix (``Rows``;
+Stanley, EC1 section 4.7), and every packed route stays on its keys:
 
 - chain weights, one product (``multiply``) per step of the depth-first
   walk ``weight.chain_weights`` over the rows, under the multichain
@@ -81,7 +83,10 @@ class PairWeights:
     past it, or of a variable other than the spec's Y variables, raises
     ``ValueError``.  δ adds up along a chain, so every chain weight, every
     Möbius entry and every product of zeta and Möbius entries keeps within
-    ``δ(bottom, top)`` as well, and their keys add without carries.
+    ``δ(bottom, top)`` as well, and their keys add without carries.  As
+    ζ(e, e) = 1 in the incidence algebra (Stanley, EC1 section 3.6), a
+    weight ``w(e, e)`` other than 1 raises ``ValueError`` too; δ(e, e) = 0
+    leaves it a constant.
     """
 
     def __init__(self, spec, table: VarTable, yvars: Sequence[Sequence[int]], weight: Callable):
@@ -136,6 +141,8 @@ class PairWeights:
                     )
                 key += e << shifts[v]
             w[key] = c
+        if a == b and w != ONE:
+            raise ValueError(f"the weight of ({render_element(a)}, {render_element(a)}) is not 1")
         return w
 
     def rows(self, nodes: Sequence[Element], above: Sequence[Iterable[int]]) -> Rows:

@@ -411,20 +411,27 @@ def chain_plan(
     ascending, the bottom's row ``range(m)``; the elements in one linear
     extension from the bottom up, by the number of elements below each,
     ties by index; and the strict chains of ``elements``, the empty one
-    included, counted top down along it.  More than ``max_chains``, by
-    default ``DEFAULT_MAX_CHAINS``, raise ``CapExceededError``.
+    included.  The chains are counted first, from the up-set masks of one
+    ``OrderIndex``, top down in order of key sum, which rises up the order:
+    the empty chain, then those starting at each element.  Once the count
+    passes ``max_chains``, by default ``DEFAULT_MAX_CHAINS``, it stops and
+    raises ``CapExceededError``, before any strict-above list is built.
     """
     m = len(elements)
-    above = [*above_lists(elements, key), range(m)]
-    below = collections.Counter(itertools.chain.from_iterable(above[:m]))
-    order = sorted(range(m), key=below.__getitem__)
-    starting = [1] * (m + 1)
-    for a in (*reversed(order), m):
-        starting[a] += sum(starting[b] for b in above[a])
+    index = OrderIndex(elements, key)
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    if starting[m] > cap:
+    starting = [0] * m
+    count = 1
+    for i in sorted(range(m), key=lambda i: sum(key(elements[i])), reverse=True):
+        if count > cap:
+            break
+        starting[i] = 1 + sum(map(starting.__getitem__, index.above(i)))
+        count += starting[i]
+    if count > cap:
         raise CapExceededError(f"chain enumeration exceeds cap {count_text(cap)}")
-    return above, order, starting[m]
+    above = [*map(index.above, range(m)), range(m)]
+    below = collections.Counter(itertools.chain.from_iterable(above[:m]))
+    return above, sorted(range(m), key=below.__getitem__), count
 
 
 def chains_in(

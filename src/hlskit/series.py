@@ -83,37 +83,36 @@ DEFAULT_MAX_TERMS = 5_000_000
 
 
 def _chain_series(
-    ctx: SeriesContext,
-    elements: Sequence[Element],
-    key: Callable[[Element], Sequence[int]],
-    pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
+    spec: PosetSpec,
+    weight: Callable[..., LaurentPoly],
     max_chains: int | None,
-    max_terms: int | None = None,
+    max_elements: int | None,
+    max_terms: int | None,
+    interval: str = "half_open",
+    key: Callable[[Element], Sequence[int]] = order_key,
 ) -> HlsRational:
-    """The series value of a chain sum, by the transfer-matrix method.
+    """The series value of a chain sum over ``interval``, by the transfer-matrix method.
 
-    The chains are the strict chains of ``elements`` in the order of their
-    ``key`` vectors (``poset.OrderIndex``), each weighted by the product of
-    ``pair_w`` over consecutive members once the spec's bottom is prepended
-    and its top appended.  The bottom must lie below every element, the top
-    above every other element and last if it is one of them, ``elements``
-    must come in X variable order, and ``pair_w`` must return polynomials
-    in the Y variables alone, whose exponents keep within δ
-    (``_packed.PairWeights``).
+    The chains are the strict chains of the half-open or open interval's
+    elements in the order of their ``key`` vectors (``poset.OrderIndex``),
+    each weighted by the product of the pair weight ``weight(a, b, yvars,
+    table)`` over consecutive members once the spec's bottom is prepended
+    and its top appended.  The bottom must lie below every element and the
+    top above every other one, and ``weight`` must keep the contract of
+    ``_packed.PairWeights``: polynomials in the Y variables alone, whose
+    exponents keep within δ, and ``w(e, e) = 1``.
 
     The sweep follows a linear extension and keeps one partial numerator
     per last chain element, starting from the bottom.  At each element
-    ``c``, every state ``s`` below ``c`` sends ``state * X_c * pair_w(s, c)``
+    ``c``, every state ``s`` below ``c`` sends ``state * X_c * w(s, c)``
     to the new state ``c``, and every earlier state takes the factor
     ``1 - X_c`` (Stanley, EC1 section 4.7).  A state is folded into one
-    running ``total``, times ``pair_w(s, top)``, as soon as the last element
+    running ``total``, times ``w(s, top)``, as soon as the last element
     above it other than the top is swept; from then on ``total`` takes the
     ``1 - X_c`` factors in its place, and equal keys of different states
-    merge.  If the top is one of ``elements``, it is swept last, on
-    ``total`` alone: with ``state_top = total * X_top``, the step
-    ``total * (1 - X_top) + state_top * pair_w(top, top)`` is computed as
-    ``total + state_top * (pair_w(top, top) - 1)``, which spares a doubled
-    copy of ``total``.
+    merge.  The top of the half-open interval is not swept: its step,
+    ``total * (1 - X_top) + total * X_top * w(top, top)``, is ``total``, as
+    ``w(top, top) = 1``, which packing its row checks.
 
     The sweep runs on the nodes of ``poset.chain_plan``, along its linear
     extension.  The pair weights it reads are packed once, by the δ codec,
@@ -121,14 +120,16 @@ def _chain_series(
     ``c * Y^e * prod_{i in S} X_i`` has the key ``y << m | mask``, ``y``
     the key of ``Y^e`` and bit ``i`` of the mask for element ``i``.  So a
     term times a pair-weight monomial times ``X_c`` is one int addition,
-    and ``1 - X_c`` is ``key + (1 << c)``; an exponent past δ raises
-    ``ValueError``.  The numerator is returned packed, its mask bits the X
-    variables of ``elements``, with the chain count.
+    and ``1 - X_c`` is ``key + (1 << c)``.  The numerator is returned
+    packed, its mask bits the X variables of the interval, with the chain
+    count.
 
     Chains are counted first, so a chain cap hit costs no polynomial work.
     After each element the live terms of all states and ``total`` are
     counted, and more than ``max_terms`` raises ``CapExceededError``.
     """
+    ctx = make_context(spec, max_elements)
+    elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     m = len(elements)
     above, order, chain_count = chain_plan(elements, key, max_chains)
     preds = [[m] for _ in elements]
@@ -136,8 +137,7 @@ def _chain_series(
         for j in above[i]:
             preds[j].append(i)
 
-    has_top = m > 0 and elements[-1] == ctx.spec.top()
-    swept = order[:-1] if has_top else order
+    swept = order[:-1] if interval == "half_open" else order
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
     position = {c: k for k, c in enumerate(swept)}
     # Row s of the transfer matrix: the swept nodes above node s, then the top.
@@ -151,8 +151,8 @@ def _chain_series(
         after = [position[j] for j in successors[s][:-1]]
         fold_at.setdefault(max(after, default=None), []).append(s)
     maximal = set(fold_at.pop(None, ()))
-    weights = PairWeights(ctx.spec, ctx.table, ctx.yvars, lambda a, b, *_: pair_w(ctx, a, b))
-    rows = weights.rows([*elements, ctx.spec.bottom(), ctx.spec.top()], successors)
+    weights = PairWeights(spec, ctx.table, ctx.yvars, weight)
+    rows = weights.rows([*elements, spec.bottom(), spec.top()], successors)
 
     states = {m: {0: 1}}
     total: Terms = {}
@@ -180,33 +180,8 @@ def _chain_series(
         if c in maximal:
             fold(c)
         check(k + 1)
-    if has_top:
-        state_top = {key + (1 << m - 1): a for key, a in total.items()}
-        step = dict(rows[m - 1][end])
-        step[0] = step.get(0, 0) - 1
-        _add_product(total, state_top, {y << m: a for y, a in step.items() if a})
-        check(m)
     x_vars = tuple(ctx.x_ids[e] for e in elements)
-    return HlsRational(ctx.spec, ctx.yvars, chain_count, ctx.table, x_vars, weights.codec, total)
-
-
-def _hls_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
-    return pair_weight(a, b, ctx.yvars, ctx.table)
-
-
-def _series(
-    spec: PosetSpec,
-    pair_w: Callable[[SeriesContext, Element, Element], LaurentPoly],
-    max_chains: int | None,
-    max_elements: int | None,
-    max_terms: int | None,
-    interval: str = "half_open",
-    key: Callable[[Element], Sequence[int]] = order_key,
-) -> HlsRational:
-    """The chain series of an interval of ``spec`` under ``key`` and ``pair_w``."""
-    ctx = make_context(spec, max_elements)
-    elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
-    return _chain_series(ctx, elements, key, pair_w, max_chains, max_terms)
+    return HlsRational(spec, ctx.yvars, chain_count, ctx.table, x_vars, weights.codec, total)
 
 
 def hls(
@@ -216,7 +191,7 @@ def hls(
     max_terms: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the half-open interval."""
-    return _series(spec, _hls_pair, max_chains, max_elements, max_terms)
+    return _chain_series(spec, pair_weight, max_chains, max_elements, max_terms)
 
 
 def hls_modified(
@@ -226,7 +201,7 @@ def hls_modified(
     max_terms: int | None = None,
 ) -> HlsRational:
     """The series over strict chains of the open interval."""
-    return _series(spec, _hls_pair, max_chains, max_elements, max_terms, "open")
+    return _chain_series(spec, pair_weight, max_chains, max_elements, max_terms, "open")
 
 
 def relation_check(
@@ -261,8 +236,8 @@ def expand_multichain(
 
     A multichain's weight is the product of the pair weights along it, from
     the bottom to the top, where a repeated element ``e`` adds ``w(e, e)``.
-    That is checked to be 1 for every element (a ``ValueError`` names one
-    where it is not), so the multichains on a strict chain of ``l``
+    ``PairWeights`` checks that to be 1 for every element (a ``ValueError``
+    names one where it is not), so the multichains on a strict chain of ``l``
     elements, one per multiplicity vector of total at most ``bound``
     (``C(bound, l)``, by stars and bars), share the chain's weight, packed
     by the δ codec (``_packed.PairWeights``), as one coefficient dict.
@@ -295,8 +270,7 @@ def expand_multichain(
         )
     weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
     for e in elements:
-        if weights(e, e) != ONE:
-            raise ValueError(f"the weight of ({render_element(e)}, {render_element(e)}) is not 1")
+        weights(e, e)  # raises unless w(e, e) = 1
     # combinations() copies its pool, and with no element only () needs one.
     pool = range(1, bound + 1) if m else ()
     # Multiplicity vectors on k elements, from partial sums, after a 0 for elements off the chain.
@@ -360,21 +334,27 @@ def expand_rational(h: HlsRational, bound: int) -> TruncatedSeries:
 # -- specializations ----------------------------------------------------------------
 
 
-def _zero_count_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
+def _zero_count_pair(
+    a: Element, b: Element, yvars: Sequence[Sequence[int]], table: VarTable
+) -> LaurentPoly:
     """Telescoping factor of the tableau zero-count binomials, per component."""
-    result = LaurentPoly.const(ctx.table, 1)
+    result = LaurentPoly.const(table, 1)
     for i, (x, y) in enumerate(zip(a, b)):
-        result = result * y_binomial(ctx.table, y[0], x[0], ctx.yvars[i][0])
+        result = result * y_binomial(table, y[0], x[0], yvars[i][0])
     return result
 
 
-def _leg_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
-    """Leg polynomial of the two adjacent columns that a pair projects to."""
-    return phi_tableau(project((a, b), 0, ctx.spec), ctx.yvars[0][1:], ctx.table)
+def _leg_pair(
+    a: Element, b: Element, yvars: Sequence[Sequence[int]], table: VarTable
+) -> LaurentPoly:
+    """Leg polynomial of the two adjacent columns that a pair of (n),(0) projects to."""
+    return phi_tableau(project((a, b), 0, PosetSpec((len(a[0]) - 1,), (0,))), yvars[0][1:], table)
 
 
-def _unit_pair(ctx: SeriesContext, a: Element, b: Element) -> LaurentPoly:
-    return LaurentPoly.const(ctx.table, 1)
+def _unit_pair(
+    a: Element, b: Element, yvars: Sequence[Sequence[int]], table: VarTable
+) -> LaurentPoly:
+    return LaurentPoly.const(table, 1)
 
 
 def classical_igusa(
@@ -391,7 +371,7 @@ def classical_igusa(
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = PosetSpec((0,), (r,))
-    return _series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
+    return _chain_series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
 
 
 def generalized_igusa(
@@ -402,7 +382,7 @@ def generalized_igusa(
 ) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
     spec = PosetSpec(tuple(0 for _ in r_vec), tuple(r_vec))
-    return _series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
+    return _chain_series(spec, _zero_count_pair, max_chains, max_elements, max_terms)
 
 
 def mv_hls(
@@ -420,7 +400,7 @@ def mv_hls(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _series(PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements, max_terms)
+    return _chain_series(PosetSpec((n,), (0,)), _leg_pair, max_chains, max_elements, max_terms)
 
 
 def weak_order_igusa(
@@ -438,5 +418,5 @@ def weak_order_igusa(
         raise ValueError("g must be positive")
     spec = PosetSpec((g,), (0,))
     # Inclusion of subsets is componentwise <= of their indicator vectors.
-    value = _series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
+    value = _chain_series(spec, _unit_pair, max_chains, max_elements, max_terms, key=itemgetter(0))
     return value._replace(spec=None)

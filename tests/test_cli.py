@@ -614,7 +614,7 @@ PAIR_FUNCTIONS = [
         ("specialize", "--kind", "classical-igusa", "--r", "4"),
         series,
         "_zero_count_pair",
-        slice(1, 3),
+        slice(0, 2),
     ),
 ]
 
@@ -719,6 +719,64 @@ def test_a_pair_weight_past_delta_exits_1_with_one_line(capsys, monkeypatch, arg
     assert (code, out) == (1, "")
     assert err.startswith("error: the weight of (") and "past δ" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, target, element",
+    [
+        # The sweep packs one diagonal pair, the top's, in its unswept row.
+        (("compute", "--n", "1", "--r", "2"), "series", "0^2 1"),
+        (
+            ("expand", "--n", "1", "--r", "2", "--max-degree", "2", "--method", "multichain"),
+            "series",
+            "0",
+        ),
+        (("verify", "zeta-mobius", "--n", "1", "--r", "2"), "verify", "-"),
+        (("specialize", "--kind", "classical-igusa", "--r", "2"), "series._zero_count_pair", "0^2"),
+    ],
+)
+def test_a_pair_weight_other_than_1_on_the_diagonal_exits_1_with_one_line(
+    capsys, monkeypatch, argv, target, element
+):
+    # ``target`` is as above.  Its pair weight is doubled on every pair (e, e),
+    # and the first such pair the command reads is (element, element).
+    import importlib
+
+    module, _, name = target.partition(".")
+    module = importlib.import_module(f"hlskit.{module}")
+    name = name or "pair_weight"
+    right = getattr(module, name)
+
+    def wrong(a, b, *rest):
+        w = right(a, b, *rest)
+        return w + w if a == b else w
+
+    monkeypatch.setattr(module, name, wrong)
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, out) == (1, "")
+    assert err == f"error: the weight of ({element}, {element}) is not 1\n"
+
+
+def test_a_huge_chain_route_stops_on_the_chain_cap_under_1_gib():
+    # (16),(0) has 65,536 elements, under the element cap, and far more
+    # chains than the chain cap.  Its strict-above lists would not fit in
+    # 1 GiB, so the count must stop at the cap before any of them is built.
+    import resource
+    import subprocess
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).parent.parent / "src"
+    code = "import sys; from hlskit.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["compute", "--n", "16", "--r", "0", "--stats-only"]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: chain enumeration exceeds cap 10000000\n"
 
 
 def test_verify_order_complex_with_a_wrong_k_exits_3(capsys, monkeypatch):

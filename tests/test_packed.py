@@ -323,8 +323,8 @@ def test_packed_text_shows_coefficients_beyond_one(monkeypatch):
     rendered, unpacked = packed_and_unpacked_text(value)
     assert rendered == unpacked and "+ 2*X{1}" in rendered
 
-    hls_pair = series._hls_pair
-    monkeypatch.setattr(series, "_hls_pair", lambda ctx, a, b: 4 - 3 * hls_pair(ctx, a, b))
+    pair_weight = series.pair_weight
+    monkeypatch.setattr(series, "pair_weight", lambda *args: 4 - 3 * pair_weight(*args))
     value = hls(PosetSpec((0,), (3,)))
     rendered, unpacked = packed_and_unpacked_text(value)
     assert rendered == unpacked == (

@@ -18,7 +18,6 @@ from hlskit.poset import (
     render_element,
 )
 from hlskit.series import (
-    _hls_pair,
     _leg_pair,
     _unit_pair,
     _zero_count_pair,
@@ -397,7 +396,7 @@ def pair_product(pair, ctx, chain):
     full = (ctx.spec.bottom(),) + chain + (ctx.spec.top(),)
     result = LaurentPoly.const(ctx.table, 1)
     for a, b in zip(full, full[1:]):
-        result = result * pair(ctx, a, b)
+        result = result * pair(a, b, ctx.yvars, ctx.table)
     return result
 
 
@@ -483,7 +482,7 @@ def test_specialization_chain_counts():
 
 
 def kernel_oracle(spec, pair, interval="half_open", leq=leq_t):
-    """Numerator and chain count of ``series._series``, chain by chain."""
+    """Numerator and chain count of ``series._chain_series``, chain by chain."""
     ctx = make_context(spec)
     elements = ctx.x_elements if interval == "half_open" else ctx.x_elements[:-1]
     contributions = (
@@ -501,7 +500,7 @@ SUBSETS = (subset_key, subset_leq)
 # Each public builder with its pair weight, its order and specs (n, r) with
 # g = 1 and 2 and, where the builder allows one, bottom == top.
 BUILDERS = {
-    "hls": (hls, _hls_pair, TABLEAU, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
+    "hls": (hls, pair_weight, TABLEAU, [((0,), (0,)), ((0, 0), (0, 0)), ((1,), (2,)), ((0, 1), (1, 1))]),
     "classical_igusa": (
         lambda spec: classical_igusa(spec.r[0]),
         _zero_count_pair,
@@ -539,7 +538,7 @@ def built(name, interval):
             yield spec, hls_modified(spec)
         else:
             # The specializations have no open-interval builder; sweep it directly.
-            yield spec, series._series(spec, pair, None, None, None, "open", key)
+            yield spec, series._chain_series(spec, pair, None, None, None, "open", key)
 
 
 @pytest.mark.parametrize("interval", ["half_open", "open"])
@@ -565,10 +564,10 @@ def test_every_builder_packs_by_the_delta_codec(name, interval):
 
 
 def strict_pair(weight):
-    """A pair weight that is ``weight(ctx)`` on strict pairs and 1 on (top, top)."""
+    """A pair weight that is ``weight(table)`` on strict pairs and 1 on (top, top)."""
 
-    def pair(ctx, a, b):
-        return LaurentPoly.const(ctx.table, 1) if a == b else weight(ctx)
+    def pair(a, b, yvars, table):
+        return LaurentPoly.const(table, 1) if a == b else weight(table)
 
     return pair
 
@@ -581,33 +580,35 @@ def test_full_width_y_field_does_not_wrap():
     for build, interval in ((hls, "half_open"), (hls_modified, "open")):
         h = build(spec)
         assert h.codec.fields == [(y, 0, 3)]
-        numerator, count = kernel_oracle(spec, _hls_pair, interval)
+        numerator, count = kernel_oracle(spec, pair_weight, interval)
         assert h.numerator == numerator and h.chain_count == count
         assert max(e for mono in h.numerator.terms for v, e in mono if v == y) == 3
 
 
 def test_negative_pair_exponent_raises(monkeypatch):
-    def weight(ctx):
-        return LaurentPoly.variable(ctx.table, ctx.table.id("Y[1,0]"), -1)
+    def weight(table):
+        return LaurentPoly.variable(table, table.id("Y[1,0]"), -1)
 
-    monkeypatch.setattr(series, "_hls_pair", strict_pair(weight))
+    monkeypatch.setattr(series, "pair_weight", strict_pair(weight))
     with pytest.raises(ValueError, match=r"Y\[1,0\]\^-1, past δ"):
         hls(PosetSpec((0,), (2,)))
 
 
 def test_top_step_reads_the_top_pair_weight(monkeypatch):
-    # The half-open sweep multiplies its top step by pair_w(top, top); with
-    # a weight of 2 there, the relation between the two series must fail.
+    # The half-open sweep does not sweep the top, as w(top, top) = 1, but
+    # packs that weight into the top's row; with a weight of 2 there, the
+    # half-open series raises, and the open one, which never reads it, builds.
     spec = PosetSpec((1,), (1,))
 
-    def pair(ctx, a, b):
-        w = _hls_pair(ctx, a, b)
+    def pair(a, b, yvars, table):
+        w = pair_weight(a, b, yvars, table)
         return 2 * w if a == b == spec.top() else w
 
-    monkeypatch.setattr(series, "_hls_pair", pair)
-    numerator, _ = kernel_oracle(spec, pair)
-    assert hls(spec).numerator == numerator
-    assert not relation_check(spec)
+    monkeypatch.setattr(series, "pair_weight", pair)
+    with pytest.raises(ValueError, match=r"^the weight of \(0 1, 0 1\) is not 1$"):
+        hls(spec)
+    numerator, _ = kernel_oracle(spec, pair, "open")
+    assert hls_modified(spec).numerator == numerator
 
 
 def test_term_cap_at_the_peak():
