@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 from ._packed import (
     ONE,
+    Codec,
     PairWeights,
     Rows,
     Terms,
@@ -344,9 +345,20 @@ def verify_reciprocity(
 
 
 class OrderComplexReport(NamedTuple):
+    """The faces that fail the order-complex identity, and how the verdict was reached.
+
+    ``method`` is ``"pairs"`` when the per-pair certificate decided, and
+    ``"faces"`` when the face walk ran; ``pairs_checked`` counts the pairs
+    the certificate compared, and ``witness`` renders the first pair that
+    failed it.
+    """
+
     spec: PosetSpec
     subsets_checked: int
     failures: tuple[str, ...]
+    method: str = "faces"
+    pairs_checked: int = 0
+    witness: tuple[str, str] | None = None
 
     @property
     def passed(self) -> bool:
@@ -386,16 +398,33 @@ def verify_order_complex(
     No exponent of ``w(a, b)`` exceeds ``δ(a, b)`` (``PairWeights``), so
     ŵ and g keep within δ and pack by its codec: ŵ has the keys
     ``key(δ(a, b)) - key`` of w, with no borrow.  ``-σ`` is folded into
-    the gaps at the top, whose recursion then starts from ``σ * ŵ``.  Two
-    walks of ``weight.chain_weights``, one over the rows of w and one over
-    those of g, which hold the same columns in the same order, yield each
-    face's two products in step, and each face is checked as they reach it,
-    on keys when c is 1, as ``K_and_N``'s K gives, and on polynomials
-    otherwise; only the masks of failing faces are kept.
+    the gaps at the top, whose recursion then starts from ``σ * ŵ``, so
+    face s passes when ``W_s = c * G_s``, G_s the product of g over its
+    gaps.
+
+    The verdict is first tried on the comparable pairs
+    (``_pair_certificate``).  Let ``ε`` be 1 at the bottom and the top,
+    and at each x of the open interval the sign with ``w(bottom, x) = ε(x)
+    * g(bottom, x)``.  If ``w(a, b) = ε(a) ε(b) g(a, b)`` on every pair
+    below the top, and ``w(a, top) = ε(a) * c * g(a, top)``, then on a
+    chain ``bottom = x0 < x1 < ... < xk < top`` the signs telescope:
+    ``W_s = prod ε(x_i) ε(x_i+1) * c * G_s = ε(bottom) ε(top) * c * G_s =
+    c * G_s``, with exactly one gap at the top to carry c.  So every face
+    passes, and no face is walked.  Away from the top that certificate is
+    the closed-form Möbius identity of ŵ, which is ``verify
+    zeta-mobius``'s route; so the face walk stays as this route's own
+    check, and runs whenever the certificate fails.  It then decides the
+    verdict alone (``_failing_faces``): two walks of
+    ``weight.chain_weights``, one over the rows of w and one over those of
+    g, which hold the same columns in the same order, yield each face's
+    two products in step, and each face is checked as they reach it.  Both
+    compare on keys when c is 1, as ``K_and_N``'s K gives, and on
+    polynomials otherwise.
 
     ``subsets_checked`` is ``2^m`` for the m elements of the open interval;
     more than ``max_subsets`` raise ``CapExceededError`` first, and more
-    than ``max_chains`` chains, the empty one included, before any weight.
+    than ``max_chains`` chains, the empty one included, before any weight,
+    whichever path then decides.
     """
     if spec.is_degenerate():
         raise DegenerateSpecError(
@@ -431,18 +460,56 @@ def verify_order_complex(
                 _add_product(acc, g[mid].get(b, {}), neg_mid)  # g(mid, b) is 0 unless mid < b
             g[a][b] = acc
 
-    walks = zip(chain_weights(w, m, top), chain_weights(g, m, top))
-    if c.is_one():
-        failing = [mask for (mask, fw), (_, fg) in walks if fw != fg]
-    else:
-        table, codec = ctx.table, weights.codec
-        failing = [
-            mask
-            for (mask, fw), (_, fg) in walks
-            if polynomial(table, codec, fw) != c * polynomial(table, codec, fg)
-        ]
+    rows = (w, g, c, ctx.table, weights.codec)
+    checked, witness = _pair_certificate(*rows)
+    if witness is None:
+        return OrderComplexReport(spec, 1 << m, (), "pairs", checked)
     failures = []
-    for s in sorted(failing):
+    for s in sorted(_failing_faces(*rows)):
         members = [render_element(open_interval[i]) for i in range(m) if s >> i & 1]
         failures.append("{" + ", ".join(members) + "}")
-    return OrderComplexReport(spec, 1 << m, tuple(failures))
+    pair = tuple(render_element(nodes[x]) for x in witness)
+    return OrderComplexReport(spec, 1 << m, tuple(failures), "faces", checked, pair)
+
+
+def _pair_certificate(
+    w: Rows, g: Rows, c: LaurentPoly, table: VarTable, codec: Codec
+) -> tuple[int, tuple[int, int] | None]:
+    """The pairs compared, and the first ``(a, b)`` off ``w = ε(a) ε(b) g``, or None.
+
+    The bottom is node ``len(w) - 1``, its row first; ``ε(x)`` is -1 where
+    ``w(bottom, x)`` is not ``g(bottom, x)``, so that pair fails unless it
+    is ``-g(bottom, x)``.  Pairs at the top compare w with c times g.
+    """
+    bottom = len(w) - 1
+    top = bottom + 1
+    eps = [1] * len(g)
+    for x, wx in w[bottom].items():
+        if x != top and wx != g[bottom][x]:
+            eps[x] = -1
+    on_keys = c.is_one()
+    checked = 0
+    for a in (bottom, *range(bottom)):
+        for b, wb in w[a].items():
+            checked += 1
+            gb = g[a][b] if eps[a] == eps[b] else {key: -co for key, co in g[a][b].items()}
+            if on_keys or b != top:
+                same = wb == gb
+            else:
+                same = polynomial(table, codec, wb) == c * polynomial(table, codec, gb)
+            if not same:
+                return checked, (a, b)
+    return checked, None
+
+
+def _failing_faces(w: Rows, g: Rows, c: LaurentPoly, table: VarTable, codec: Codec) -> list[int]:
+    """The masks of the faces s where ``W_s != c * G_s``, walked in step; see above."""
+    m = len(w) - 1
+    walks = zip(chain_weights(w, m, m + 1), chain_weights(g, m, m + 1))
+    if c.is_one():
+        return [mask for (mask, fw), (_, fg) in walks if fw != fg]
+    return [
+        mask
+        for (mask, fw), (_, fg) in walks
+        if polynomial(table, codec, fw) != c * polynomial(table, codec, fg)
+    ]

@@ -118,6 +118,28 @@ def reference_numerator_sum(
     return LaurentPoly(table, acc), count
 
 
+def order_complex_routes(
+    spec: PosetSpec, **caps
+) -> tuple[verify.OrderComplexReport, tuple[int, int] | None, list[int]]:
+    """``verify_order_complex``'s report, and both of its routes run apart on its rows.
+
+    The rows are the ones the report was built from, caught on their way to
+    the certificate; on them the certificate gives its witness pair (None
+    when it holds) and the face walk its failing masks, each on its own.
+    """
+    certificate, seen = verify._pair_certificate, []
+
+    def catch(*rows):
+        seen.append(rows)
+        return certificate(*rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_pair_certificate", catch)
+        report = verify.verify_order_complex(spec, **caps)
+    (rows,) = seen
+    return report, certificate(*rows)[1], verify._failing_faces(*rows)
+
+
 def reference_order_complex(
     spec: PosetSpec, max_subsets: int | None = None
 ) -> verify.OrderComplexReport:

@@ -41,6 +41,7 @@ from hlskit.verify import (
 from hlskit.weight import chain_weight
 
 from conftest import (
+    order_complex_routes,
     reference_expand_multichain,
     reference_mobius_matrix,
     reference_multiply_rows,
@@ -274,6 +275,10 @@ def test_packed_routes_match_unpacked_ones(spec, bound):
     packed_product = packed.times(mobius_rows(packed))
     assert packed_product.view().entries == product.entries
     assert rows_mismatch(packed_product.rows) is None
+    if not spec.is_degenerate():
+        # The order-complex certificate and its face walk, each on its own.
+        report, witness, failing = order_complex_routes(spec)
+        assert (report.method, witness, failing) == ("pairs", None, [])
     # The closed-form Möbius function against the alternating chain sums.
     for i, a in enumerate(mobius.labels):
         for j, b in enumerate(mobius.labels):

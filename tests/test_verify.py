@@ -13,6 +13,7 @@ from hlskit.poset import (
     enumerate_elements,
     leq_t,
     lt_t,
+    render_element,
     s_vector,
 )
 from hlskit.series import (
@@ -47,6 +48,7 @@ from hlskit.weight import pair_weight
 
 from conftest import (
     brute_force_chains,
+    order_complex_routes,
     reference_mobius_matrix,
     reference_order_complex,
     reference_reciprocity,
@@ -851,6 +853,66 @@ def test_order_complex_matches_per_subset_oracle(spec_parts):
     assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
 
 
+@pytest.mark.parametrize("spec_parts", ORACLE_SPECS + SMALL_ORACLE_SPECS + [((3,), (2,))], ids=str)
+def test_certificate_holds_exactly_when_no_face_fails(spec_parts):
+    # Every identity here is true; the pair-weight mutants below make both routes fail.
+    spec = PosetSpec(*spec_parts)
+    report, witness, failing = order_complex_routes(spec, max_subsets=1 << 22)
+    elements = enumerate_elements(spec)
+    pairs = sum(lt_t(a, b) for a in elements for b in elements)
+    assert (witness, failing) == (None, [])
+    assert report == (spec, 1 << len(elements) - 2, (), "pairs", pairs, None)
+
+
+@pytest.mark.parametrize("spec_parts", [((6,), (1,)), ((5,), (2,)), ((2, 2), (2, 2))], ids=str)
+def test_a_passing_certificate_walks_no_face(monkeypatch, spec_parts):
+    # 2.8 x 10^13, 3.0 x 10^12 and 3.2 x 10^9 chains: no face walk would finish.
+    def no_walk(*args):
+        raise AssertionError("a face was walked")
+
+    monkeypatch.setattr(verify, "chain_weights", no_walk)
+    report = verify_order_complex(PosetSpec(*spec_parts), max_subsets=1 << 150, max_chains=10**20)
+    assert (report.passed, report.method, report.witness) == (True, "pairs", None)
+
+
+def _drop_last_term(w):
+    return LaurentPoly(w.table, dict(sorted(w.terms.items())[:-1]))
+
+
+PAIR_WEIGHT_CHANGES = (lambda w: -w, lambda w: 2 * w, _drop_last_term)
+
+
+@pytest.mark.parametrize(
+    "spec_parts", [((1,), (2,)), ((2,), (2,)), ((3,), (1,)), ((2, 1), (1, 0))], ids=str
+)
+def test_certificate_and_walk_agree_on_pair_weight_mutants(spec_parts):
+    # Each mutant negates one strict pair's weight, doubles it or drops its
+    # last term, its largest monomial.  The per-subset oracle takes 0.2 s on (2),(2) and 10 s on
+    # (3),(1), so past (1),(2) each pair takes one change, in turn, and the
+    # failing faces are the walk's alone.
+    spec = PosetSpec(*spec_parts)
+    elements = enumerate_elements(spec)
+    small = len(elements) <= 6
+    pairs = [(a, b) for a in elements for b in elements if lt_t(a, b)]
+    for i, pair in enumerate(pairs):
+        for change in PAIR_WEIGHT_CHANGES if small else PAIR_WEIGHT_CHANGES[i % 3 : i % 3 + 1]:
+
+            def changed(a, b, yvars, table):
+                w = pair_weight(a, b, yvars, table)
+                return change(w) if (a, b) == pair else w
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(weight, "pair_weight", changed)
+                mp.setattr(verify, "pair_weight", changed)
+                report, witness, failing = order_complex_routes(spec, max_subsets=1 << 14)
+                if small:
+                    assert report.failures == reference_order_complex(spec).failures
+            assert (witness is None) == (not failing) == report.passed
+            assert (report.method, report.witness is None) == (
+                ("pairs", True) if witness is None else ("faces", False)
+            )
+
+
 # The pair whose weight changes: the bottom and top, whose weight is the
 # empty chain's alone; the bottom and the first element of the open
 # interval; and that element and the next one above it.
@@ -906,6 +968,9 @@ def test_order_complex_failures_match_oracle(monkeypatch, spec_parts, wrong_k):
     assert want.failures
     assert not got.passed
     assert (got.subsets_checked, got.failures) == (want.subsets_checked, want.failures)
+    # K enters only the pairs at the top, and the bottom's is the first of them.
+    bottom_top = (render_element(spec.bottom()), render_element(spec.top()))
+    assert (got.method, got.witness) == ("faces", bottom_top)
 
 
 def test_count_products_matches_matmul_operands():
