@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from typing import Callable, Iterator, Sequence
 
 Component = tuple[int, ...]
@@ -402,6 +403,7 @@ def chain_plan(
     elements: Sequence[Element],
     key: Callable[[Element], Sequence[int]] = order_key,
     max_chains: int | None = None,
+    degree: int | None = None,
 ) -> tuple[list[Sequence[int]], list[int], int]:
     """The order bookkeeping of a chain route over ``elements`` under ``key``.
 
@@ -410,25 +412,34 @@ def chain_plan(
     all of them.  Returns the nodes strictly above each node but the top,
     ascending, the bottom's row ``range(m)``; the elements in one linear
     extension from the bottom up, by the number of elements below each,
-    ties by index; and the strict chains of ``elements``, the empty one
-    included.  The chains are counted first, from the up-set masks of one
-    ``OrderIndex``, top down in order of key sum, which rises up the order:
-    the empty chain, then those starting at each element.  Once the count
-    passes ``max_chains``, by default ``DEFAULT_MAX_CHAINS``, it stops and
-    raises ``CapExceededError``, before any strict-above list is built.
+    ties by index; and the count of the strict chains of ``elements``, the
+    empty one included.  With a ``degree`` D, a chain of ``l`` elements
+    counts ``C(D, l)``, the multichains of degree at most D on it, so the
+    count is that of the multichains.  The chains are counted first, from
+    the up-set masks of one ``OrderIndex``, top down in order of key sum,
+    which rises up the order: the empty chain, then those starting at each
+    element, by length, up to D.  Once the count passes ``max_chains``, by
+    default ``DEFAULT_MAX_CHAINS``, it stops and raises
+    ``CapExceededError``, before any strict-above list is built.
     """
     m = len(elements)
     index = OrderIndex(elements, key)
     cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    starting = [0] * m
+    starting: list[list[int]] = [[]] * m  # per element, the chains starting there by length
+    weights: list[int] = []  # what a chain of l elements counts, at l - 1, as far as needed
     count = 1
     for i in sorted(range(m), key=lambda i: sum(key(elements[i])), reverse=True):
         if count > cap:
             break
-        starting[i] = 1 + sum(map(starting.__getitem__, index.above(i)))
-        count += starting[i]
+        longer = itertools.zip_longest(*map(starting.__getitem__, index.above(i)), fillvalue=0)
+        starting[i] = [1, *map(sum, longer)][:degree]
+        while len(weights) < len(starting[i]):
+            weights.append(1 if degree is None else math.comb(degree, len(weights) + 1))
+        count += sum(map(operator.mul, weights, starting[i]))
     if count > cap:
-        raise CapExceededError(f"chain enumeration exceeds cap {count_text(cap)}")
+        noun = "chain" if degree is None else "multichain"
+        bound = "" if degree is None else f" up to degree {count_text(degree)}"
+        raise CapExceededError(f"{noun} enumeration exceeds cap {count_text(cap)}{bound}")
     above = [*map(index.above, range(m)), range(m)]
     below = collections.Counter(itertools.chain.from_iterable(above[:m]))
     return above, sorted(range(m), key=below.__getitem__), count

@@ -19,22 +19,18 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import comb
 from operator import itemgetter, sub
 from typing import Callable, NamedTuple, Sequence
 
 from ._packed import ONE, HlsRational, PairWeights, Terms, TruncatedSeries, _add_product
 from .exactalg import LaurentPoly, VarTable, y_binomial
 from .poset import (
-    DEFAULT_MAX_CHAINS,
     CapExceededError,
     DegenerateSpecError,
     Element,
     PosetSpec,
     _members,
-    above_lists,
     chain_plan,
-    count_text,
     interval_elements,
     order_key,
     render_element,
@@ -241,33 +237,17 @@ def expand_multichain(
     elements, one per multiplicity vector of total at most ``bound``
     (``C(bound, l)``, by stars and bars), share the chain's weight, packed
     by the δ codec (``_packed.PairWeights``), as one coefficient dict.
-    The multichains are counted first, from the chains ending at each
-    element by length, up to the longest chain, and more than
-    ``max_chains``, the empty one included, raises ``CapExceededError``
-    before any weight work.
+    ``poset.chain_plan`` counts the multichains first, with ``degree``
+    ``bound``, and more than ``max_chains``, the empty one included, raises
+    ``CapExceededError`` before any weight work; its strict-above lists
+    then guide the walk.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     ctx = make_context(spec, max_elements)
     elements = ctx.x_elements
     m = len(elements)
-    above = above_lists(elements)
-    count, ends = 1, [1] * m
-    for length in range(1, bound + 1):
-        if not any(ends):  # no strict chain this long, nor any longer one
-            break
-        count += comb(bound, length) * sum(ends)
-        longer = [0] * m
-        for i, c in enumerate(ends):
-            for j in above[i]:
-                longer[j] += c
-        ends = longer
-    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    if count > cap:
-        raise CapExceededError(
-            f"multichain enumeration exceeds cap {count_text(cap)}:"
-            f" {count_text(count)} multichains up to degree {count_text(bound)}"
-        )
+    above, _, _ = chain_plan(elements, max_chains=max_chains, degree=bound)
     weights = PairWeights(spec, ctx.table, ctx.yvars, pair_weight)
     for e in elements:
         weights(e, e)  # raises unless w(e, e) = 1
@@ -279,9 +259,9 @@ def expand_multichain(
     # Node m is the bottom; the end, node m + 1, is the top, the last column of every row
     # (node m - 1, if m > 0), so its column is the top's, as w(top, top) is 1.  A chain's
     # members come in index order, and the vectors of one length are closed under permutation.
-    steps = [*above, range(m)]
+    steps = above
     if bound < 2:  # no step joins two elements: their rows need only the top
-        steps = [*(js[-1:] for js in above), range(m) if bound else range(m)[-1:]]
+        steps = [*(js[-1:] for js in above[:m]), above[m] if bound else above[m][-1:]]
     rows = weights.rows([*elements, spec.bottom()], steps)
     for row in rows:
         row[m + 1] = row.get(m - 1, ONE)

@@ -457,7 +457,8 @@ def verify_order_complex(
         for b, neg_b in neg.items():
             acc = {key: (-sigma if b == top else 1) * co for key, co in neg_b.items()}
             for mid, neg_mid in neg.items():
-                _add_product(acc, g[mid].get(b, {}), neg_mid)  # g(mid, b) is 0 unless mid < b
+                if b in g[mid]:  # g(mid, b) is 0 unless mid < b
+                    _add_product(acc, g[mid][b], neg_mid)
             g[a][b] = acc
 
     rows = (w, g, c, ctx.table, weights.codec)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from operator import itemgetter
 
@@ -401,10 +402,18 @@ def test_chain_plan_matches_brute_force(spec, interval, key, leq):
     assert order == sorted(range(m), key=lambda j: (below[j], j))
     rank = {j: k for k, j in enumerate(order)}
     assert all(rank[i] < rank[j] for i in range(m) for j in above[i])
-    assert count == len(brute_force_chains(elements, m, leq=leq))
+    chains = brute_force_chains(elements, m, leq=leq)
+    assert count == len(chains)
     with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
         chain_plan(elements, key, count - 1)
     assert chain_plan(elements, key, count)[2] == count
+    # With a degree D, a chain of l elements counts its C(D, l) multichains.
+    for degree in (0, 1, 2, 4 * m):
+        count = sum(math.comb(degree, len(chain)) for chain in chains)
+        message = f"^multichain enumeration exceeds cap {count - 1} up to degree {degree}$"
+        with pytest.raises(CapExceededError, match=message):
+            chain_plan(elements, key, count - 1, degree)
+        assert chain_plan(elements, key, count, degree) == (above, order, count)
 
 
 @pytest.mark.parametrize(
