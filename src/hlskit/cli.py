@@ -219,7 +219,7 @@ def cmd_specialize(args) -> int:
     *_, flags = COMMANDS["specialize"]
     unread = [f for f in flags if f in shapes]
     _reject_unread(args, args.kind, unread, (flag,))
-    caps = (args.max_elements, args.max_chains, args.max_terms)
+    caps = (args.max_chains, args.max_elements, args.max_terms)
     value = build(parts[0] if single else parts, *caps)
     millis = None if args.no_timing else int((time.perf_counter() - started) * 1000)
     _render_series(args, value, millis)

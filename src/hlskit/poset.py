@@ -324,18 +324,6 @@ class OrderIndex:
         return _members(self.up(i) ^ 1 << i)
 
 
-def above_lists(
-    elements: Sequence[Element], key: Callable[[Element], Sequence[int]] = order_key
-) -> list[list[int]]:
-    """For each element, the indices of the elements strictly above it.
-
-    The order is ``OrderIndex(elements, key)``: one up-set mask per element,
-    a few big-int ANDs each, and no pairwise order test.
-    """
-    index = OrderIndex(elements, key)
-    return [index.above(i) for i in range(len(elements))]
-
-
 def cover_relations(
     spec: PosetSpec, max_elements: int | None = None
 ) -> list[tuple[Element, Element]]:
@@ -368,21 +356,13 @@ def cover_relations(
 
 
 def _walk(
-    elements: Sequence[Element],
-    successors: Sequence[Sequence[int]],
-    max_length: int,
-    cap: int,
-    noun: str,
+    elements: Sequence[Element], successors: Sequence[Sequence[int]], max_length: int
 ) -> Iterator[tuple[Element, ...]]:
     """Breadth-first walk over index sequences, each step to a successor.
 
     Yields every sequence of at most ``max_length`` elements, the empty one
-    first, by length and then lexicographically by index tuple; the cap
-    counts the empty sequence too.
+    first, by length and then lexicographically by index tuple.
     """
-    produced = 1
-    if produced > cap:
-        raise CapExceededError(f"{noun} enumeration exceeds cap {cap}")
     yield ()
     frontier: list[tuple[int, ...]] = [()]
     while frontier and len(frontier[0]) < max_length:
@@ -390,9 +370,6 @@ def _walk(
         for prefix in frontier:
             candidates = successors[prefix[-1]] if prefix else range(len(elements))
             for j in candidates:
-                produced += 1
-                if produced > cap:
-                    raise CapExceededError(f"{noun} enumeration exceeds cap {cap}")
                 chain = prefix + (j,)
                 yield tuple(elements[k] for k in chain)
                 nxt.append(chain)
@@ -452,10 +429,12 @@ def chains_in(
 
     Each chain lists its elements from the lowest up.  Deterministic order:
     by length, then lexicographically by the index tuple of the chain
-    relative to ``elements``.
+    relative to ``elements``.  ``chain_plan`` counts the chains first, so
+    more than ``max_chains`` raises ``CapExceededError`` at the call,
+    before any chain is yielded.
     """
-    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    return _walk(elements, above_lists(elements), len(elements), cap, "chain")
+    above, _, _ = chain_plan(elements, max_chains=max_chains)
+    return _walk(elements, above, len(elements))
 
 
 def enumerate_chains(
@@ -464,7 +443,8 @@ def enumerate_chains(
     max_chains: int | None = None,
     max_elements: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
-    """Strict chains of the tagged interval between bottom and top."""
+    """Strict chains of the tagged interval between bottom and top, counted and
+    capped at the call as ``chains_in`` does."""
     elements = interval_elements(spec, interval, max_elements)
     return chains_in(elements, max_chains)
 
@@ -476,13 +456,18 @@ def enumerate_multichains(
     max_chains: int | None = None,
     max_elements: int | None = None,
 ) -> Iterator[tuple[Element, ...]]:
-    """Weakly increasing sequences of interval elements, up to a length bound."""
+    """Weakly increasing sequences of interval elements, up to a length bound.
+
+    In the order of ``chains_in``.  ``chain_plan`` counts them first, with
+    ``degree`` the bound, so more than ``max_chains``, the empty one
+    included, raises ``CapExceededError`` at the call.
+    """
     if max_total_length < 0:
         raise ValueError("length bound must be nonnegative")
-    cap = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     elements = interval_elements(spec, interval, max_elements)
-    at_or_above = [sorted(js + [i]) for i, js in enumerate(above_lists(elements))]
-    return _walk(elements, at_or_above, max_total_length, cap, "multichain")
+    above, _, _ = chain_plan(elements, max_chains=max_chains, degree=max_total_length)
+    at_or_above = [sorted([i, *js]) for i, js in enumerate(above[:-1])]
+    return _walk(elements, at_or_above, max_total_length)
 
 
 def is_multichain(chain: Sequence[Element]) -> bool:

@@ -102,13 +102,16 @@ def _chain_series(
     per last chain element, starting from the bottom.  At each element
     ``c``, every state ``s`` below ``c`` sends ``state * X_c * w(s, c)``
     to the new state ``c``, and every earlier state takes the factor
-    ``1 - X_c`` (Stanley, EC1 section 4.7).  A state is folded into one
-    running ``total``, times ``w(s, top)``, as soon as the last element
-    above it other than the top is swept; from then on ``total`` takes the
-    ``1 - X_c`` factors in its place, and equal keys of different states
-    merge.  The top of the half-open interval is not swept: its step,
-    ``total * (1 - X_top) + total * X_top * w(top, top)``, is ``total``, as
-    ``w(top, top) = 1``, which packing its row checks.
+    ``1 - X_c`` (Stanley, EC1 section 4.7).  Each state counts down the
+    swept elements still to read it, and is folded into one running
+    ``total``, times ``w(s, top)``, and freed right after its last reader
+    has added it to the new state, so before that step's ``1 - X_c``; a
+    state that no swept element reads folds right after its own step.  From
+    then on ``total`` takes the ``1 - X_c`` factors in its place, and equal
+    keys of different states merge.  The top of the half-open interval is
+    not swept: its step, ``total * (1 - X_top) + total * X_top * w(top,
+    top)``, is ``total``, as ``w(top, top) = 1``, which packing its row
+    checks.
 
     The sweep runs on the nodes of ``poset.chain_plan``, along its linear
     extension.  The pair weights it reads are packed once, by the δ codec,
@@ -133,20 +136,16 @@ def _chain_series(
         for j in above[i]:
             preds[j].append(i)
 
-    swept = order[:-1] if interval == "half_open" else order
+    # The half-open interval's top, node m - 1, is last in the linear extension
+    # and in every strict-above list, and it is not swept.
+    drop = 1 if interval == "half_open" else 0
+    swept = order[: m - drop]
     term_cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    position = {c: k for k, c in enumerate(swept)}
     # Row s of the transfer matrix: the swept nodes above node s, then the top.
     end = m + 1
-    successors = [[*(j for j in js if j in position), end] for js in above]
-    # A state folds into ``total`` once no element but the top is left above
-    # it: in the step of the last one above it, before its ``1 - X_c``, or
-    # right after its own step if there is none (key None).
-    fold_at = {}
-    for s in (m, *range(m)):
-        after = [position[j] for j in successors[s][:-1]]
-        fold_at.setdefault(max(after, default=None), []).append(s)
-    maximal = set(fold_at.pop(None, ()))
+    successors = [[*js[: len(js) - drop], end] for js in above]
+    # Per state, the swept nodes still to read it; at 0 it folds into ``total``.
+    readers = [len(js) - 1 for js in successors]
     weights = PairWeights(spec, ctx.table, ctx.yvars, weight)
     rows = weights.rows([*elements, spec.bottom(), spec.top()], successors)
 
@@ -160,7 +159,7 @@ def _chain_series(
         if len(total) + sum(map(len, states.values())) > term_cap:
             raise CapExceededError(f"term cap {term_cap} exceeded at element {step} of {m}")
 
-    if m in maximal:
+    if not readers[m]:
         fold(m)
     check(0)
     for k, c in enumerate(swept):
@@ -168,12 +167,13 @@ def _chain_series(
         incoming: Terms = {}
         for s in preds[c]:
             _add_product(incoming, states[s], {y << m | b: a for y, a in rows[s][c].items()})
-        for s in fold_at.get(k, ()):
-            fold(s)
+            readers[s] -= 1
+            if not readers[s]:
+                fold(s)
         for terms in (*states.values(), total):
             terms.update({key + b: -a for key, a in terms.items()})
         states[c] = incoming
-        if c in maximal:
+        if not readers[c]:
             fold(c)
         check(k + 1)
     x_vars = tuple(ctx.x_ids[e] for e in elements)
@@ -339,8 +339,8 @@ def _unit_pair(
 
 def classical_igusa(
     r: int,
-    max_elements: int | None = None,
     max_chains: int | None = None,
+    max_elements: int | None = None,
     max_terms: int | None = None,
 ) -> HlsRational:
     """Subset-sum form of the one-component, n = 0 series.
@@ -356,8 +356,8 @@ def classical_igusa(
 
 def generalized_igusa(
     r_vec: Sequence[int],
-    max_elements: int | None = None,
     max_chains: int | None = None,
+    max_elements: int | None = None,
     max_terms: int | None = None,
 ) -> HlsRational:
     """Chain-sum form over a product of chains, weighted by tableau binomials."""
@@ -367,8 +367,8 @@ def generalized_igusa(
 
 def mv_hls(
     n: int,
-    max_elements: int | None = None,
     max_chains: int | None = None,
+    max_elements: int | None = None,
     max_terms: int | None = None,
 ) -> HlsRational:
     """Reduced-tableau sum for one component with r = 0.
@@ -385,8 +385,8 @@ def mv_hls(
 
 def weak_order_igusa(
     g: int,
-    max_elements: int | None = None,
     max_chains: int | None = None,
+    max_elements: int | None = None,
     max_terms: int | None = None,
 ) -> HlsRational:
     """Flag sum over nonempty subsets of [g], ordered by inclusion.

@@ -375,7 +375,14 @@ def test_chain_enumeration_counts_by_brute_force():
 )
 def test_chains_in_matches_brute_force(spec, interval):
     elements = interval_elements(spec, interval)
-    assert list(chains_in(elements)) == brute_force_chains(elements, len(elements))
+    chains = brute_force_chains(elements, len(elements))
+    assert list(chains_in(elements)) == chains
+    # chain_plan counts first: all of them at the count, and one below it the
+    # call itself raises, before any chain is yielded.
+    count = len(chains)
+    assert list(chains_in(elements, count)) == chains
+    with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
+        chains_in(elements, count - 1)
 
 
 def _product_leq(a, b):
@@ -425,6 +432,11 @@ def test_multichains_match_brute_force(spec, bound):
     elements = interval_elements(spec, "half_open")
     expected = brute_force_chains(elements, bound, weak=True)
     assert list(enumerate_multichains(spec, max_total_length=bound)) == expected
+    count = len(expected)
+    assert list(enumerate_multichains(spec, "half_open", bound, count)) == expected
+    message = f"^multichain enumeration exceeds cap {count - 1} up to degree {bound}$"
+    with pytest.raises(CapExceededError, match=message):
+        enumerate_multichains(spec, "half_open", bound, count - 1)
 
 
 def test_multichain_cap_counts_the_empty_multichain():

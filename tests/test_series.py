@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from hlskit import poset, series
-from hlskit._packed import PairWeights
+from hlskit._packed import PairWeights, _add_product
 from hlskit.exactalg import LaurentPoly, VarTable, y_multinomial
 from hlskit.poset import (
     CapExceededError,
@@ -381,6 +381,29 @@ def test_weak_order_igusa_is_mv_hls_at_one():
         assert wo.denominator_names == mv.denominator_names
 
 
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (classical_igusa, 3),
+        (generalized_igusa, (1, 2)),
+        (mv_hls, 3),
+        (weak_order_igusa, 3),
+        (hls, PosetSpec((1,), (2,))),
+        (hls_modified, PosetSpec((1,), (2,))),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_every_series_builder_takes_its_caps_in_one_order(build, shape):
+    # (max_chains, max_elements, max_terms), positionally, for every builder.
+    count = build(shape).chain_count
+    with pytest.raises(CapExceededError, match=f"^chain enumeration exceeds cap {count - 1}$"):
+        build(shape, count - 1)
+    with pytest.raises(CapExceededError, match="^poset has .* elements, cap is 0$"):
+        build(shape, count, 0)
+    with pytest.raises(CapExceededError, match="^term cap 0 exceeded at element 0 of "):
+        build(shape, count, None, 0)
+
+
 def test_weak_order_igusa_returns_a_value_without_a_spec():
     wo = weak_order_igusa(2)
     assert wo.spec is None
@@ -608,6 +631,27 @@ def test_top_step_reads_the_top_pair_weight(monkeypatch):
         hls(spec)
     numerator, _ = kernel_oracle(spec, pair, "open")
     assert hls_modified(spec).numerator == numerator
+
+
+@pytest.mark.parametrize("build", [hls, hls_modified])
+@pytest.mark.parametrize(
+    "parts", [((2,), (2,)), ((1, 1), (1, 1)), ((2,), (3,)), ((1,), (2,))], ids=str
+)
+def test_each_state_folds_right_after_its_last_read(monkeypatch, build, parts):
+    # The sweep reads a state into a new one with one _add_product call each,
+    # and folds it into the total with one more: that call must come next.
+    calls = []
+
+    def record(acc, terms, weight):
+        calls.append((acc, terms))  # holds every dict, so no id is reused
+        _add_product(acc, terms, weight)
+
+    monkeypatch.setattr(series, "_add_product", record)
+    total = build(PosetSpec(*parts)).terms
+    folds = {id(terms): k for k, (acc, terms) in enumerate(calls) if acc is total}
+    last_read = {id(terms): k for k, (acc, terms) in enumerate(calls) if acc is not total}
+    assert last_read and last_read.keys() <= folds.keys()
+    assert [k for state, k in last_read.items() if folds[state] != k + 1] == []
 
 
 def test_term_cap_at_the_peak():

@@ -6,7 +6,7 @@ from hlskit._packed import PairWeights
 from hlskit.exactalg import LaurentPoly, VarTable
 from hlskit.poset import (
     PosetSpec,
-    above_lists,
+    chain_plan,
     chains_in,
     enumerate_elements,
     enumerate_multichains,
@@ -162,7 +162,7 @@ def test_chain_weights_match_chain_weight(spec, max_length):
     elements = interval_elements(spec)
     m = len(elements)
     nodes = [*elements, spec.bottom(), spec.top()]
-    rows = weights.rows(nodes, [[*js, m + 1] for js in [*above_lists(elements), range(m)]])
+    rows = weights.rows(nodes, [[*js, m + 1] for js in chain_plan(elements)[0]])
     got = list(chain_weights(rows, m, m + 1, max_length))
     longest = m if max_length is None else max_length
     want = {frozenset(c): c for c in chains_in(elements) if len(c) <= longest}
