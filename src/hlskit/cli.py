@@ -39,7 +39,6 @@ from .series import (
     weak_order_igusa,
 )
 from .verify import (
-    count_products,
     mobius_rows,
     rows_mismatch,
     verify_order_complex,
@@ -240,8 +239,7 @@ def _order_complex(spec, args):
 
 
 def _zeta_mobius(spec, args):
-    count_products(spec, args.max_products, args.max_elements)
-    zeta = zeta_rows(spec, max_elements=args.max_elements)
+    zeta = zeta_rows(spec, max_elements=args.max_elements, max_products=args.max_products)
     product = zeta.times(mobius_rows(zeta))
     mismatch = rows_mismatch(product.rows)
     if mismatch is None:

@@ -106,11 +106,43 @@ def zeta_rows(
     table: VarTable | None = None,
     yvars: Sequence[Sequence[int]] | None = None,
     max_elements: int | None = None,
+    max_products: int | None = None,
 ) -> PackedRows:
-    """The pair weights of the comparable pairs, found by ``OrderIndex``, packed as rows."""
-    table, yvars = _context_vars(spec, table, yvars, max_elements)
+    """The pair weights of the comparable pairs, found by ``OrderIndex``, packed as rows.
+
+    First it counts the triples i <= k <= j, one per nonzero product of
+    zeta times Moebius: it sums |{j >= k}| * |{i <= k}| over k, one row of
+    the order at a time and before any polynomial work.  The partial sum
+    only grows, so the count stops at the first row that takes it past the
+    cap, ``DEFAULT_MAX_PRODUCTS`` unless ``max_products`` is given.
+    ``OrderIndex`` builds a threshold mask only when a row first reads it,
+    so the rows counted bound the masks built as well as the products.  The
+    cap (``--max-products``) also bounds ``multiply_rows``, which packs the
+    rows: it makes at most one multiply-add per pair of terms of
+    ``zeta[i][k]`` and ``mobius[k][j]`` over the triples.  Only past the
+    count are the variables made and the weights computed, on rows read
+    from the same index, whose masks the count has built.
+    """
+    cap = DEFAULT_MAX_PRODUCTS if max_products is None else max_products
     elements = tuple(enumerate_elements(spec, max_elements))
     index = OrderIndex(elements)
+    up = [0] * len(elements)
+    down = [1] * len(elements)  # counts the rows done so far
+    triples = 0
+    for k in range(len(elements)):
+        above = index.above(k)
+        up[k] = len(above) + 1
+        triples += up[k] * down[k]
+        for j in above:
+            down[j] += 1
+            if j < k:
+                triples += up[j]
+        if triples > cap:
+            raise CapExceededError(
+                f"{triples} triples i <= k <= j exceed the cap {cap}"
+                f" (counted {k + 1} of {len(elements)} rows)"
+            )
+    table, yvars = _context_vars(spec, table, yvars, max_elements)
     weights = PairWeights(spec, table, yvars, pair_weight)
     at_or_above = [(i, *index.above(i)) for i in range(len(elements))]
     return PackedRows(elements, weights, weights.rows(elements, at_or_above))
@@ -143,7 +175,8 @@ def zeta_matrix(
 ) -> PolyMatrix:
     """Entries are the pair weights; zero off the order, one on the diagonal.
 
-    The view of ``zeta_rows``: ``pair_weight`` is called once per
+    The view of ``zeta_rows``, so past ``DEFAULT_MAX_PRODUCTS`` triples it
+    raises ``CapExceededError``: ``pair_weight`` is called once per
     comparable pair, and every other entry is one shared zero.
     """
     return zeta_rows(spec, table, yvars, max_elements).view()
@@ -176,44 +209,6 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                         row[j] = row[j] + x * y
         entries.append(row)
     return PolyMatrix(a.labels, entries, a.table)
-
-
-def count_products(
-    spec: PosetSpec,
-    max_products: int | None = None,
-    max_elements: int | None = None,
-) -> int:
-    """The triples i <= k <= j, one per nonzero product of zeta times Moebius.
-
-    Sums |{j >= k}| * |{i <= k}| over k, one row of the order at a time and
-    before any polynomial work.  The partial sum only grows, so the count
-    stops at the first row that takes it past the cap.  ``OrderIndex``
-    builds a threshold mask only when a row first reads it, so the rows
-    counted bound the masks built as well as the products.  The cap
-    (``--max-products``) also bounds ``multiply_rows``, which packs the
-    rows: it makes at most one multiply-add per pair of terms of
-    ``zeta[i][k]`` and ``mobius[k][j]`` over the triples.
-    """
-    cap = DEFAULT_MAX_PRODUCTS if max_products is None else max_products
-    elements = enumerate_elements(spec, max_elements)
-    index = OrderIndex(elements)
-    up = [0] * len(elements)
-    down = [1] * len(elements)  # counts the rows done so far
-    triples = 0
-    for k in range(len(elements)):
-        above = index.above(k)
-        up[k] = len(above) + 1
-        triples += up[k] * down[k]
-        for j in above:
-            down[j] += 1
-            if j < k:
-                triples += up[j]
-        if triples > cap:
-            raise CapExceededError(
-                f"{triples} triples i <= k <= j exceed the cap {cap}"
-                f" (counted {k + 1} of {len(elements)} rows)"
-            )
-    return triples
 
 
 def identity_mismatch(a: PolyMatrix) -> tuple[int, int] | None:
@@ -452,14 +447,15 @@ def verify_order_complex(
     w = weights.rows(nodes, [[*js, top] for js in above])
     g: Rows = [{} for _ in nodes]
     for a in (*reversed(order), m):
-        # -ŵ(a, b) for each b above a, so each gap sum adds g(mid, b) * -ŵ(a, mid)
+        # -ŵ(a, b) for each b above a; each gap sum starts there and adds
+        # g(mid, b) * -ŵ(a, mid) for each g(mid, b) stored, where mid < b.
         neg = {b: {keys[b] - keys[a] - k: -co for k, co in wb.items()} for b, wb in w[a].items()}
+        row = g[a]
         for b, neg_b in neg.items():
-            acc = {key: (-sigma if b == top else 1) * co for key, co in neg_b.items()}
-            for mid, neg_mid in neg.items():
-                if b in g[mid]:  # g(mid, b) is 0 unless mid < b
-                    _add_product(acc, g[mid][b], neg_mid)
-            g[a][b] = acc
+            row[b] = {key: (-sigma if b == top else 1) * co for key, co in neg_b.items()}
+        for mid, neg_mid in neg.items():
+            for b, g_mid_b in g[mid].items():
+                _add_product(row[b], g_mid_b, neg_mid)
 
     rows = (w, g, c, ctx.table, weights.codec)
     checked, witness = _pair_certificate(*rows)

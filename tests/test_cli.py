@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hlskit import series, verify
+from hlskit import poset, series, verify
 from hlskit._argv import quoted
 from conftest import reference_parser
 from hlskit.cli import CHECKS, COMMANDS, SPECIALIZATIONS, main, parse_args
@@ -641,6 +641,36 @@ def test_each_pair_weight_is_computed_once(capsys, monkeypatch, argv, module, na
         elements = enumerate_elements(PosetSpec((2,), (2,)))
         comparable = [(a, b) for a in elements for b in elements if leq_t(a, b)]
         assert sorted(calls) == sorted(comparable)
+
+
+# Each command on a spec of the benchmark's, and the order indexes it builds:
+# one per series value, one per check.
+ORDER_INDEXES = [
+    (("compute", "--n", "2", "--r", "2"), 1),
+    (("compute", "--n", "2", "--r", "2", "--modified"), 1),
+    (("expand", "--n", "2", "--r", "1", "--max-degree", "4", "--method", "multichain"), 1),
+    (("expand", "--n", "2", "--r", "1", "--max-degree", "4", "--method", "rational"), 1),
+    (("specialize", "--kind", "classical-igusa", "--r", "6"), 1),
+    (("verify", "reciprocity", "--n", "1", "--r", "2"), 1),
+    (("verify", "order-complex", "--n", "2", "--r", "2"), 1),
+    (("verify", "zeta-mobius", "--n", "4", "--r", "3"), 1),
+    (("verify", "relation", "--n", "1,1", "--r", "1,0"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, count", ORDER_INDEXES, ids=[" ".join(a) for a, _ in ORDER_INDEXES])
+def test_each_command_builds_one_order_index_per_value(capsys, monkeypatch, argv, count):
+    built = []
+    original = poset.OrderIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(poset.OrderIndex, "__init__", counted)
+    code, out, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0 and out
+    assert len(built) == count
 
 
 def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):

@@ -30,7 +30,6 @@ from hlskit.verify import (
     K_and_N,
     PolyMatrix,
     check_reciprocity,
-    count_products,
     identity_mismatch,
     is_identity,
     kron,
@@ -799,6 +798,22 @@ def test_order_complex_counts_chains_before_any_weight(monkeypatch, spec_parts):
 
 
 @pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((1, 1), (1, 1))], ids=str)
+def test_zeta_rows_count_products_before_any_weight(monkeypatch, spec_parts):
+    spec = PosetSpec(*spec_parts)
+    elements = enumerate_elements(spec)
+    count = sum(leq_t(a, c) and leq_t(c, b) for a in elements for c in elements for b in elements)
+
+    def no_weight(*args):
+        raise AssertionError("a pair weight was computed")
+
+    monkeypatch.setattr(verify, "pair_weight", no_weight)
+    with pytest.raises(CapExceededError, match=f"^{count} triples .* the cap {count - 1} "):
+        zeta_rows(spec, max_products=count - 1)
+    with pytest.raises(AssertionError, match="a pair weight was computed"):
+        zeta_rows(spec, max_products=count)
+
+
+@pytest.mark.parametrize("spec_parts", [((2,), (1,)), ((1, 1), (1, 1))], ids=str)
 def test_mobius_via_chains_counts_chains_before_any_weight(monkeypatch, spec_parts):
     spec = PosetSpec(*spec_parts)
     a, b = spec.bottom(), spec.top()
@@ -973,7 +988,7 @@ def test_order_complex_failures_match_oracle(monkeypatch, spec_parts, wrong_k):
     assert (got.method, got.witness) == ("faces", bottom_top)
 
 
-def test_count_products_matches_matmul_operands():
+def test_zeta_rows_count_matches_matmul_operands():
     # One triple per pair of nonzero factors that matmul multiplies.
     for spec in (PosetSpec((2,), (2,)), PosetSpec((1, 1), (1, 0))):
         z, mu = zeta_matrix(spec), mobius_matrix(spec)
@@ -985,12 +1000,24 @@ def test_count_products_matches_matmul_operands():
             for j in range(m)
             if not z.entries[i][k].is_zero() and not mu.entries[k][j].is_zero()
         )
-        assert count_products(spec) == nonzero
+        assert zeta_rows(spec, max_products=nonzero).view().entries == z.entries
+        with pytest.raises(CapExceededError, match=f"^{nonzero} triples "):
+            zeta_rows(spec, max_products=nonzero - 1)
 
 
 @pytest.mark.parametrize("n, triples", [(4, 34_496), (5, 237_952), (6, 1_664_000)])
-def test_count_products_reference_values(n, triples):
+def test_zeta_rows_count_reference_values(n, triples):
     spec = PosetSpec((n,), (3,))
-    assert count_products(spec, max_products=triples) == triples
+    assert len(zeta_rows(spec, max_products=triples).rows) == len(enumerate_elements(spec))
     with pytest.raises(CapExceededError, match=f"exceed the cap {triples - 1} "):
-        count_products(spec, max_products=triples - 1)
+        zeta_rows(spec, max_products=triples - 1)
+
+
+@pytest.mark.parametrize("build", [zeta_matrix, mobius_matrix], ids=lambda f: f.__name__)
+def test_zeta_and_mobius_matrices_stop_at_the_default_product_cap(build):
+    # (6),(3) has 1,664,000 triples; a lifted cap is zeta_rows(..., max_products=N).view().
+    with pytest.raises(
+        CapExceededError,
+        match=r"^1004886 triples i <= k <= j exceed the cap 1000000 \(counted 185 of 256 rows\)$",
+    ):
+        build(PosetSpec((6,), (3,)))
