@@ -20,8 +20,7 @@ from .poset import (
     CapExceededError,
     DegenerateSpecError,
     PosetSpec,
-    cover_relations,
-    enumerate_elements,
+    hasse,
     hasse_dot,
     parse_chain,
     render_element,
@@ -171,12 +170,11 @@ def cmd_project(args) -> int:
 def cmd_hasse(args) -> int:
     spec = _spec_from(args)
     if args.format == "json":
-        covers = cover_relations(spec, args.max_elements)
-        elements = enumerate_elements(spec, args.max_elements)
+        elements, names, covers = hasse(spec, args.max_elements)
         payload = {
             "spec": _spec_json(spec),
-            "nodes": [render_element(e) for e in elements],
-            "edges": [[render_element(a), render_element(b)] for a, b in covers],
+            "nodes": names,
+            "edges": [[names[i], names[j]] for i, j in covers],
             "vectors": [[list(a) for a in e] for e in elements],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")

@@ -324,32 +324,26 @@ class OrderIndex:
         return _members(self.up(i) ^ 1 << i)
 
 
-def cover_relations(
-    spec: PosetSpec, max_elements: int | None = None
-) -> list[tuple[Element, Element]]:
-    """All covering pairs (a, b), a below b, in enumeration order.
+def cover_relations(elements: Sequence[Element]) -> list[tuple[int, int]]:
+    """The covering pairs of ``elements`` as index pairs ``(i, j)``, ``elements[i]``
+    below ``elements[j]``, sorted.
 
-    ``max_elements`` defaults to ``DEFAULT_MAX_HASSE_ELEMENTS``.  The
-    elements are indexed in order of key sum, which rises strictly up the
+    The elements are indexed in order of key sum, which rises strictly up the
     order, so the lowest set bit of a mask is a minimal element of it: the
-    covers of ``a`` are found one at a time, each taking the up-set of the
-    last one found out of what is left above ``a``.
+    covers of an element are found one at a time, each taking the up-set of
+    the last one found out of what is left above it.
     """
-    cap = DEFAULT_MAX_HASSE_ELEMENTS if max_elements is None else max_elements
-    elements = enumerate_elements(spec, cap)
-    ranked = sorted(elements, key=lambda e: sum(order_key(e)))
-    index = OrderIndex(ranked)
-    position = {e: k for k, e in enumerate(elements)}
-    above: list[list[Element]] = [[] for _ in elements]
-    for k, a in enumerate(ranked):
+    ranked = sorted(range(len(elements)), key=lambda i: sum(order_key(elements[i])))
+    index = OrderIndex([elements[i] for i in ranked])
+    covers = []
+    for k, i in enumerate(ranked):
         rest = index.up(k) ^ 1 << k
-        found = above[position[a]]
         while rest:
             low = (rest & -rest).bit_length() - 1
-            found.append(ranked[low])
+            covers.append((i, ranked[low]))
             rest &= ~index.up(low)
-        found.sort(key=position.__getitem__)
-    return [(a, b) for a, bs in zip(elements, above) for b in bs]
+    covers.sort()
+    return covers
 
 
 # -- chains and multichains ------------------------------------------------------
@@ -541,17 +535,24 @@ def parse_chain(text: str, spec: PosetSpec) -> tuple[Element, ...]:
 # -- exports -----------------------------------------------------------------------
 
 
-def hasse_dot(spec: PosetSpec, max_elements: int | None = None) -> str:
-    """Byte-stable DOT rendering of the Hasse diagram, edges pointing upward.
+def hasse(
+    spec: PosetSpec, max_elements: int | None = None
+) -> tuple[list[Element], list[str], list[tuple[int, int]]]:
+    """The elements of the Hasse diagram, their names and its covers as index pairs.
 
-    ``max_elements`` defaults to ``DEFAULT_MAX_HASSE_ELEMENTS``.
+    One enumeration, each element rendered once.  ``max_elements`` defaults
+    to ``DEFAULT_MAX_HASSE_ELEMENTS``.
     """
-    covers = cover_relations(spec, max_elements)
-    elements = enumerate_elements(spec, max_elements)
+    cap = DEFAULT_MAX_HASSE_ELEMENTS if max_elements is None else max_elements
+    elements = enumerate_elements(spec, cap)
+    return elements, list(map(render_element, elements)), cover_relations(elements)
+
+
+def hasse_dot(spec: PosetSpec, max_elements: int | None = None) -> str:
+    """Byte-stable DOT rendering of ``hasse``, edges pointing upward."""
+    names, covers = hasse(spec, max_elements)[1:]
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in elements:
-        lines.append(f'  "{render_element(e)}";')
-    for a, b in covers:
-        lines.append(f'  "{render_element(a)}" -> "{render_element(b)}";')
+    lines.extend(f'  "{name}";' for name in names)
+    lines.extend(f'  "{names[i]}" -> "{names[j]}";' for i, j in covers)
     lines.append("}")
     return "\n".join(lines) + "\n"

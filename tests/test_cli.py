@@ -655,6 +655,8 @@ ORDER_INDEXES = [
     (("verify", "order-complex", "--n", "2", "--r", "2"), 1),
     (("verify", "zeta-mobius", "--n", "4", "--r", "3"), 1),
     (("verify", "relation", "--n", "1,1", "--r", "1,0"), 2),
+    (("hasse", "--n", "6", "--r", "3"), 1),
+    (("hasse", "--n", "4", "--r", "3", "--format", "json"), 1),
 ]
 
 
@@ -671,6 +673,34 @@ def test_each_command_builds_one_order_index_per_value(capsys, monkeypatch, argv
     code, out, _ = run(capsys, *argv, "--no-timing")
     assert code == 0 and out
     assert len(built) == count
+
+
+# hasse on the benchmark's specs, and its elements: one render each, one enumeration.
+HASSE_NODES = [
+    (("hasse", "--n", "6", "--r", "3"), 256),
+    (("hasse", "--n", "4", "--r", "3", "--format", "json"), 64),
+]
+
+
+@pytest.mark.parametrize("argv, nodes", HASSE_NODES, ids=[" ".join(a) for a, _ in HASSE_NODES])
+def test_hasse_enumerates_once_and_renders_each_node_once(capsys, monkeypatch, argv, nodes):
+    import hlskit.cli as cli
+
+    calls = {"enumerate_elements": 0, "render_element": 0}
+    for name in calls:
+        original = getattr(poset, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        # Wherever the CLI path can reach the function, it reaches the counter.
+        for module in (poset, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0 and out
+    assert calls == {"enumerate_elements": 1, "render_element": nodes}
 
 
 def test_verify_zeta_mobius_reports_first_mismatch(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import random
 from operator import itemgetter
 
 import pytest
 
+from hlskit.cli import main
 from hlskit.poset import (
     CapExceededError,
     OrderIndex,
@@ -276,8 +278,14 @@ def test_delta_examples():
         delta(a, b, 9)
 
 
+def covers_of(spec):
+    """The covers of ``spec`` as element pairs, mapped back from their index pairs."""
+    els = enumerate_elements(spec)
+    return [(els[i], els[j]) for i, j in cover_relations(els)]
+
+
 def test_cover_relations_of_p22():
-    covers = cover_relations(P22)
+    covers = covers_of(P22)
     assert len(covers) == 13
     names = {(render_element(a), render_element(b)) for a, b in covers}
     expected = {
@@ -290,13 +298,13 @@ def test_cover_relations_of_p22():
 
 
 def test_cover_relations_path_for_chain_poset():
-    covers = cover_relations(PosetSpec((0,), (4,)))
+    covers = covers_of(PosetSpec((0,), (4,)))
     assert len(covers) == 4
     assert all(b[0][0] == a[0][0] + 1 for a, b in covers)
 
 
 def test_cover_relations_p11_is_a_path():
-    covers = {(render_element(a), render_element(b)) for a, b in cover_relations(P11)}
+    covers = {(render_element(a), render_element(b)) for a, b in covers_of(P11)}
     assert covers == {("-", "1"), ("1", "0"), ("0", "0 1")}
 
 
@@ -305,20 +313,32 @@ def test_cover_relations_p11_is_a_path():
     [P22, PosetSpec((1, 1), (1, 2)), PosetSpec((6,), (3,)), PosetSpec((1, 1, 1), (1, 0, 1))],
     ids=str,
 )
-def test_cover_relations_match_brute_force(spec):
-    assert cover_relations(spec) == brute_force_covers(spec)
+def test_cover_relations_match_brute_force(spec, capsys):
+    covers = brute_force_covers(spec)
+    assert covers_of(spec) == covers
+    # The JSON export lists the DOT export's nodes and edges, in its order.
+    shape = [",".join(map(str, bounds)) for bounds in (spec.n, spec.r)]
+    assert main(["hasse", "--n", shape[0], "--r", shape[1], "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    lines = hasse_dot(spec).splitlines()
+    assert [f'  "{name}";' for name in data["nodes"]] == [
+        line for line in lines if line.endswith('";') and "->" not in line
+    ]
+    assert [f'  "{a}" -> "{b}";' for a, b in data["edges"]] == [
+        line for line in lines if "->" in line
+    ]
+    assert data["edges"] == [[render_element(a), render_element(b)] for a, b in covers]
 
 
 def test_transitive_closure_of_covers_matches_leq():
     for spec in (P22, G2, P11):
         els = enumerate_elements(spec)
-        idx = {e: i for i, e in enumerate(els)}
         m = len(els)
         reach = [[False] * m for _ in range(m)]
         for i in range(m):
             reach[i][i] = True
-        for a, b in cover_relations(spec):
-            reach[idx[a]][idx[b]] = True
+        for i, j in cover_relations(els):
+            reach[i][j] = True
         for k in range(m):
             for i in range(m):
                 if reach[i][k]:
